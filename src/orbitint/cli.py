@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--no-timestamp", action="store_true")
     ap.add_argument("--output", default=None, help="output path (default stdout)")
     ap.add_argument("--digit-budget", type=int, default=DEFAULT_DIGIT_BUDGET)
-    ap.add_argument("--degree-cap", type=int, default=4096)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_map(p):

@@ -5,6 +5,7 @@ D_n, and the functoriality equivalence between the two."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import binforms
 from .exactarith import PlaceSet, s_free_part
@@ -21,15 +22,33 @@ class IntegralityError(ValueError):
 class IntegralityWitness:
     """Verdict plus the exact cross term it was decided on.
 
-    ``violating_primes`` lists primes outside S dividing the cross term;
-    for astronomically large cross terms the list may be incomplete
-    (``factorization_complete`` False) but the verdict is always exact.
+    The verdict is exact and computed eagerly: the cross term is a nonzero
+    S-unit iff its S-free part ``rest`` is 1.  The diagnosis is computed on
+    first read and cached: ``violating_primes`` lists the primes outside S
+    dividing the cross term that trial division and a bounded Pollard rho
+    find in ``rest``; for astronomically large cross terms the list may be
+    incomplete (``factorization_complete`` False).  Equality, hashing and
+    repr never factor.
     """
 
     cross_term: int
-    violating_primes: tuple[int, ...]
     verdict: bool
-    factorization_complete: bool = True
+    rest: int  # S-free part of the cross term; 1 for a zero cross term
+
+    @cached_property
+    def _diagnosis(self) -> tuple[tuple[int, ...], bool]:
+        if self.rest == 1:  # integral, or a zero cross term
+            return (), True
+        found, leftover = factor_partial(self.rest, rho_iters=1 << 12)
+        return tuple(sorted(found)), leftover == 1
+
+    @property
+    def violating_primes(self) -> tuple[int, ...]:
+        return self._diagnosis[0]
+
+    @property
+    def factorization_complete(self) -> bool:
+        return self._diagnosis[1]
 
     def to_dict(self) -> dict:
         from .report import format_big_int
@@ -43,16 +62,8 @@ class IntegralityWitness:
 
 
 def _witness(cross: int, s: PlaceSet) -> IntegralityWitness:
-    if cross == 0:
-        return IntegralityWitness(0, (), False)
-    rest = s_free_part(cross, s)
-    if rest == 1:
-        return IntegralityWitness(cross, (), True)
-    # the verdict above is exact; the prime list is best-effort, so keep the
-    # factoring budget small -- huge cross terms are flagged incomplete
-    found, leftover = factor_partial(rest, rho_iters=1 << 12)
-    primes = tuple(sorted(found))
-    return IntegralityWitness(cross, primes, False, factorization_complete=(leftover == 1))
+    rest = s_free_part(cross, s) if cross else 1
+    return IntegralityWitness(cross, cross != 0 and rest == 1, rest)
 
 
 def cross_term(p: ProjPoint, q: ProjPoint) -> int:
@@ -66,9 +77,11 @@ def is_integral_pair(p: ProjPoint, q: ProjPoint, s: PlaceSet) -> IntegralityWitn
 
 
 def _require_bad_primes(f: RatMap, s: PlaceSet) -> None:
-    for p in bad_reduction_primes(f):
-        if p not in s:
-            raise IntegralityError(f"place set missing bad-reduction prime {p}")
+    # S holds every prime of Res(f) iff Res(f) is an S-unit; factor Res(f)
+    # only to name a missing prime
+    if s_free_part(f.resultant, s) != 1:
+        missing = min(p for p in bad_reduction_primes(f) if p not in s)
+        raise IntegralityError(f"place set missing bad-reduction prime {missing}")
 
 
 def d_n_cross_form_value(f: RatMap, a: ProjPoint, b: ProjPoint, n: int) -> int:

@@ -96,7 +96,8 @@ class ChordalValue:
     value: Fraction | float
 
     def __post_init__(self):
-        assert 0 <= self.value <= 1
+        if not 0 <= self.value <= 1:
+            raise ProjectiveError(f"chordal distance {self.value!r} outside [0, 1]")
 
 
 def chordal_distance(p: ProjPoint, q: ProjPoint, place: int | str) -> ChordalValue:

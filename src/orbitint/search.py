@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import binforms
-from .exactarith import PlaceSet, is_s_unit
+from .exactarith import PlaceSet, is_s_unit, s_free_part
 from .integrality import IntegralityWitness, is_integral_pair, is_integral_rel_dn
 from .primes import factor
 from .projective import INFINITY, ProjPoint
@@ -111,12 +111,15 @@ def find_integral_pairs(
     Orbits are computed once; each grid cell is an independent exact
     cross-term test.  ``mode`` 'functorial' routes each test through the
     D_k form for k = min(m, n, 3) instead (requires S to contain the bad
-    reduction primes); both modes produce identical pair sets.
+    reduction primes, checked as Res(f) being an S-unit, without
+    factoring); both modes produce identical pair sets.
+
+    Every cell gets a witness; its verdict is decided here, while its
+    violating primes are factored only when something reads them.
     """
     if window.m_max > orbit_cap or window.n_max > orbit_cap:
         raise SearchError("window exceeds orbit cap")
-    has_bad = s.issuperset(bad_reduction_primes(f))
-    if mode == "functorial" and not has_bad:
+    if mode == "functorial" and s_free_part(f.resultant, s) != 1:
         raise SearchError("functorial mode requires S to contain bad-reduction primes")
 
     u_orbit, u_trunc = _orbit(f, u, window.m_max, digit_budget)

@@ -1,6 +1,12 @@
+import hashlib
 import json
+from fractions import Fraction
 
+from orbitint import integrality
 from orbitint.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_TRUNCATED, main
+from orbitint.primes import factor_partial
+
+from test_primes_report import unlimited_str
 
 
 def run_cli(args, capsys):
@@ -227,3 +233,60 @@ class TestDeterminism:
         lines = out.strip().splitlines()
         assert lines[0] == "m\tn\tverdict\tsmallest_violating_prime"
         assert len(lines) == 10  # header + 9 cells
+
+
+class TestLazyWitness:
+    ARGS = ["pairs", "--map", "x^2+1", "--u", "1", "--w", "3", "--window", "8x8"]
+
+    def test_json_report_never_factors(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factored")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(integrality, "factor_partial", refuse)
+            code, out = run_cli(["--no-timestamp"] + self.ARGS, capsys)
+        assert code == EXIT_OK
+        assert [(p["m"], p["n"]) for p in json.loads(out)["body"]["pairs"]] == [(1, 0)]
+        assert run_cli(["--no-timestamp"] + self.ARGS, capsys) == (code, out)
+
+    def test_table_lists_smallest_violating_primes(self, capsys):
+        code, out = run_cli(["--no-timestamp", "--format", "table"] + self.ARGS, capsys)
+        assert code == EXIT_OK
+
+        def orbit(x):
+            points = [x]
+            for _ in range(8):
+                points.append(points[-1] ** 2 + 1)
+            return points
+
+        expected = ["m\tn\tverdict\tsmallest_violating_prime"]
+        for m, um in enumerate(orbit(1)):
+            for n, wn in enumerate(orbit(3)):
+                cross = um - wn
+                found = sorted(factor_partial(cross, rho_iters=1 << 12)[0]) if cross else []
+                smallest = found[0] if found else None
+                expected.append(f"{m}\t{n}\t{abs(cross) == 1}\t{smallest}")
+        assert out.splitlines() == expected
+
+
+class TestHugeCrossTerms:
+    def test_cross_term_past_int_str_limit(self, capsys):
+        # f^9(2/3) has denominator 3^(3^9), 9392 digits
+        code, out = run_cli(
+            ["--no-timestamp", "pairs", "--map=x^3+x-2", "--u=2/3", "--w=inf",
+             "--S=3", "--window=9x9"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        x = Fraction(2, 3)
+        for _ in range(9):
+            x = x**3 + x - 2
+        # cross term of [a:b] against [1:0] is -b
+        digits = unlimited_str(-x.denominator)
+        h = hashlib.sha256(digits.encode()).hexdigest()[:16]
+        body = digits.lstrip("-")
+        expected = f"-{body[:12]}...[{len(body)} digits, sha256:{h}]"
+        witnesses = {(p["m"], p["n"]): p["witness"] for p in doc["body"]["pairs"]}
+        assert len(witnesses) == 100
+        assert witnesses[(9, 4)]["cross_term"] == expected

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitint import integrality, ratmap
 from orbitint.exactarith import PlaceSet
 from orbitint.integrality import (
     IntegralityError,
@@ -13,6 +16,7 @@ from orbitint.integrality import (
     is_integral_rel_dn,
     monotonicity_check,
 )
+from orbitint.primes import factor_partial
 from orbitint.projective import INFINITY, ProjPoint, from_affine
 from orbitint.ratmap import bad_reduction_primes, iterate, make_map
 
@@ -50,6 +54,48 @@ class TestIsIntegralPair:
         w = is_integral_pair(ProjPoint(5, 1), ProjPoint(2, 1), PlaceSet())
         assert not w.verdict and w.violating_primes == (3,)
         assert w.factorization_complete
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.lists(st.integers(min_value=0, max_value=12), min_size=4, max_size=4),
+        st.sets(st.sampled_from([2, 3, 5, 7, 11, 13])),
+    )
+    def test_lazy_diagnosis_matches_eager_factoring(self, c, exps, primes):
+        cross = c * 2 ** exps[0] * 3 ** exps[1] * 5 ** exps[2] * 7 ** exps[3]
+        s = PlaceSet(tuple(primes))
+        w = is_integral_pair(ProjPoint(cross, 1), ProjPoint(0, 1), s)
+        assert w.cross_term == cross
+        rest = abs(cross)
+        for p in primes:
+            while rest and rest % p == 0:
+                rest //= p
+        if cross == 0:
+            expected = ((), True)
+        else:
+            found, leftover = factor_partial(rest, rho_iters=1 << 12)
+            expected = (tuple(sorted(found)), leftover == 1)
+        assert w.verdict == (cross != 0 and rest == 1)
+        assert (w.violating_primes, w.factorization_complete) == expected
+
+    def test_verdict_eq_hash_repr_do_not_factor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factored")
+
+        monkeypatch.setattr(integrality, "factor_partial", refuse)
+        w1 = is_integral_pair(ProjPoint(5, 1), ProjPoint(2, 1), PlaceSet())
+        w2 = is_integral_pair(ProjPoint(7, 1), ProjPoint(4, 1), PlaceSet())
+        assert not w1.verdict and w1 == w2 and hash(w1) == hash(w2)
+        assert "cross_term=3" in repr(w1)
+        with pytest.raises(AssertionError, match="factored"):
+            w1.violating_primes
+
+    def test_same_cross_term_other_places_differ(self):
+        # 6 with S={2} leaves 3; with S={3} it leaves 2
+        w2 = is_integral_pair(ProjPoint(6, 1), ProjPoint(0, 1), PlaceSet((2,)))
+        w3 = is_integral_pair(ProjPoint(6, 1), ProjPoint(0, 1), PlaceSet((3,)))
+        assert w2 != w3
+        assert (w2.violating_primes, w3.violating_primes) == ((3,), (2,))
 
     def test_equal_points_not_integral(self):
         w = is_integral_pair(ProjPoint(3, 7), ProjPoint(3, 7), PlaceSet((2, 3)))
@@ -109,6 +155,15 @@ class TestRelDn:
         f = make_map([1, 0, Fraction(1, 2)], [1])  # bad reduction at 2
         with pytest.raises(IntegralityError, match="bad-reduction prime 2"):
             is_integral_rel_dn(f, ProjPoint(1, 1), ProjPoint(3, 1), 1, PlaceSet())
+
+    def test_bad_prime_check_does_not_factor(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("factored")
+
+        monkeypatch.setattr(ratmap, "factor", refuse)
+        f = make_map([1, 0, Fraction(1, 2)], [1])
+        w = is_integral_rel_dn(f, ProjPoint(1, 1), ProjPoint(3, 1), 1, PlaceSet((2,)))
+        assert w.cross_term == d_n_cross_form_value(f, ProjPoint(1, 1), ProjPoint(3, 1), 1)
 
     def test_diagonal_example(self):
         # x^3, u = 2, w = -2: images under f agree up to sign, cross term

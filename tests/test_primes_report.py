@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,18 @@ from sympy import isprime as sympy_isprime
 from orbitint.primes import factor, factor_partial, is_prime, prime_factors
 from orbitint.report import format_big_int, format_fraction
 from fractions import Fraction
+
+
+def unlimited_str(n: int) -> str:
+    """str(n) with the int-to-str digit limit lifted for this call only."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        return str(n)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestPrimality:
@@ -64,6 +77,15 @@ class TestBigIntFormat:
         assert "[101 digits, sha256:" in s
         h = hashlib.sha256(str(n).encode()).hexdigest()[:16]
         assert h in s
+
+    def test_beyond_int_str_limit(self):
+        # 5926 digits, past the default 4300-digit int-to-str limit
+        n = 2**19683
+        body = unlimited_str(n)
+        h = hashlib.sha256(body.encode()).hexdigest()[:16]
+        assert format_big_int(n) == f"{body[:12]}...[{len(body)} digits, sha256:{h}]"
+        h = hashlib.sha256(("-" + body).encode()).hexdigest()[:16]
+        assert format_big_int(-n) == f"-{body[:12]}...[{len(body)} digits, sha256:{h}]"
 
     def test_negative_elision(self):
         s = format_big_int(-(10**100))

@@ -9,6 +9,7 @@ from orbitint.exactarith import valuation
 from orbitint.projective import (
     ARCHIMEDEAN,
     INFINITY,
+    ChordalValue,
     ProjPoint,
     ProjectiveError,
     chordal_distance,
@@ -77,6 +78,12 @@ class TestChordal:
         got = chordal_distance(ProjPoint(9, 1), ProjPoint(0, 1), 3).value
         assert got == Fraction(1, 9)
         assert chordal_distance(ProjPoint(9, 1), ProjPoint(0, 1), 2).value == 1
+
+    def test_out_of_range_value_raises(self):
+        for place, value in ((3, Fraction(3, 2)), (2, Fraction(-1, 4)),
+                             (ARCHIMEDEAN, 1.5), (ARCHIMEDEAN, float("nan"))):
+            with pytest.raises(ProjectiveError, match="outside"):
+                ChordalValue(place, value)
 
     def test_archimedean_known_value(self):
         # d_inf(0, inf) = 1; d_inf(0, 1) = 1/sqrt(2).

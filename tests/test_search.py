@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitint import ratmap
 from orbitint.exactarith import PlaceSet, is_s_unit
 from orbitint.projective import INFINITY, ProjPoint, from_affine
 from orbitint.ratmap import make_map
@@ -77,6 +78,25 @@ class TestFindIntegralPairs:
                 ProjPoint(3, 1),
                 PlaceSet(),
                 PairWindow(2, 2),
+                mode="functorial",
+            )
+
+    def test_bad_prime_precondition_does_not_factor(self, monkeypatch):
+        # Res((x^2+1)/N) = N^2 with N a product of two 31-digit primes:
+        # the search must never try to factor it
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(ratmap, "factor", refuse)
+        p, q = 1000000000000000000000000012367, 3000000000000000000000000000779
+        f = make_map([1, 0, 1], [p * q])
+        args = (ProjPoint(1, 1), ProjPoint(2, 1), PlaceSet((p, q)), PairWindow(2, 2))
+        direct = find_integral_pairs(f, *args, mode="direct")
+        functorial = find_integral_pairs(f, *args, mode="functorial")
+        assert direct.pairs == functorial.pairs
+        with pytest.raises(SearchError, match="bad-reduction"):
+            find_integral_pairs(
+                f, ProjPoint(1, 1), ProjPoint(2, 1), PlaceSet((p,)), PairWindow(2, 2),
                 mode="functorial",
             )
 
