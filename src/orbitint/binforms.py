@@ -1,23 +1,23 @@
-"""Integer binary forms in (x0, x1).
+"""Integer binary forms in (x0, x1): the package's one polynomial core.
 
 A form of degree d is a tuple ``cs`` of d+1 integers with ``cs[k]`` the
 coefficient of x0^(d-k) x1^k, i.e. descending powers of x0 (so the
 dehomogenization at x1 = 1 reads like a univariate polynomial coefficient
 list).  The zero form is represented as the length-(d+1) tuple of zeros
 only where a degree is forced; most operations reject it.
+
+The same tuples, read at x1 = 1 with leading zeros stripped, are the
+univariate integer polynomials of ``prem``, ``gcd`` and ``quotient``.  All
+arithmetic here is on integers; only ``factor_form``, full factorization
+over Q, calls an outside library.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 Form = tuple[int, ...]
-
-_t = sympy.Symbol("t")
 
 
 class FormError(ValueError):
@@ -68,13 +68,6 @@ def sub(a: Sequence[int], b: Sequence[int]) -> Form:
 
 def scale(a: Sequence[int], c: int) -> Form:
     return tuple(c * x for x in a)
-
-
-def power(a: Sequence[int], n: int) -> Form:
-    out: Form = (1,)
-    for _ in range(n):
-        out = mul(out, a)
-    return out
 
 
 def content(cs: Sequence[int]) -> int:
@@ -150,11 +143,15 @@ def sylvester_resultant(p: Sequence[int], q: Sequence[int]) -> int:
     for i in range(n):
         for j, c in enumerate(q):
             mat[m + i][i + j] = c
-    return _bareiss_det(mat)
+    return _bareiss(mat)
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
+def _bareiss(mat: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) forward elimination of an n-row matrix, in
+    place; columns past the n-th (right-hand sides) are carried along.
+    Returns the determinant of the leading n x n block."""
     n = len(mat)
+    width = len(mat[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -168,7 +165,7 @@ def _bareiss_det(mat: list[list[int]]) -> int:
                 return 0
         pivot = mat[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 mat[i][j] = (mat[i][j] * pivot - mat[i][k] * mat[k][j]) // prev
             mat[i][k] = 0
         prev = pivot
@@ -193,54 +190,28 @@ def bezout_cofactors(
     size = 2 * d
     # columns: a_0..a_{d-1} (g1, descending), b_0..b_{d-1} (g2)
     # row r = coefficient of x0^(2d-1-r) x1^r in g1*p + g2*q
-    mat = [[Fraction(0)] * size for _ in range(size)]
+    # right-hand sides e_0 and e_{2d-1} ride along as two extra columns
+    mat = [[0] * (size + 2) for _ in range(size)]
     for i in range(d):
         for j, c in enumerate(p):
-            mat[i + j][i] = Fraction(c)
+            mat[i + j][i] = c
         for j, c in enumerate(q):
-            mat[i + j][d + i] = Fraction(c)
-    sol_top = _solve_fraction(mat, 0, size, res)
-    sol_bot = _solve_fraction(mat, size - 1, size, res)
-    g1 = tuple(int(x) for x in sol_top[:d])
-    g2 = tuple(int(x) for x in sol_top[d:])
-    h1 = tuple(int(x) for x in sol_bot[:d])
-    h2 = tuple(int(x) for x in sol_bot[d:])
-    return res, g1, g2, h1, h2
-
-
-def _solve_fraction(mat, rhs_row: int, size: int, res: int) -> list[Fraction]:
-    """Solve M x = res * e_{rhs_row} by Gaussian elimination over Q.
-
-    The solution is res * (M^{-1} e) = adj(M) e up to the sign of det,
-    hence integral; integrality is asserted.
-    """
-    a = [row[:] + [Fraction(0)] for row in mat]
-    a[rhs_row][size] = Fraction(res)
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise FormError("singular cofactor system")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [a[r][size] for r in range(size)]
-    for x in out:
-        if x.denominator != 1:
-            raise FormError("cofactor solution not integral")
-    return out
-
-
-def to_sympy(cs: Sequence[int]) -> sympy.Poly:
-    """Dehomogenization at x1 = 1 as a sympy Poly in t (may drop degree)."""
-    return sympy.Poly(list(cs), _t, domain="ZZ")
+            mat[i + j][d + i] = c
+    mat[0][size] = 1
+    mat[size - 1][size + 1] = 1
+    _bareiss(mat)
+    # the eliminated system U x = e' has solution piv * x = adj(M) e in
+    # integers, and |piv| = |det M| = |R|, so R * x is piv * x up to sign
+    piv = mat[size - 1][size - 1]
+    sols = []
+    for col in (size, size + 1):
+        y = [0] * size
+        for i in reversed(range(size)):
+            acc = piv * mat[i][col] - sum(mat[i][j] * y[j] for j in range(i + 1, size))
+            y[i] = acc // mat[i][i]
+        sols.append([v * res // piv for v in y])
+    top, bot = sols
+    return res, tuple(top[:d]), tuple(top[d:]), tuple(bot[:d]), tuple(bot[d:])
 
 
 def x1_multiplicity(cs: Sequence[int]) -> int:
@@ -254,36 +225,92 @@ def x1_multiplicity(cs: Sequence[int]) -> int:
     return m
 
 
+def strip(cs: Sequence[int]) -> Form:
+    """Leading zeros dropped: the affine part, read as a univariate
+    polynomial (the empty tuple for the zero form)."""
+    return tuple(cs[x1_multiplicity(cs):])
+
+
+def prem(a: Sequence[int], b: Sequence[int]) -> Form:
+    """Pseudo-remainder of univariate a by b (descending coefficients, b
+    nonzero): the remainder of lc(b)^k * a on division by b, for some
+    k >= 0, leading zeros stripped (the empty tuple when it is zero)."""
+    b = strip(b)
+    r = strip(a)
+    lead, n = b[0], len(b)
+    while len(r) >= n:
+        c = r[0]
+        r = strip(
+            [lead * x - c * y for x, y in zip(r[1:], b[1:])]
+            + [lead * x for x in r[n:]]
+        )
+    return r
+
+
+def gcd(a: Sequence[int], b: Sequence[int]) -> Form:
+    """Greatest common divisor over Q of univariate integer polynomials,
+    as a primitive polynomial with positive leading coefficient, by the
+    primitive pseudo-remainder sequence (content removed at every step).
+    A zero argument (all coefficients zero, or empty) is the zero
+    polynomial; both zero raises."""
+    a, b = strip(a), strip(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        raise FormError("gcd of zero polynomials")
+    a = primitive(a)
+    while b:
+        b = primitive(b)
+        a, b = b, prem(a, b)
+    return a
+
+
+def quotient(a: Sequence[int], b: Sequence[int]) -> Form:
+    """a / b for univariate integer polynomials when b divides a over Z
+    (for instance, b primitive and dividing a over Q); leading zeros of
+    both are ignored."""
+    a, b = list(strip(a)), strip(b)
+    out = []
+    while len(a) >= len(b):
+        c, rem = divmod(a[0], b[0])
+        if rem:
+            raise FormError("inexact polynomial quotient")
+        out.append(c)
+        a = [x - c * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    if any(a):
+        raise FormError("inexact polynomial quotient")
+    return tuple(out)
+
+
 def distinct_root_count(cs: Sequence[int]) -> int:
-    """Number of distinct projective roots over the algebraic closure."""
+    """Number of distinct projective roots over the algebraic closure:
+    degree minus the degree of gcd(F, F') on the affine part, plus one for
+    the root at infinity."""
     if all(c == 0 for c in cs):
         raise FormError("zero form")
     m = x1_multiplicity(cs)
-    uni = list(cs[m:])
-    count = 1 if m > 0 else 0
-    if len(uni) <= 1:
-        return count
-    poly = sympy.Poly(uni, _t, domain="QQ")
-    g = sympy.gcd(poly, poly.diff(_t))
-    count += poly.degree() - sympy.Poly(g, _t).degree()
-    return count
+    uni = cs[m:]
+    return (m > 0) + degree(uni) - degree(gcd(uni, dx0(uni)))
 
 
 def factor_form(cs: Sequence[int]) -> tuple[int, list[tuple[Form, int]]]:
     """Factor a binary form over Q.
 
     Returns ``(x1_mult, factors)`` where factors are primitive irreducible
-    non-x1 forms (descending coefficient tuples) with multiplicities.
+    non-x1 forms (descending coefficient tuples) with multiplicities.  The
+    one use of sympy in the package, imported on first call.
     """
+    import sympy
+
     m = x1_multiplicity(cs)
     uni = list(cs[m:])
     if len(uni) <= 1:
         return m, []
-    poly = sympy.Poly(uni, _t, domain="QQ")
-    _, factors = sympy.factor_list(poly)
+    t = sympy.Symbol("t")
+    _, factors = sympy.factor_list(sympy.Poly(uni, t, domain="QQ"))
     out = []
     for fac, mult in factors:
-        fac_cs = tuple(int(c) for c in sympy.Poly(fac, _t, domain="QQ").all_coeffs())
+        fac_cs = tuple(int(c) for c in sympy.Poly(fac, t, domain="QQ").all_coeffs())
         out.append((primitive(fac_cs), int(mult)))
     return m, out
 
@@ -297,22 +324,15 @@ def rational_projective_roots(cs: Sequence[int]) -> list[tuple[int, int]]:
         roots.append((1, 0))
     for fac, _ in factors:
         if degree(fac) == 1:
-            a, b = fac  # a*t + b
-            g = math.gcd(a, b)
-            a0, a1 = -b // g, a // g
-            if a1 < 0 or (a1 == 0 and a0 < 0):
-                a0, a1 = -a0, -a1
-            roots.append((a0, a1))
+            a, b = fac  # a*t + b, primitive with a > 0
+            roots.append((-b, a))
     return roots
 
 
 def divides(div: Sequence[int], num: Sequence[int]) -> bool:
-    """Exact divisibility of binary forms over Q."""
+    """Exact divisibility of binary forms over Q: the x1 power of div
+    divides num's, and the pseudo-remainder of the affine parts is zero."""
     md, mn = x1_multiplicity(div), x1_multiplicity(num)
-    if md > mn:
+    if md > mn or len(div) - md > len(num) - mn:
         return False
-    pd = sympy.Poly(list(div[md:]), _t, domain="QQ")
-    pn = sympy.Poly(list(num[mn:]), _t, domain="QQ")
-    if pd.degree() > pn.degree():
-        return False
-    return sympy.rem(pn, pd, _t) == 0
+    return not prem(num, div)

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .divisors import build_tower, diagonal_critical_intersections
-from .exactarith import PlaceSet
+from .exactarith import PlaceSet, decimal_str
 from .integrality import IntegralityError
 from .mapexpr import ParseError, parse_map
 from .projective import ProjectiveError, parse_point
@@ -33,6 +33,7 @@ from .report import (
     coset_doc,
     critical_datum_doc,
     exceptional_doc,
+    format_fraction,
     pair_report_doc,
     pair_table,
     point_doc,
@@ -61,6 +62,20 @@ def _parse_window(text: str) -> PairWindow:
         return PairWindow(int(m), int(n))
     except (ValueError, SearchError):
         raise SearchError(f"cannot parse window {text!r}; expected MxN") from None
+
+
+def _json_int(field: str, n: int) -> int:
+    """n, for a report field that JSON holds as an integer; a precondition
+    error when n has more digits than ``json`` may write (Python's limit on
+    int-to-str conversion, 4300 digits by default since 3.11)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = len(decimal_str(abs(n)))
+    if limit and digits > limit:
+        raise ValueError(
+            f"{field} has {digits} digits, more than the {limit} that a JSON "
+            "integer may have"
+        )
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,7 +143,7 @@ def _run_command(args) -> tuple[dict, int]:
             "map": f.serialize_coefficients(),
             "degree": f.degree,
             "polynomial": f.is_polynomial,
-            "resultant": f.resultant,
+            "resultant": _json_int("resultant", f.resultant),
             "bad_reduction_primes": bad_reduction_primes(f).serialize(),
             "critical_data": [critical_datum_doc(c) for c in critical_data(f)],
             "exceptional_points": exceptional_doc(exceptional_points(f)),
@@ -181,8 +196,6 @@ def _run_command(args) -> tuple[dict, int]:
             _parse_window(args.window),
             digit_budget=args.digit_budget,
         )
-        from .report import format_fraction
-
         body = pair_report_doc(analysis.report)
         body["enlarged_S"] = analysis.enlarged_places.serialize()
         body["tau_values"] = [format_fraction(t) for t in analysis.tau_values]

@@ -107,11 +107,6 @@ class BiForm:
             out[total - (i + k)] += c
         return tuple(out)
 
-    def dehomogenized(self) -> dict[tuple[int, int], int]:
-        """Affine polynomial in (x, y): exponent (i, k) -> coefficient.
-        Injective at fixed bidegree, so nothing is lost."""
-        return dict(self.as_dict)
-
     def serialize(self) -> str:
         """Sparse monomial list "(i,j,k,l):coefficient" sorted
         lexicographically on the exponent quadruple."""
@@ -232,7 +227,7 @@ def leading_form_check(f: RatMap, n: int) -> bool:
     if n < 1:
         raise DivisorError("n must be positive")
     tower = build_tower(f, n)
-    bn = tower.b_forms[n].dehomogenized()
+    bn = tower.b_forms[n].as_dict
     total = max(i + k for i, k in bn)
     lead = {key: c for key, c in bn.items() if key[0] + key[1] == total}
     d = f.degree

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
 
@@ -63,6 +64,13 @@ class PlaceSet:
 
     def serialize(self) -> str:
         return ",".join(str(p) for p in self.primes)
+
+
+def decimal_str(n: int) -> str:
+    """Decimal string of an integer of any length: converted through
+    ``Decimal``, which has no limit on digits, unlike ``str(int)`` (4300
+    digits by default since Python 3.11)."""
+    return str(Decimal(n))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -16,8 +16,10 @@ Parsing a map also accepts the canonical coefficient format
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
+from . import binforms
 from .ratmap import RatMap, make_map
 
 
@@ -25,102 +27,59 @@ class ParseError(ValueError):
     pass
 
 
-Poly = list[Fraction]  # descending coefficients
+def _trim(a) -> list[int]:
+    """Integer coefficients, descending, without leading zeros; the zero
+    polynomial is [0]."""
+    return list(binforms.strip(a)) or [0]
 
 
-def _poly_trim(a: Poly) -> Poly:
-    i = 0
-    while i < len(a) - 1 and a[i] == 0:
-        i += 1
-    return a[i:]
-
-
-def _poly_add(a: Poly, b: Poly) -> Poly:
+def _add(a: list[int], b: list[int]) -> list[int]:
     n = max(len(a), len(b))
-    a = [Fraction(0)] * (n - len(a)) + a
-    b = [Fraction(0)] * (n - len(b)) + b
-    return _poly_trim([x + y for x, y in zip(a, b)])
+    return _trim(binforms.add([0] * (n - len(a)) + a, [0] * (n - len(b)) + b))
 
 
-def _poly_neg(a: Poly) -> Poly:
-    return [-x for x in a]
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_is_zero(a: Poly) -> bool:
-    return all(c == 0 for c in a)
-
-
-def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    a = a[:]
-    b = _poly_trim(b[:])
-    q: Poly = []
-    # keep zero quotient coefficients: stopping when the working remainder
-    # happens to vanish early would silently drop trailing quotient terms
-    while len(a) >= len(b):
-        f = a[0] / b[0]
-        q.append(f)
-        if f:
-            for i in range(len(b)):
-                a[i] -= f * b[i]
-        a.pop(0)
-    return (q or [Fraction(0)]), _poly_trim(a or [Fraction(0)])
-
-
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while not _poly_is_zero(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if _poly_is_zero(a):
-        return [Fraction(1)]
-    lead = a[0]
-    return [c / lead for c in a]
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    return _trim(binforms.mul(a, b))
 
 
 @dataclass
 class _RatFunc:
-    num: Poly
-    den: Poly
+    """num/den with integer coefficient lists (every atom is an integer)."""
+
+    num: list[int]
+    den: list[int]
 
     def reduced(self) -> "_RatFunc":
-        if _poly_is_zero(self.den):
+        if not any(self.den):
             raise ParseError("division by zero polynomial")
-        g = _poly_gcd(self.num, self.den)
-        if len(g) > 1:
-            num, _ = _poly_divmod(self.num, g)
-            den, _ = _poly_divmod(self.den, g)
-            return _RatFunc(_poly_trim(num), _poly_trim(den))
-        return self
+        g = binforms.gcd(self.num, self.den)
+        return _RatFunc(
+            list(binforms.quotient(self.num, g)), list(binforms.quotient(self.den, g))
+        )
+
+    def negated(self) -> "_RatFunc":
+        return _RatFunc([-c for c in self.num], self.den)
 
 
-def _rf_const(c: Fraction) -> _RatFunc:
-    return _RatFunc([c], [Fraction(1)])
+def _rf_const(c: int) -> _RatFunc:
+    return _RatFunc([c], [1])
 
 
 def _rf_add(a: _RatFunc, b: _RatFunc) -> _RatFunc:
     return _RatFunc(
-        _poly_add(_poly_mul(a.num, b.den), _poly_mul(b.num, a.den)),
-        _poly_mul(a.den, b.den),
+        _add(_mul(a.num, b.den), _mul(b.num, a.den)),
+        _mul(a.den, b.den),
     )
 
 
 def _rf_mul(a: _RatFunc, b: _RatFunc) -> _RatFunc:
-    return _RatFunc(_poly_mul(a.num, b.num), _poly_mul(a.den, b.den))
+    return _RatFunc(_mul(a.num, b.num), _mul(a.den, b.den))
 
 
 def _rf_div(a: _RatFunc, b: _RatFunc) -> _RatFunc:
-    if _poly_is_zero(b.num):
+    if not any(b.num):
         raise ParseError("division by zero")
-    return _RatFunc(_poly_mul(a.num, b.den), _poly_mul(a.den, b.num))
+    return _RatFunc(_mul(a.num, b.den), _mul(a.den, b.num))
 
 
 class _Tokenizer:
@@ -182,7 +141,7 @@ class _Parser:
             op = self.toks.next()[0]
             rhs = self._term()
             if op == "-":
-                rhs = _RatFunc(_poly_neg(rhs.num), rhs.den)
+                rhs = rhs.negated()
             value = _rf_add(value, rhs)
         return value
 
@@ -206,7 +165,7 @@ class _Parser:
             op = self.toks.next()[0]
             value = self._factor()
             if op == "-":
-                return _RatFunc(_poly_neg(value.num), value.den)
+                return value.negated()
             return value
         return self._power()
 
@@ -220,7 +179,7 @@ class _Parser:
                     f"syntax error at position {pos}: exponent must be a nonnegative integer"
                 )
             exp = int(text)
-            value = _rf_const(Fraction(1))
+            value = _rf_const(1)
             for _ in range(exp):
                 value = _rf_mul(value, base)
             return value
@@ -229,9 +188,10 @@ class _Parser:
     def _atom(self) -> _RatFunc:
         kind, text, pos = self.toks.next()
         if kind == "int":
-            return _rf_const(Fraction(int(text)))
+            # through Decimal: int(str) refuses literals past 4300 digits
+            return _rf_const(int(Decimal(text)))
         if kind == "var":
-            return _RatFunc([Fraction(1), Fraction(0)], [Fraction(1)])
+            return _RatFunc([1, 0], [1])
         if kind == "(":
             value = self._expr()
             kind2, _, pos2 = self.toks.next()
@@ -241,13 +201,13 @@ class _Parser:
         raise ParseError(f"syntax error at position {pos}: unexpected {text or kind!r}")
 
 
-def parse_rational_function(text: str) -> tuple[list[Fraction], list[Fraction]]:
-    """Parse an expression to reduced (numerator, denominator) coefficient
-    lists over Q, descending powers."""
+def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
+    """Parse an expression to coprime (numerator, denominator) integer
+    coefficient lists, descending powers."""
     rf = _Parser(text).parse()
     # canonical: denominator leading coefficient positive
     if rf.den[0] < 0:
-        rf = _RatFunc(_poly_neg(rf.num), _poly_neg(rf.den))
+        return [-c for c in rf.num], [-c for c in rf.den]
     return rf.num, rf.den
 
 

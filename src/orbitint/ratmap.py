@@ -3,6 +3,12 @@
 Iteration, critical/ramification structure, exceptional points,
 powering-conjugacy detection, good reduction, preimage counting, and
 certified non-preperiodicity.
+
+All of it is integer arithmetic on ``binforms``.  The two hypotheses of the
+finiteness theorem (exceptional points, powering conjugacy) come from the
+totally ramified points, found with gcds of the Wronskian and its
+derivatives; only ``critical_data``, which lists every critical point,
+factors over Q (``binforms.factor_form``).
 """
 
 from __future__ import annotations
@@ -15,11 +21,13 @@ from typing import Sequence
 
 from . import binforms
 from .binforms import Form
-from .exactarith import PlaceSet, log_int
+from .exactarith import PlaceSet, decimal_str, log_int
 from .primes import factor
 from .projective import INFINITY, ProjPoint
 
 DEFAULT_FORM_DEGREE_CAP = 4096
+# iterate forms kept by ``iterated_forms``: a map's whole tower, a few times
+ITERATED_FORMS_CACHE_SIZE = 32
 
 
 class RatMapError(ValueError):
@@ -90,32 +98,41 @@ class RatMap:
         return all(c == 0 for c in self.q[:-1])
 
     @cached_property
+    def cofactor_max(self) -> int:
+        """Largest absolute coefficient (at least 1) of the Sylvester
+        cofactors g1*P + g2*Q = Res * x0^(2d-1), h1*P + h2*Q = Res * x1^(2d-1)."""
+        _, g1, g2, h1, h2 = binforms.bezout_cofactors(self.p, self.q)
+        return max(1, max(abs(c) for cs in (g1, g2, h1, h2) for c in cs))
+
+    @cached_property
     def height_drop_constant(self) -> float:
         """A constant c_f with h(f(P)) >= d*h(P) - c_f for all P, from the
-        Sylvester cofactor identity g1*P + g2*Q = Res * x0^(2d-1) etc."""
-        res, g1, g2, h1, h2 = binforms.bezout_cofactors(self.p, self.q)
-        cof_max = max(abs(c) for cs in (g1, g2, h1, h2) for c in cs)
-        cof_max = max(cof_max, 1)
-        return log_int(abs(res)) + math.log(2 * self.degree) + log_int(cof_max)
+        Sylvester cofactor identity (a diagnostic; ``escape_bound`` decides)."""
+        return (
+            log_int(abs(self.resultant))
+            + math.log(2 * self.degree)
+            + log_int(self.cofactor_max)
+        )
 
     @cached_property
     def escape_threshold(self) -> float:
-        """Log-height above which heights strictly increase forever."""
+        """Log-height above which heights strictly increase forever (a
+        diagnostic; ``escape_bound`` decides)."""
         return self.height_drop_constant / (self.degree - 1) + math.log(2)
+
+    @cached_property
+    def escape_bound(self) -> int:
+        """2^(d-1) * |Res| * 2d * cofactor_max: a point of height H with
+        H^(d-1) > escape_bound lies above ``escape_threshold``, in integers."""
+        d = self.degree
+        return 2 ** (d - 1) * abs(self.resultant) * 2 * d * self.cofactor_max
 
     def serialize_coefficients(self) -> str:
         """Canonical coefficient-list format "num=c_k,...,c_0;den=...";
         coefficients of the dehomogenized p, q descending."""
-        num = ",".join(str(c) for c in _strip_leading(self.p))
-        den = ",".join(str(c) for c in _strip_leading(self.q))
+        num = ",".join(map(decimal_str, binforms.strip(self.p)))
+        den = ",".join(map(decimal_str, binforms.strip(self.q)))
         return f"num={num};den={den}"
-
-
-def _strip_leading(cs: Sequence[int]) -> tuple[int, ...]:
-    i = 0
-    while i < len(cs) - 1 and cs[i] == 0:
-        i += 1
-    return tuple(cs[i:])
 
 
 def make_map(
@@ -123,51 +140,22 @@ def make_map(
 ) -> RatMap:
     """Build a RatMap from rational coefficient lists (descending powers)
     of the affine numerator p and denominator q."""
-    num = [Fraction(c) for c in num_coeffs]
-    den = [Fraction(c) for c in den_coeffs]
-    while len(num) > 1 and num[0] == 0:
-        num.pop(0)
-    while len(den) > 1 and den[0] == 0:
-        den.pop(0)
-    if not num or all(c == 0 for c in num):
+    num = list(binforms.strip([Fraction(c) for c in num_coeffs]))
+    den = list(binforms.strip([Fraction(c) for c in den_coeffs]))
+    if not num:
         raise RatMapError("numerator is zero")
-    if not den or all(c == 0 for c in den):
+    if not den:
         raise RatMapError("denominator is zero")
     deg_p, deg_q = len(num) - 1, len(den) - 1
     d = max(deg_p, deg_q)
     if d < 2:
         raise RatMapError("degree below 2")
-    if _poly_gcd_degree(num, den) > 0:
-        raise RatMapError("p and q not coprime")
     lcm = 1
     for c in num + den:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     p_form = [0] * (d - deg_p) + [int(c * lcm) for c in num]
     q_form = [0] * (d - deg_q) + [int(c * lcm) for c in den]
     return RatMap(tuple(p_form), tuple(q_form))
-
-
-def _poly_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
-    """Degree of gcd of two univariate rational polynomials (Euclid)."""
-    a, b = a[:], b[:]
-    while b and any(c != 0 for c in b):
-        a, b = b, _poly_mod(a, b)
-    while a and a[0] == 0:
-        a.pop(0)
-    return len(a) - 1
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while b and b[0] == 0:
-        b = b[1:]
-    while len(a) >= len(b):
-        if a[0] != 0:
-            f = a[0] / b[0]
-            for i in range(len(b)):
-                a[i] -= f * b[i]
-        a.pop(0)
-    return a
 
 
 def eval_map(f: RatMap, pt: ProjPoint) -> ProjPoint:
@@ -186,18 +174,25 @@ def iterate(f: RatMap, pt: ProjPoint, n: int) -> ProjPoint:
     return pt
 
 
-@lru_cache(maxsize=None)
 def iterated_forms(
     f: RatMap, n: int, cap: int = DEFAULT_FORM_DEGREE_CAP
 ) -> tuple[Form, Form]:
-    """Coprime content-1 forms (P_n, Q_n) of degree d^n with P_n/Q_n = f^n."""
+    """Coprime content-1 forms (P_n, Q_n) of degree d^n with P_n/Q_n = f^n.
+
+    The last ``ITERATED_FORMS_CACHE_SIZE`` results are cached, keyed on
+    (f, n); the cap is checked first and is not part of the key."""
     if n < 1:
         raise RatMapError("iterated_forms requires n >= 1")
     if f.degree**n > cap:
         raise FormDegreeCapError("form degree cap")
+    return _iterated_forms(f, n)
+
+
+@lru_cache(maxsize=ITERATED_FORMS_CACHE_SIZE)
+def _iterated_forms(f: RatMap, n: int) -> tuple[Form, Form]:
     if n == 1:
         return f.p, f.q
-    prev_p, prev_q = iterated_forms(f, n - 1, cap)
+    prev_p, prev_q = _iterated_forms(f, n - 1)
     pn = binforms.compose_pair(f.p, prev_p, prev_q)
     qn = binforms.compose_pair(f.q, prev_p, prev_q)
     return _normalize_pair(pn, qn)
@@ -231,12 +226,12 @@ def orbit_classify(
     ('wandering', escape_index, None), or ('undecided', None, None)."""
     seen: dict[ProjPoint, int] = {}
     cur = pt
-    threshold = f.escape_threshold
+    bound, e = f.escape_bound, f.degree - 1
     for i in range(max_iter + 1):
         if cur in seen:
             tail = seen[cur]
             return "preperiodic", tail, i - tail
-        if log_int(max(abs(cur.a0), abs(cur.a1))) > threshold:
+        if max(abs(cur.a0), abs(cur.a1)) ** e > bound:
             return "wandering", i, None
         seen[cur] = i
         cur = eval_map(f, cur)
@@ -286,29 +281,54 @@ def critical_data(f: RatMap) -> list[CriticalDatum]:
     return out
 
 
+def _totally_ramified(f: RatMap) -> tuple[list[ProjPoint], Form | None]:
+    """The totally ramified points of f: the roots of multiplicity d-1 of
+    the Wronskian W, which are the roots of gcd(W, W', ..., W^(d-2)) (a
+    squarefree gcd of degree <= 2), with infinity when x1^(d-1) divides W.
+
+    Returns the rational ones (infinity first, then by primitive linear
+    factor) and the irreducible quadratic form of a conjugate pair, if any."""
+    d = f.degree
+    m = binforms.x1_multiplicity(f.wronskian)
+    points = [INFINITY] if m == d - 1 else []
+    g = der = f.wronskian[m:]
+    for _ in range(d - 2):
+        der = binforms.dx0(der)
+        g = binforms.gcd(g, der)
+    if binforms.degree(g) == 1:
+        points.append(ProjPoint(-g[1], g[0]))
+    elif binforms.degree(g) == 2:
+        a, b, c = g
+        disc = b * b - 4 * a * c
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return points, g
+        factors = sorted(binforms.primitive((2 * a, b + e)) for e in (s, -s))
+        points += [ProjPoint(-fb, fa) for fa, fb in factors]
+    return points, None
+
+
+def _preserves(f: RatMap, fac: Form) -> bool:
+    """Whether f maps the roots of the quadratic form fac into themselves,
+    i.e. fac divides fac(P, Q)."""
+    return binforms.divides(fac, binforms.compose_pair(fac, f.p, f.q))
+
+
 def exceptional_points(f: RatMap) -> list[ProjPoint | Form]:
     """Totally ramified fixed points of f^2 (at most two; a conjugate
-    quadratic pair is reported as its irreducible form tag)."""
-    d2 = f.degree**2
-    p2, q2 = iterated_forms(f, 2)
-    f2 = RatMap(p2, q2)
-    fix2 = binforms.sub((0,) + f2.p, f2.q + (0,))
-    x1_mult, factors = binforms.factor_form(f2.wronskian)
+    quadratic pair is reported as its irreducible form tag).
+
+    f^2 is totally ramified at c exactly when f is at c and at f(c), so
+    these are the totally ramified points c of f with f(c) totally
+    ramified and f(f(c)) = c."""
+    points, quad = _totally_ramified(f)
     out: list[ProjPoint | Form] = []
-    if x1_mult == d2 - 1 and eval_map(f2, INFINITY) == INFINITY:
-        out.append(INFINITY)
-    for fac, mult in factors:
-        if mult != d2 - 1:
-            continue
-        deg = binforms.degree(fac)
-        if deg == 1:
-            a, b = fac
-            z = ProjPoint(-b, a)
-            if eval_map(f2, z) == z:
-                out.append(z)
-        elif deg == 2:
-            if binforms.divides(fac, fix2):
-                out.append(fac)
+    for c in points:
+        fc = eval_map(f, c)
+        if fc in points and eval_map(f, fc) == c:
+            out.append(c)
+    if quad is not None and _preserves(f, quad):
+        out.append(quad)
     return out
 
 
@@ -325,34 +345,17 @@ class PoweringWitness:
 def is_powering_conjugate(f: RatMap) -> PoweringWitness:
     """True iff f has two distinct totally ramified points whose unordered
     pair is f-invariant (conjugacy over the algebraic closure)."""
-    data = critical_data(f)
-    tr_rational = [c.point for c in data if c.totally_ramified and c.point is not None]
-    tr_quadratic = [
-        c.factor
-        for c in data
-        if c.totally_ramified and c.factor is not None and c.factor_degree == 2
-    ]
-    if len(tr_rational) == 2:
-        a, b = tr_rational
+    points, quad = _totally_ramified(f)
+    if len(points) == 2:
+        a, b = points
         fa, fb = eval_map(f, a), eval_map(f, b)
         if {fa, fb} == {a, b}:
             kind = "fixed" if fa == a else "swapped"
             return PoweringWitness(True, (a, b), kind)
-        return PoweringWitness(False, None, None)
-    if len(tr_rational) == 0 and len(tr_quadratic) == 1:
-        fac = tr_quadratic[0]
-        qa, qb, qc = fac
-        composed = binforms.add(
-            binforms.add(
-                binforms.scale(binforms.mul(f.p, f.p), qa),
-                binforms.scale(binforms.mul(f.p, f.q), qb),
-            ),
-            binforms.scale(binforms.mul(f.q, f.q), qc),
-        )
-        if binforms.divides(fac, composed):
-            fix1 = binforms.sub((0,) + f.p, f.q + (0,))
-            kind = "fixed" if binforms.divides(fac, fix1) else "swapped"
-            return PoweringWitness(True, fac, kind)
+    elif quad is not None and _preserves(f, quad):
+        fix1 = binforms.sub((0,) + f.p, f.q + (0,))
+        kind = "fixed" if binforms.divides(quad, fix1) else "swapped"
+        return PoweringWitness(True, quad, kind)
     return PoweringWitness(False, None, None)
 
 
@@ -371,7 +374,9 @@ def preimage_count(
 class EscapeCertificate:
     """Witness that an orbit escapes: once the log height of an iterate
     exceeds ``threshold`` = c_f/(d-1) + log 2, heights strictly increase
-    forever, so no repeat is possible."""
+    forever, so no repeat is possible.  ``achieved_at`` is decided in
+    integers (``RatMap.escape_bound``); ``threshold`` and ``c_f`` are
+    float diagnostics."""
 
     threshold: float
     achieved_at: int

@@ -7,10 +7,10 @@ length and a collision-resistant hash so witnesses stay diff-able.
 from __future__ import annotations
 
 import hashlib
-from decimal import Decimal
 from fractions import Fraction
 
 from .divisors import DivisorTower
+from .exactarith import decimal_str
 from .ratmap import CriticalDatum, EscapeCertificate, PoweringWitness, WanderingResult
 from .search import CosetStructure, PairReport
 
@@ -20,11 +20,9 @@ ELISION_DIGITS = 80
 
 
 def format_big_int(n: int) -> str:
-    """Decimal string, elided beyond 80 digits with length and sha256.
-
-    Converted through ``Decimal``, which has no limit on digits, unlike
-    ``str(int)`` (4300 digits by default since Python 3.11)."""
-    s = str(Decimal(n))
+    """Decimal string of any length, elided beyond 80 digits with length
+    and sha256."""
+    s = decimal_str(n)
     digits = len(s.lstrip("-"))
     if digits <= ELISION_DIGITS:
         return s

@@ -1,0 +1,92 @@
+import random
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitint import binforms
+
+_t = sympy.Symbol("t")
+
+polys = st.lists(st.integers(-6, 6), min_size=1, max_size=6)
+
+
+def _sympy_gcd(a, b):
+    g = sympy.gcd(sympy.Poly(a, _t, domain="ZZ"), sympy.Poly(b, _t, domain="ZZ"))
+    return binforms.primitive(tuple(int(c) for c in sympy.Poly(g, _t).all_coeffs()))
+
+
+class TestGcd:
+    @settings(max_examples=60, deadline=None)
+    @given(polys, polys, polys)
+    def test_matches_sympy(self, f, g, h):
+        a, b = binforms.mul(f, h), binforms.mul(g, h)
+        if not any(a) or not any(b):
+            return
+        a, b = binforms.strip(a), binforms.strip(b)
+        assert binforms.gcd(a, b) == _sympy_gcd(a, b)
+
+    def test_examples(self):
+        assert binforms.gcd((1, 0, -1), (1, -2, 1)) == (1, -1)
+        assert binforms.gcd((2, 4), (3, 6)) == (1, 2)
+        assert binforms.gcd((-4, 0, 4), ()) == (1, 0, -1)
+        assert binforms.gcd((1, 0, 1), (1, 1)) == (1,)
+
+    def test_high_degree_squarefree_part(self):
+        # (t-1)^40 (t+2)^41: gcd with the derivative is (t-1)^39 (t+2)^40
+        rng = random.Random(3)
+        for _ in range(3):
+            r, s = rng.randint(1, 5), rng.randint(-5, -1)
+            f = (1,)
+            for _ in range(40):
+                f = binforms.mul(f, (1, -r))
+            for _ in range(41):
+                f = binforms.mul(f, (1, -s))
+            g = binforms.gcd(f, binforms.dx0(f))
+            assert binforms.degree(g) == 79
+            assert binforms.distinct_root_count(f) == 2
+
+
+class TestPseudoDivision:
+    @settings(max_examples=50, deadline=None)
+    @given(polys, polys, polys)
+    def test_prem_zero_iff_divisible(self, f, g, r):
+        if not any(f) or not any(g):
+            return
+        a = binforms.mul(f, g)
+        assert binforms.prem(a, g) == ()
+        assert binforms.quotient(a, g) == binforms.strip(f)
+        s = binforms.add(*_padded(a, r))
+        if any(s):
+            ref = sympy.rem(sympy.Poly(s, _t, domain="QQ"), sympy.Poly(g, _t, domain="QQ"))
+            assert (binforms.prem(s, g) == ()) == ref.is_zero
+
+    def test_divides(self):
+        x2m1 = (1, 0, -1)
+        assert binforms.divides((1, -1), x2m1)
+        assert not binforms.divides((1, 1, 1), x2m1)
+        # x1 | x0 x1 but x1^2 does not
+        assert binforms.divides((0, 1), (0, 1, 0))
+        assert not binforms.divides((0, 0, 1), (0, 1, 0))
+
+
+def _padded(a, b):
+    n = max(len(a), len(b))
+    return [0] * (n - len(a)) + list(a), [0] * (n - len(b)) + list(b)
+
+
+class TestBezoutCofactors:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_identities(self, d, data):
+        p = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1)))
+        q = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1)))
+        res = binforms.sylvester_resultant(p, q)
+        if res == 0:
+            return
+        r, g1, g2, h1, h2 = binforms.bezout_cofactors(p, q)
+        assert r == res
+        top = (res,) + (0,) * (2 * d - 1)
+        bot = (0,) * (2 * d - 1) + (res,)
+        assert binforms.add(binforms.mul(g1, p), binforms.mul(g2, q)) == top
+        assert binforms.add(binforms.mul(h1, p), binforms.mul(h2, q)) == bot

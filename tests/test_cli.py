@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from orbitint import integrality
@@ -290,3 +293,54 @@ class TestHugeCrossTerms:
         witnesses = {(p["m"], p["n"]): p["witness"] for p in doc["body"]["pairs"]}
         assert len(witnesses) == 100
         assert witnesses[(9, 4)]["cross_term"] == expected
+
+
+class TestIntStrLimit:
+    """Integers past Python's 4300-digit int-to-str limit never reach
+    ``str(int)`` unguarded."""
+
+    def test_map_coefficient_past_limit(self, capsys):
+        code, out = run_cli(
+            ["--no-timestamp", "pairs", "--map", "x^2+10^4400", "--u", "1", "--w", "2",
+             "--window", "1x1"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["body"]["map"] == "num=1,0,1" + "0" * 4400 + ";den=1"
+
+    def test_resultant_past_limit_is_a_precondition_error(self, capsys):
+        code, out = run_cli(
+            ["--no-timestamp", "analyze", "--map", "(x^2+1)/(10^2200)"], capsys
+        )
+        assert code == EXIT_PRECONDITION
+        doc = json.loads(out)
+        assert "body" not in doc
+        assert doc["error"].startswith("resultant has 4401 digits")
+
+    def test_literal_past_limit(self, capsys):
+        literal = "3" * 4400
+        code, out = run_cli(
+            ["--no-timestamp", "orbit", "--map", f"x^2+{literal}", "--point", "0", "--n", "1"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["body"]["map"] == f"num=1,0,{literal};den=1"
+
+
+def test_pairs_never_imports_sympy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(integrality.__file__)))
+    code = (
+        "import os, sys\n"
+        "from orbitint import cli\n"
+        "argv = ['--no-timestamp', '--output', os.devnull, 'pairs', '--map', '(x^2+1)/x',"
+        " '--u', '2', '--w', '3', '--window', '3x3']\n"
+        "assert cli.main(argv) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "False"

@@ -100,3 +100,38 @@ class TestRoundTrip:
             g = parse_map(text)
             assert g == f
             assert g.serialize_coefficients() == text
+
+
+class TestIntegerParser:
+    def test_corpus_matches_make_map(self):
+        # an oracle outside orbitint: sympy reads the expression, and the
+        # reduced numerator and denominator go through make_map
+        from sympy import Poly, Symbol, cancel, fraction
+        from sympy.parsing.sympy_parser import (
+            convert_xor,
+            implicit_multiplication_application,
+            parse_expr,
+            standard_transformations,
+        )
+
+        x = Symbol("x")
+        transformations = standard_transformations + (
+            convert_xor,
+            implicit_multiplication_application,
+        )
+        for expr in CORPUS_EXPRS:
+            num, den = fraction(cancel(parse_expr(expr, {"x": x}, transformations)))
+            ref = make_map(Poly(num, x).all_coeffs(), Poly(den, x).all_coeffs())
+            assert parse_map(expr) == ref, expr
+
+    def test_integer_lists(self):
+        num, den = parse_rational_function("(x^2 + 1/2)/(-3x)")
+        assert all(type(c) is int for c in num + den)
+        assert den[0] > 0
+        assert Fraction(num[0], num[-1]) == 2 and len(den) == 2 and den[1] == 0
+
+    def test_literal_past_int_str_limit(self):
+        big = 10**4400 + 7
+        digits = "1" + "0" * 4399 + "7"
+        f = parse_map(f"x^2 + {digits}")
+        assert f.p == (1, 0, big) and f.q == (0, 0, 1)

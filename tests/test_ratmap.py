@@ -354,3 +354,42 @@ class TestCertifyWandering:
     def test_periodic_multiplier(self):
         assert periodic_normalization_multiplier(make_map([1, 0, -1], [1])) == 2
         assert periodic_normalization_multiplier(make_map([1, 0, 0], [1])) == 1
+
+
+class TestEscapeByIntegers:
+    def test_integer_test_decides_at_the_bound(self):
+        # f = x^2 + 10^20: Res = 1, cofactor_max = 10^20, so the escape
+        # bound is 2 * 1 * 4 * 10^20.  As floats, log(B) and log(B + 1) are
+        # equal, so only the integer test can tell H = B from H = B + 1.
+        f = make_map([1, 0, 10**20], [1])
+        bound = f.escape_bound
+        assert bound == 8 * 10**20
+        assert math.log(bound) == math.log(bound + 1)
+        at = certify_wandering(f, ProjPoint(bound, 1)).certificate.achieved_at
+        above = certify_wandering(f, ProjPoint(bound + 1, 1)).certificate.achieved_at
+        assert (at, above) == (1, 0)
+
+    def test_bound_matches_threshold(self, corpus):
+        for f in corpus:
+            d = f.degree
+            assert math.isclose(
+                math.log(f.escape_bound) / (d - 1), f.escape_threshold, rel_tol=1e-12
+            )
+
+
+class TestIteratedFormsCache:
+    def test_cache_stays_bounded(self):
+        from orbitint import ratmap
+
+        for c in range(1, 3 * ratmap.ITERATED_FORMS_CACHE_SIZE):
+            f = make_map([1, 0, c], [1])
+            assert iterated_forms(f, 3) == iterated_forms(f, 3, cap=8)
+        info = ratmap._iterated_forms.cache_info()
+        assert info.currsize <= ratmap.ITERATED_FORMS_CACHE_SIZE
+        assert info.maxsize == ratmap.ITERATED_FORMS_CACHE_SIZE
+
+    def test_cap_checked_before_the_cache(self):
+        f = make_map([1, 0, 1], [1])
+        iterated_forms(f, 3)  # cached under the default cap
+        with pytest.raises(FormDegreeCapError):
+            iterated_forms(f, 3, cap=4)
