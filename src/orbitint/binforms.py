@@ -54,6 +54,17 @@ def mul(a: Sequence[int], b: Sequence[int]) -> Form:
     return tuple(out)
 
 
+def sub_mul(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> Form:
+    """a - b*c, with deg a = deg b + deg c; work only on nonzero terms."""
+    out = list(a)
+    nonzero_c = [(j, cj) for j, cj in enumerate(c) if cj]
+    for i, bi in enumerate(b):
+        if bi:
+            for j, cj in nonzero_c:
+                out[i + j] -= bi * cj
+    return tuple(out)
+
+
 def add(a: Sequence[int], b: Sequence[int]) -> Form:
     if len(a) != len(b):
         raise FormError("degree mismatch")
@@ -71,10 +82,7 @@ def scale(a: Sequence[int], c: int) -> Form:
 
 
 def content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-    return g
+    return math.gcd(*cs)
 
 
 def primitive(cs: Sequence[int]) -> Form:
@@ -83,11 +91,8 @@ def primitive(cs: Sequence[int]) -> Form:
     if g == 0:
         raise FormError("zero form")
     out = [c // g for c in cs]
-    for c in out:
-        if c != 0:
-            if c < 0:
-                out = [-x for x in out]
-            break
+    if out[x1_multiplicity(out)] < 0:
+        out = [-x for x in out]
     return tuple(out)
 
 
@@ -217,11 +222,8 @@ def bezout_cofactors(
 def x1_multiplicity(cs: Sequence[int]) -> int:
     """Multiplicity of the x1 factor (= leading zero count)."""
     m = 0
-    for c in cs:
-        if c == 0:
-            m += 1
-        else:
-            break
+    while m < len(cs) and not cs[m]:
+        m += 1
     return m
 
 
@@ -280,6 +282,17 @@ def quotient(a: Sequence[int], b: Sequence[int]) -> Form:
     if any(a):
         raise FormError("inexact polynomial quotient")
     return tuple(out)
+
+
+def form_quotient(a: Sequence[int], b: Sequence[int]) -> Form:
+    """a / b for binary forms when b divides a over Z, x1 powers included;
+    the zero form over b is the zero form of degree deg a - deg b."""
+    if not any(a):
+        return (0,) * (len(a) - len(b) + 1)
+    m = x1_multiplicity(a) - x1_multiplicity(b)
+    if m < 0:
+        raise FormError("inexact polynomial quotient")
+    return (0,) * m + quotient(a, b)
 
 
 def distinct_root_count(cs: Sequence[int]) -> int:

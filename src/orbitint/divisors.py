@@ -3,17 +3,19 @@
 The antisymmetric forms G_n = P_n(x) Q_n(y) - P_n(y) Q_n(x) cut out the
 pullbacks D_n of the diagonal; the layer forms B_n = G_n / G_{n-1} are
 exact integer quotients (effectivity), with B_0 the diagonal form
-x0*y1 - x1*y0.
+x0*y1 - x1*y0.  A biform is a binary form in x whose coefficients are binary
+forms in y, so all its arithmetic is ``binforms`` arithmetic, and the exact
+quotient is long division in x over Z[y0, y1].
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import binforms
 from .binforms import Form
+from .exactarith import decimal_str
 from .projective import ProjPoint
 from .ratmap import RatMap, critical_data, iterate, iterated_forms
 
@@ -24,19 +26,37 @@ class DivisorError(ValueError):
 
 @dataclass(frozen=True)
 class BiForm:
-    """A bihomogeneous integer form in (x0, x1; y0, y1).
+    """A bihomogeneous integer form in (x0, x1; y0, y1) of bidegree (dx, dy).
 
-    Coefficients are keyed by (i, k): the coefficient of
-    x0^i x1^(bidegree_x - i) y0^k y1^(bidegree_y - k).
+    ``rows[a][b]`` is the coefficient of x0^(dx-a) x1^a y0^(dy-b) y1^b.
+    ``from_dict``, ``as_dict`` and ``coefficients`` convert to and from the
+    sparse keys (i, k) of x0^i x1^(dx-i) y0^k y1^(dy-k).
     """
 
-    coefficients: tuple[tuple[tuple[int, int], int], ...]
-    bidegree: tuple[int, int]
+    rows: tuple[Form, ...]
+
+    @property
+    def bidegree(self) -> tuple[int, int]:
+        return len(self.rows) - 1, len(self.rows[0]) - 1
 
     @classmethod
     def from_dict(cls, coeffs: dict[tuple[int, int], int], bidegree: tuple[int, int]) -> "BiForm":
-        items = tuple(sorted((k, v) for k, v in coeffs.items() if v != 0))
-        return cls(items, bidegree)
+        dx, dy = bidegree
+        rows = [[0] * (dy + 1) for _ in range(dx + 1)]
+        for (i, k), c in coeffs.items():
+            rows[dx - i][dy - k] = c
+        return cls(tuple(map(tuple, rows)))
+
+    @property
+    def coefficients(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """The nonzero coefficients as ((i, k), c), ascending in (i, k)."""
+        dx, dy = self.bidegree
+        return tuple(
+            ((dx - a, dy - b), c)
+            for a in reversed(range(dx + 1))
+            for b in reversed(range(dy + 1))
+            if (c := self.rows[a][b])
+        )
 
     @cached_property
     def as_dict(self) -> dict[tuple[int, int], int]:
@@ -44,78 +64,60 @@ class BiForm:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not any(map(any, self.rows))
+
+    def _flat(self) -> list[int]:
+        return [c for row in self.rows for c in row]
 
     def content(self) -> int:
-        g = 0
-        for _, c in self.coefficients:
-            g = math.gcd(g, c)
-        return g
+        return binforms.content(self._flat())
 
     def normalized(self) -> "BiForm":
-        """Content 1, lexicographically leading coefficient positive."""
+        """Content 1, lexicographically leading coefficient positive (the
+        first nonzero entry of the rows, read row by row)."""
         if self.is_zero:
             raise DivisorError("zero form")
-        g = self.content()
-        lead_key = max(k for k, _ in self.coefficients)
-        sign = 1 if self.as_dict[lead_key] > 0 else -1
-        return BiForm.from_dict(
-            {k: sign * c // g for k, c in self.coefficients}, self.bidegree
-        )
+        flat = binforms.primitive(self._flat())
+        w = len(self.rows[0])
+        return BiForm(tuple(flat[j : j + w] for j in range(0, len(flat), w)))
 
     def multiply(self, other: "BiForm") -> "BiForm":
-        out: dict[tuple[int, int], int] = {}
-        for (i1, k1), c1 in self.coefficients:
-            for (i2, k2), c2 in other.coefficients:
-                key = (i1 + i2, k1 + k2)
-                out[key] = out.get(key, 0) + c1 * c2
-        bd = (
-            self.bidegree[0] + other.bidegree[0],
-            self.bidegree[1] + other.bidegree[1],
-        )
-        return BiForm.from_dict(out, bd)
+        zero = (0,) * (len(self.rows[0]) + len(other.rows[0]) - 1)
+        out = [zero] * (len(self.rows) + len(other.rows) - 1)
+        for a, r1 in enumerate(self.rows):
+            for b, r2 in enumerate(other.rows):
+                out[a + b] = binforms.add(out[a + b], binforms.mul(r1, r2))
+        return BiForm(tuple(out))
 
     def negate(self) -> "BiForm":
-        return BiForm.from_dict({k: -c for k, c in self.coefficients}, self.bidegree)
+        return BiForm(tuple(binforms.scale(r, -1) for r in self.rows))
 
     def evaluate(self, x: ProjPoint, y: ProjPoint) -> int:
-        dx, dy = self.bidegree
-        acc = 0
-        for (i, k), c in self.coefficients:
-            acc += (
-                c
-                * x.a0**i
-                * x.a1 ** (dx - i)
-                * y.a0**k
-                * y.a1 ** (dy - k)
-            )
-        return acc
+        inner = [binforms.evaluate(r, y.a0, y.a1) for r in self.rows]
+        return binforms.evaluate(inner, x.a0, x.a1)
 
     def swap_xy(self) -> "BiForm":
-        return BiForm.from_dict(
-            {(k, i): c for (i, k), c in self.coefficients},
-            (self.bidegree[1], self.bidegree[0]),
-        )
+        return BiForm(tuple(zip(*self.rows)))
 
     def restrict_to_diagonal(self) -> Form:
-        """Substitute (y0, y1) := (x0, x1); a binary form of degree dx+dy."""
-        dx, dy = self.bidegree
-        total = dx + dy
-        out = [0] * (total + 1)
-        for (i, k), c in self.coefficients:
-            # monomial becomes x0^(i+k) x1^(total-i-k); descending index:
-            out[total - (i + k)] += c
-        return tuple(out)
+        """Substitute (y0, y1) := (x0, x1); a binary form of degree dx+dy:
+        the sum of the rows, row a times x0^(dx-a) x1^a."""
+        dx = self.bidegree[0]
+        return reduce(
+            binforms.add,
+            ((0,) * a + r + (0,) * (dx - a) for a, r in enumerate(self.rows)),
+        )
 
     def serialize(self) -> str:
         """Sparse monomial list "(i,j,k,l):coefficient" sorted
-        lexicographically on the exponent quadruple."""
+        lexicographically on the exponent quadruple, descending."""
         dx, dy = self.bidegree
-        entries = []
-        for (i, k), c in self.coefficients:
-            entries.append(((i, dx - i, k, dy - k), c))
-        entries.sort(reverse=True)
-        return " ".join(f"({i},{j},{k},{l}):{c}" for (i, j, k, l), c in entries)
+        return " ".join(
+            f"({dx - a},{a},{dy - b},{b}):{decimal_str(c)}"
+            for a, r in enumerate(self.rows)
+            for b, c in enumerate(r)
+            if c
+        )
 
 
 def diagonal_form() -> BiForm:
@@ -125,24 +127,16 @@ def diagonal_form() -> BiForm:
 
 def g_form(f: RatMap, n: int) -> BiForm:
     """The normalized antisymmetric form of bidegree (d^n, d^n) built from
-    the iterate forms: P_n(x) Q_n(y) - P_n(y) Q_n(x)."""
+    the iterate forms: P_n(x) Q_n(y) - P_n(y) Q_n(x), whose row a is
+    P_n[a] Q_n(y) - Q_n[a] P_n(y)."""
     if n < 1:
         raise DivisorError("g_form requires n >= 1")
     pn, qn = iterated_forms(f, n)
-    deg = len(pn) - 1
-    out: dict[tuple[int, int], int] = {}
-    for a, pa in enumerate(pn):
-        if pa == 0:
-            continue
-        for b, qb in enumerate(qn):
-            if qb == 0:
-                continue
-            v = pa * qb
-            k1 = (deg - a, deg - b)  # P_n(x) Q_n(y)
-            k2 = (deg - b, deg - a)  # P_n(y) Q_n(x)
-            out[k1] = out.get(k1, 0) + v
-            out[k2] = out.get(k2, 0) - v
-    form = BiForm.from_dict(out, (deg, deg))
+    rows = tuple(
+        binforms.sub(binforms.scale(qn, pa), binforms.scale(pn, qa))
+        for pa, qa in zip(pn, qn)
+    )
+    form = BiForm(rows)
     if form.is_zero:
         raise DivisorError("degenerate G form")
     return form.normalized()
@@ -151,39 +145,30 @@ def g_form(f: RatMap, n: int) -> BiForm:
 def exact_divide(numerator: BiForm, divisor: BiForm) -> BiForm:
     """Exact quotient of biforms; raises DivisorError on nonzero remainder.
 
-    Performed on the (injective) dehomogenizations in lex order; the
-    quotient is rehomogenized to the bidegree difference.
+    Long division in x over Z[y0, y1]: each quotient row is an exact
+    quotient of binary forms in y by the divisor's first nonzero row, and
+    no numerator row may be left over.
     """
-    num = dict(numerator.coefficients)
-    div = divisor.coefficients
-    if not div:
+    if divisor.is_zero:
         raise DivisorError("division by zero form")
-    lead_key, lead_c = max(div)
-    lead_c = divisor.as_dict[lead_key]
-    quo: dict[tuple[int, int], int] = {}
-    while num:
-        nk = max(num)
-        nc = num[nk]
-        qi, qk = nk[0] - lead_key[0], nk[1] - lead_key[1]
-        if qi < 0 or qk < 0 or nc % lead_c != 0:
-            raise DivisorError("non-exact biform division")
-        qc = nc // lead_c
-        quo[(qi, qk)] = quo.get((qi, qk), 0) + qc
-        for (i, k), c in div:
-            key = (i + qi, k + qk)
-            nv = num.get(key, 0) - qc * c
-            if nv:
-                num[key] = nv
-            else:
-                num.pop(key, None)
-    bd = (
-        numerator.bidegree[0] - divisor.bidegree[0],
-        numerator.bidegree[1] - divisor.bidegree[1],
-    )
-    for (i, k) in quo:
-        if i > bd[0] or k > bd[1]:
-            raise DivisorError("quotient exceeds expected bidegree")
-    return BiForm.from_dict(quo, bd)
+    num, drows = list(numerator.rows), divisor.rows
+    if len(num) < len(drows) or len(num[0]) < len(drows[0]):
+        raise DivisorError("non-exact biform division")
+    terms = [(t, r) for t, r in enumerate(drows) if any(r)]
+    lead, lead_row = terms[0]
+    quo = []
+    try:
+        for j in range(len(num) - len(drows) + 1):
+            q = binforms.form_quotient(num[j + lead], lead_row)
+            quo.append(q)
+            if any(q):
+                for t, r in terms:
+                    num[j + t] = binforms.sub_mul(num[j + t], q, r)
+    except binforms.FormError:
+        raise DivisorError("non-exact biform division") from None
+    if any(map(any, num)):
+        raise DivisorError("non-exact biform division")
+    return BiForm(tuple(quo))
 
 
 @dataclass(frozen=True)
@@ -203,10 +188,7 @@ def build_tower(f: RatMap, depth: int) -> DivisorTower:
         raise DivisorError("depth must be >= 1")
     gs = [g_form(f, k) for k in range(1, depth + 1)]
     bs = [diagonal_form()]
-    prev = bs[0]
-    for k in range(1, depth + 1):
-        bs.append(exact_divide(gs[k - 1], prev))
-        prev = gs[k - 1]
+    bs += [exact_divide(g, prev) for g, prev in zip(gs, bs + gs)]
     return DivisorTower(map=f, depth=depth, g_forms=tuple(gs), b_forms=tuple(bs))
 
 
@@ -229,23 +211,17 @@ def leading_form_check(f: RatMap, n: int) -> bool:
     tower = build_tower(f, n)
     bn = tower.b_forms[n].as_dict
     total = max(i + k for i, k in bn)
-    lead = {key: c for key, c in bn.items() if key[0] + key[1] == total}
-    d = f.degree
-    step = d ** (n - 1)
-    expected_total = (d - 1) * step
-    if total != expected_total:
-        return False
-    target = {(j * step, (d - 1 - j) * step): 1 for j in range(d)}
-    if set(lead) != set(target):
-        return False
-    ref = lead[next(iter(target))]
-    return all(c == ref for c in lead.values())
+    lead = {key: c for key, c in bn.items() if sum(key) == total}
+    d, step = f.degree, f.degree ** (n - 1)
+    # the target keys all have total degree (d-1)*step
+    target = {(j * step, (d - 1 - j) * step) for j in range(d)}
+    return set(lead) == target and len(set(lead.values())) == 1
 
 
 def diagonal_critical_intersections(tower: DivisorTower) -> list[ProjPoint]:
     """Rational points c with the B_1 form vanishing at (c, c)."""
     diag = tower.b_forms[1].restrict_to_diagonal()
-    if all(c == 0 for c in diag):
+    if not any(diag):
         raise DivisorError("B_1 vanishes identically on the diagonal")
     roots = binforms.rational_projective_roots(diag)
     return sorted((ProjPoint(a0, a1) for a0, a1 in roots), key=lambda p: (p.a1, p.a0))
@@ -275,27 +251,14 @@ def multi_intersection_probe(
     for i in indices:
         if i < 0 or i > tower.depth:
             raise DivisorError("index outside tower depth")
-    vanishing = tuple(
-        i for i in indices if tower.b_forms[i].evaluate(xi, eta) == 0
-    )
+    vanishing = tuple(i for i in indices if tower.b_forms[i].evaluate(xi, eta) == 0)
     chain: list[ChainCheck] = []
     if len(vanishing) >= 2:
-        crit_points = {
-            c.point for c in critical_data(tower.map) if c.point is not None
-        }
+        crit_points = {c.point for c in critical_data(tower.map) if c.point is not None}
         for i in vanishing:
             if i == 0:
                 continue
             a = iterate(tower.map, xi, i - 1)
-            b = iterate(tower.map, eta, i - 1)
-            chain.append(
-                ChainCheck(
-                    index=i,
-                    image=a if a == b else None,
-                    images_equal=(a == b),
-                    image_is_critical=(a == b and a in crit_points),
-                )
-            )
-    return MembershipReport(
-        point=(xi, eta), vanishing_indices=vanishing, chain=tuple(chain)
-    )
+            same = a == iterate(tower.map, eta, i - 1)
+            chain.append(ChainCheck(i, a if same else None, same, same and a in crit_points))
+    return MembershipReport(point=(xi, eta), vanishing_indices=vanishing, chain=tuple(chain))

@@ -9,6 +9,7 @@ never stored.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -73,53 +74,85 @@ def decimal_str(n: int) -> str:
     return str(Decimal(n))
 
 
+# ``Fraction(text)``'s grammar in Python 3.11
+_RATIONAL = re.compile(
+    r"""\A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:/(?P<den>\d+(_\d+)*)
+    |(?:\.(?P<dec>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*\Z""",
+    re.VERBOSE | re.IGNORECASE,
+)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational from canonical "p/q" or integer "n" form."""
-    return Fraction(text.strip())
+    """Parse a rational as ``Fraction(text)`` does ("p/q", "n", "-1.5e3",
+    "1_000", ...), with no limit on the number of digits: the digits are
+    read through ``Decimal``, as ``str(int)`` refuses more than 4300."""
+    m = _RATIONAL.match(text)
+    if m is None:
+        raise ExactArithError(f"Invalid literal for Fraction: {text!r}")
+    if m["den"] is None:
+        return Fraction(Decimal(text.strip().replace("_", "")))
+    num, den = (int(Decimal(m[g].replace("_", ""))) for g in ("num", "den"))
+    if den == 0:
+        raise ExactArithError(f"zero denominator: {text!r}")
+    return Fraction(-num if m["sign"] == "-" else num, den)
 
 
 def format_rational(q: Fraction) -> str:
     """Canonical reduced form: "-3/7", integers as "5"."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return decimal_str(q.numerator)
+    return f"{decimal_str(q.numerator)}/{decimal_str(q.denominator)}"
+
+
+def split_prime_power(n: int, p: int) -> tuple[int, int]:
+    """(v, rest) with |n| = p^v * rest and p not dividing rest, for n != 0.
+
+    Divides by p, p^2, p^4, ... while they divide, then by the same powers
+    in descending order, so the cost is near-linear in the size of p^v."""
+    if n == 0:
+        raise ExactArithError("valuation of zero undefined")
+    if p < 2:
+        raise ExactArithError(f"{p} is not prime")
+    n = abs(n)
+    powers, q = [], p
+    while n % q == 0:
+        n //= q
+        powers.append(q)
+        q *= q
+    v = (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            v += 1 << k
+    return v, n
 
 
 def int_valuation(n: int, p: int) -> int:
     """Largest k with p^k | n, for n != 0."""
-    if n == 0:
-        raise ExactArithError("valuation of zero undefined")
-    k = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
+    return split_prime_power(n, p)[0]
 
 
 def valuation(q: Fraction | int, p: int) -> int:
     """p-adic valuation v_p(q) of a nonzero rational; |q|_p = p^(-v_p(q))."""
     q = Fraction(q)
-    if q == 0:
-        raise ExactArithError("valuation of zero undefined")
     if not is_prime(p):
         raise ExactArithError(f"{p} is not prime")
     return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
 
 
 def remove_prime_power(n: int, p: int) -> int:
-    """n with all factors of p divided out."""
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-    return n
+    """|n| with all factors of p divided out, for n != 0."""
+    return split_prime_power(n, p)[1]
 
 
 def s_free_part(n: int, s: PlaceSet) -> int:
-    """|n| with all factors of primes in S removed."""
+    """|n| with all factors of primes in S removed, for n != 0."""
+    if n == 0:
+        raise ExactArithError("S-free part of zero undefined")
     n = abs(n)
     for p in s:
-        n = remove_prime_power(n, p)
+        n = split_prime_power(n, p)[1]
     return n
 
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 
 from . import binforms
+from .exactarith import parse_rational
 from .ratmap import RatMap, make_map
 
 
@@ -218,8 +218,8 @@ def parse_coefficient_format(text: str) -> RatMap:
         assert num_part.startswith("num=") and den_part.startswith("den=")
     except (ValueError, AssertionError):
         raise ParseError(f"cannot parse coefficient format: {text!r}") from None
-    num = [Fraction(tok) for tok in num_part[4:].split(",")]
-    den = [Fraction(tok) for tok in den_part[4:].split(",")]
+    num = [parse_rational(tok) for tok in num_part[4:].split(",")]
+    den = [parse_rational(tok) for tok in den_part[4:].split(",")]
     return make_map(num, den)
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import ExactArithError, int_valuation
+from .exactarith import decimal_str, parse_rational, split_prime_power
 
 ARCHIMEDEAN = "inf"
 
@@ -48,10 +48,10 @@ class ProjPoint:
         return Fraction(self.a0, self.a1)
 
     def serialize(self) -> str:
-        return f"[{self.a0}:{self.a1}]"
+        return f"[{decimal_str(self.a0)}:{decimal_str(self.a1)}]"
 
     def __repr__(self) -> str:
-        return f"ProjPoint({self.a0}, {self.a1})"
+        return f"ProjPoint({decimal_str(self.a0)}, {decimal_str(self.a1)})"
 
 
 INFINITY = ProjPoint(1, 0)
@@ -80,11 +80,11 @@ def parse_point(text: str) -> ProjPoint:
     if text in ("inf", "oo", "infinity"):
         return INFINITY
     if text.startswith("["):
-        if not text.endswith("]") or ":" not in text:
+        if not text.endswith("]") or text.count(":") != 1:
             raise ProjectiveError(f"cannot parse projective point: {text!r}")
         left, right = text[1:-1].split(":")
-        return normalize(Fraction(left.strip()), Fraction(right.strip()))
-    return from_affine(Fraction(text))
+        return normalize(parse_rational(left), parse_rational(right))
+    return from_affine(parse_rational(text))
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,4 @@ def chordal_distance(p: ProjPoint, q: ProjPoint, place: int | str) -> ChordalVal
         return ChordalValue(ARCHIMEDEAN, math.sqrt(float(ratio)))
     if cross == 0:
         return ChordalValue(place, Fraction(0))
-    try:
-        v = int_valuation(cross, place)
-    except ExactArithError:  # pragma: no cover
-        raise
-    return ChordalValue(place, Fraction(1, place**v))
+    return ChordalValue(place, Fraction(1, place ** split_prime_power(cross, place)[0]))

@@ -41,18 +41,11 @@ class FormDegreeCapError(RatMapError):
 def _normalize_pair(p: Sequence[int], q: Sequence[int]) -> tuple[Form, Form]:
     """Joint content-1 normalization with deterministic sign (first nonzero
     coefficient of the concatenated pair positive)."""
-    g = math.gcd(binforms.content(p), binforms.content(q))
-    if g == 0:
-        raise RatMapError("zero map")
-    p = [c // g for c in p]
-    q = [c // g for c in q]
-    for c in list(p) + list(q):
-        if c != 0:
-            if c < 0:
-                p = [-x for x in p]
-                q = [-x for x in q]
-            break
-    return tuple(p), tuple(q)
+    try:
+        pq = binforms.primitive(tuple(p) + tuple(q))
+    except binforms.FormError:
+        raise RatMapError("zero map") from None
+    return pq[: len(p)], pq[len(p) :]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,29 @@ class TestPseudoDivision:
         # x1 | x0 x1 but x1^2 does not
         assert binforms.divides((0, 1), (0, 1, 0))
         assert not binforms.divides((0, 0, 1), (0, 1, 0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(polys, polys, st.integers(0, 2), st.integers(0, 2))
+    def test_form_quotient(self, f, g, mf, mg):
+        # forms with x1 factors: leading zeros
+        f, g = (0,) * mf + tuple(f), (0,) * mg + tuple(g)
+        if not any(g):
+            return
+        assert binforms.form_quotient(binforms.mul(f, g), g) == f
+        assert binforms.form_quotient((0,) * len(f), (1,)) == (0,) * len(f)
+
+    @given(polys, polys, polys)
+    def test_sub_mul(self, a, b, c):
+        n = len(b) + len(c) - 1
+        a = (tuple(a) * n)[:n]
+        assert binforms.sub_mul(a, b, c) == binforms.sub(a, binforms.mul(b, c))
+
+    def test_form_quotient_needs_the_x1_power(self):
+        # x0 / x1: the affine parts divide, the x1 powers do not
+        with pytest.raises(binforms.FormError):
+            binforms.form_quotient((1, 0), (0, 1))
+        with pytest.raises(binforms.FormError):
+            binforms.form_quotient((1, 2, 1), (1, 3))
 
 
 def _padded(a, b):

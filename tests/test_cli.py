@@ -168,6 +168,13 @@ class TestExitCodes:
         assert doc["body"]["truncated"] is True
         assert "effective_window" in doc["body"]
 
+    def test_zero_denominator_is_a_precondition_error(self, capsys):
+        for args in (["orbit", "--map", "x^2", "--point", "1/0"],
+                     ["orbit", "--map", "num=1/0,1;den=1", "--point", "1"]):
+            code, out = run_cli(["--no-timestamp"] + args, capsys)
+            assert code == EXIT_PRECONDITION
+            assert "zero denominator" in json.loads(out)["error"]
+
     def test_bad_window_format(self, capsys):
         code, out = run_cli(
             ["--no-timestamp", "pairs", "--map", "x^2", "--u", "1", "--w", "2",
@@ -327,6 +334,35 @@ class TestIntStrLimit:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["body"]["map"] == f"num=1,0,{literal};den=1"
+
+    def test_coefficient_format_reads_back_past_limit(self, capsys):
+        big = "1" + "0" * 4400
+        text = f"num=1,0,{big};den=1"
+        code, out = run_cli(
+            ["--no-timestamp", "orbit", "--map", text, "--point", "0", "--n", "1"], capsys
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["body"]["map"] == text
+
+    def test_divisor_form_past_limit(self, capsys):
+        code, out = run_cli(
+            ["--no-timestamp", "divisor", "--map", "x^2/(x+10^4400)", "--n", "1"], capsys
+        )
+        assert code == EXIT_OK
+        # G_1 = x0^2 y1 (y0 + N y1) - y0^2 x1 (x0 + N x1), N = 10^4400
+        g1 = json.loads(out)["body"]["g_forms"][0]
+        assert f"(2,0,0,2):1{'0' * 4400} " in g1
+
+    def test_point_past_limit(self, capsys):
+        big = "7" * 4400
+        code, out = run_cli(
+            ["--no-timestamp", "pairs", "--map", "x^2+1", f"--u=-{big}/3", "--w", "2",
+             "--window", "1x1"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["body"]["u"] == f"[-{big}:3]"
 
 
 def test_pairs_never_imports_sympy():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitint.divisors import (
     BiForm,
@@ -14,6 +16,29 @@ from orbitint.divisors import (
 )
 from orbitint.projective import INFINITY, ProjPoint
 from orbitint.ratmap import critical_data, make_map
+
+
+@st.composite
+def sparse_biforms(draw, max_degree=3):
+    """(bidegree, {(i, k): c}) with small coefficients, zeros included."""
+    dx = draw(st.integers(0, max_degree))
+    dy = draw(st.integers(0, max_degree))
+    keys = [(i, k) for i in range(dx + 1) for k in range(dy + 1)]
+    coeffs = draw(st.dictionaries(st.sampled_from(keys), st.integers(-3, 3)))
+    return (dx, dy), coeffs
+
+
+@st.composite
+def divisor_biforms(draw):
+    """Nonzero biforms times a power of x1 (leading rows zero) and a power
+    of y1 (every row divisible by y1), either power possibly 1."""
+    (dx, dy), coeffs = draw(sparse_biforms(max_degree=2))
+    assume(any(coeffs.values()))
+    mx, my = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    # the monomial x1^mx y1^my is the key (0, 0) of bidegree (mx, my)
+    shift = BiForm.from_dict({(0, 0): 1}, (mx, my))
+    return BiForm.from_dict(coeffs, (dx, dy)).multiply(shift)
+
 
 SAMPLE_POINTS = [
     ProjPoint(0, 1),
@@ -53,6 +78,23 @@ class TestBiForm:
     def test_serialize_sorted(self):
         d = diagonal_form()
         assert d.serialize() == "(1,0,0,1):1 (0,1,1,0):-1"
+
+    @given(st.data())
+    def test_dict_conversions_roundtrip(self, data):
+        # the sparse views are conversions of the rows; the benchmark's
+        # tracer counts terms with len(form.coefficients)
+        (dx, dy), coeffs = data.draw(sparse_biforms())
+        form = BiForm.from_dict(coeffs, (dx, dy))
+        nonzero = {k: c for k, c in coeffs.items() if c}
+        assert form.as_dict == nonzero
+        assert form.coefficients == tuple(sorted(nonzero.items()))
+        assert BiForm.from_dict(form.as_dict, form.bidegree) == form
+        entries = sorted(
+            (((i, dx - i, k, dy - k), c) for (i, k), c in nonzero.items()), reverse=True
+        )
+        assert form.serialize() == " ".join(
+            f"({i},{j},{k},{l}):{c}" for (i, j, k, l), c in entries
+        )
 
 
 class TestGForms:
@@ -124,6 +166,24 @@ class TestTower:
         num = BiForm.from_dict({(1, 1): 1, (0, 0): 1}, (1, 1))
         with pytest.raises(DivisorError, match="non-exact"):
             exact_divide(num, diagonal_form())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_divide_product(self, data):
+        bd, coeffs = data.draw(sparse_biforms())
+        a = BiForm.from_dict(coeffs, bd)
+        b = data.draw(divisor_biforms())
+        prod = a.multiply(b)
+        assert exact_divide(prod, b) == a
+        # b has two terms or more, so it divides no monomial: adding one
+        # leaves a remainder
+        assume(len(b.coefficients) >= 2)
+        dx, dy = prod.bidegree
+        key = (data.draw(st.integers(0, dx)), data.draw(st.integers(0, dy)))
+        shifted = dict(prod.as_dict)
+        shifted[key] = shifted.get(key, 0) + data.draw(st.sampled_from([-1, 1, 5]))
+        with pytest.raises(DivisorError, match="non-exact"):
+            exact_divide(BiForm.from_dict(shifted, prod.bidegree), b)
 
     def test_index_bounds(self):
         tower = build_tower(make_map([1, 0, 0], [1]), 1)

@@ -1,19 +1,24 @@
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from orbitint.exactarith import (
     ExactArithError,
     PlaceSet,
     format_rational,
+    int_valuation,
     is_s_unit,
     log_height,
     log_int,
     parse_rational,
+    remove_prime_power,
     s_free_part,
+    split_prime_power,
     valuation,
 )
 
@@ -59,6 +64,54 @@ class TestRationalFormat:
     def test_reduces(self):
         assert format_rational(parse_rational("6/4")) == "3/2"
 
+    def test_fraction_syntax(self):
+        assert parse_rational(" -1.5e3 ") == -1500
+        assert parse_rational("1_000/3") == Fraction(1000, 3)
+        assert parse_rational(".25") == Fraction(1, 4)
+        assert parse_rational("+7E-2") == Fraction(7, 100)
+        for bad in ["", "1 / 2", "1/-2", "1__0", "_1", "1/2.5", "0x10", "inf"]:
+            with pytest.raises(ExactArithError):
+                parse_rational(bad)
+
+    def test_zero_denominator_rejected_by_name(self):
+        with pytest.raises(ExactArithError, match="zero denominator"):
+            parse_rational("1/0")
+
+    def test_past_int_str_limit(self):
+        for text in ["9" * 4400, "-1/" + "3" * 4400, "1" + "0" * 4400 + "/7"]:
+            assert format_rational(parse_rational(text)) == text
+
+    @given(
+        st.one_of(
+            # near-literals: runs that may break the underscore, sign and
+            # exponent rules, unicode digits and whitespace included
+            st.from_regex(
+                r"\s?[-+]?[\d_]{0,4}(\.[\d_]{0,3})?([eE/]\s?[-+]?[\d_]{0,3})?\s?",
+                fullmatch=True,
+            ),
+            st.lists(
+                st.sampled_from([" ", "+", "-", "0", "1", "7", "_", ".", "/", "e", "d", "x"]),
+                max_size=10,
+            ).map("".join),
+        )
+    )
+    def test_agrees_with_fraction(self, text):
+        # exponents of four digits or more are left out: 10**exp is huge
+        assume(not re.search(r"[eE][-+]?[\d_]{4}", text))
+        # the grammar is Python 3.11's: 3.10's Fraction rejects underscores
+        # and 3.12's allows spaces around "/", so elsewhere these are left out
+        if sys.version_info[:2] != (3, 11):
+            assume("_" not in text and not re.search(r"\s/|/\s", text))
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        try:
+            got = parse_rational(text)
+        except ExactArithError:
+            got = None
+        assert got == expected
+
 
 class TestValuation:
     def test_known_values(self):
@@ -98,6 +151,33 @@ class TestValuation:
                     m //= p
             p += 1
         assert prod == n
+
+
+class TestSplitPrimePower:
+    @given(
+        st.integers(-10**30, 10**30).filter(bool),
+        st.sampled_from(PRIMES + [97, 2**61 - 1]),
+        st.integers(0, 400),
+    )
+    def test_matches_one_factor_at_a_time(self, n, p, k):
+        n *= p**k
+        m, v = abs(n), 0
+        while m % p == 0:
+            m //= p
+            v += 1
+        assert split_prime_power(n, p) == (v, m)
+        assert int_valuation(n, p) == v and remove_prime_power(n, p) == m
+
+    def test_zero_raises(self):
+        # s_free_part and remove_prime_power looped forever on zero
+        with pytest.raises(ExactArithError):
+            s_free_part(0, PlaceSet((2,)))
+        with pytest.raises(ExactArithError):
+            remove_prime_power(0, 3)
+        with pytest.raises(ExactArithError):
+            int_valuation(0, 5)
+        with pytest.raises(ExactArithError):
+            split_prime_power(12, 1)
 
 
 class TestSUnits:

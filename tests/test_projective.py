@@ -57,11 +57,15 @@ class TestProjPoint:
         assert parse_point("[4:6]") == ProjPoint(2, 3)
         assert parse_point("-3/7") == ProjPoint(-3, 7)
         assert parse_point("[1/2 : 1/3]") == ProjPoint(3, 2)
-        with pytest.raises(ProjectiveError):
-            parse_point("[1,2]")
+        for bad in ("[1,2]", "[1:2:3]"):
+            with pytest.raises(ProjectiveError):
+                parse_point(bad)
 
     def test_serialize(self):
         assert ProjPoint(4, 6).serialize() == "[2:3]"
+        big = ProjPoint(-(10**4400), 3)
+        assert big.serialize() == f"[-1{'0' * 4400}:3]"
+        assert repr(big) == f"ProjPoint(-1{'0' * 4400}, 3)"
         assert parse_point(ProjPoint(-3, 7).serialize()) == ProjPoint(-3, 7)
 
 
