@@ -15,18 +15,14 @@ from datetime import datetime, timezone
 from . import __version__
 from .divisors import build_tower, diagonal_critical_intersections
 from .exactarith import PlaceSet, decimal_str
-from .integrality import IntegralityError
-from .mapexpr import ParseError, parse_map
-from .projective import ProjectiveError, parse_point
+from .mapexpr import parse_map
+from .projective import parse_point
 from .ratmap import (
-    FormDegreeCapError,
-    RatMapError,
     bad_reduction_primes,
     certify_wandering,
     critical_data,
     exceptional_points,
     is_powering_conjugate,
-    iterate,
 )
 from .report import (
     SCHEMA_VERSION,
@@ -48,6 +44,7 @@ from .search import (
     detect_coset_structure,
     exceptional_case_enlarge,
     find_integral_pairs,
+    orbit,
     powering_pair_analysis,
 )
 
@@ -60,7 +57,7 @@ def _parse_window(text: str) -> PairWindow:
     try:
         m, n = text.lower().split("x")
         return PairWindow(int(m), int(n))
-    except (ValueError, SearchError):
+    except ValueError:
         raise SearchError(f"cannot parse window {text!r}; expected MxN") from None
 
 
@@ -151,14 +148,14 @@ def _run_command(args) -> tuple[dict, int]:
         }
     elif args.command == "orbit":
         pt = parse_point(args.point)
-        orbit = [pt]
-        for _ in range(args.n):
-            orbit.append(iterate(f, orbit[-1], 1))
+        points = orbit(f, pt, args.n, args.digit_budget)
         body = {
             "map": f.serialize_coefficients(),
             "start": pt.serialize(),
-            "orbit": [point_doc(p) for p in orbit],
+            "orbit": [point_doc(p) for p in points],
         }
+        if len(points) <= args.n:
+            status = EXIT_TRUNCATED
     elif args.command == "pairs":
         report = find_integral_pairs(
             f,
@@ -245,15 +242,7 @@ def main(argv=None) -> int:
         body, status = _run_command(args)
         doc["body"] = body
         doc["status"] = status
-    except (
-        ParseError,
-        ProjectiveError,
-        RatMapError,
-        FormDegreeCapError,
-        IntegralityError,
-        SearchError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # every precondition error is a ValueError
         doc["error"] = str(exc)
         doc["status"] = EXIT_PRECONDITION
         status = EXIT_PRECONDITION

@@ -96,7 +96,7 @@ def pair_report_doc(report: PairReport) -> dict:
         "w": report.w.serialize(),
         "S": report.places.serialize(),
         "window": {"m_max": report.window.m_max, "n_max": report.window.n_max},
-        "mode": report.mode,
+        "mode": "direct",  # the one route; the key stays in the 1.0 schema
         "truncated": report.truncated,
         "note": (
             "exhaustive window enumeration with hypothesis certificates; "
@@ -112,7 +112,7 @@ def pair_report_doc(report: PairReport) -> dict:
         ],
         "frontier": report.frontier,
     }
-    if report.truncated and report.effective_window is not None:
+    if report.truncated:
         doc["effective_window"] = {
             "m_max": report.effective_window.m_max,
             "n_max": report.effective_window.n_max,
@@ -141,13 +141,11 @@ def coset_doc(structure: CosetStructure) -> dict:
 
 def pair_table(report: PairReport) -> list[dict]:
     """One row per grid cell: m, n, verdict, smallest known violating prime."""
-    window = report.effective_window or report.window
+    window = report.effective_window
     rows = []
     for m in range(window.m_max + 1):
         for n in range(window.n_max + 1):
-            wit = report.witnesses.get((m, n))
-            if wit is None:
-                continue
+            wit = report.witnesses[(m, n)]
             rows.append(
                 {
                     "m": m,

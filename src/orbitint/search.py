@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import binforms
-from .exactarith import PlaceSet, is_s_unit, s_free_part
-from .integrality import IntegralityWitness, is_integral_pair, is_integral_rel_dn
+from .exactarith import PlaceSet, is_s_unit
+from .integrality import IntegralityWitness, is_integral_pair
 from .primes import factor
 from .projective import INFINITY, ProjPoint
 from .ratmap import (
@@ -67,32 +67,45 @@ class Hypotheses:
 
 @dataclass(frozen=True)
 class PairReport:
+    """The window's cells, decided on the orbits ``u_orbit`` and ``w_orbit``;
+    a digit budget may have cut either orbit short, and the cells then span
+    ``effective_window``, a sub-window of ``window``."""
+
     map: RatMap
     u: ProjPoint
     w: ProjPoint
     places: PlaceSet
     window: PairWindow
     pairs: tuple[tuple[int, int], ...]
+    u_orbit: tuple[ProjPoint, ...]
+    w_orbit: tuple[ProjPoint, ...]
     witnesses: dict = field(hash=False, compare=False, default_factory=dict)
     hypotheses: Hypotheses | None = None
-    mode: str = "direct"
-    truncated: bool = False
-    effective_window: PairWindow | None = None
     frontier: int | None = None  # max over pairs of max(m, n)
 
+    @property
+    def effective_window(self) -> PairWindow:
+        return PairWindow(len(self.u_orbit) - 1, len(self.w_orbit) - 1)
 
-def _orbit(f: RatMap, start: ProjPoint, length: int, digit_budget: int):
-    """Orbit points start, f(start), ..., stopping early on digit budget.
+    @property
+    def truncated(self) -> bool:
+        return self.effective_window != self.window
 
-    Returns (points, truncated)."""
+
+def orbit(
+    f: RatMap, start: ProjPoint, length: int, digit_budget: int
+) -> tuple[ProjPoint, ...]:
+    """Orbit points start, f(start), ..., f^length(start), stopping before
+    the first point with more than ``digit_budget`` decimal digits.
+
+    The run was truncated when it returns ``length`` points or fewer."""
     pts = [start]
     for _ in range(length):
         nxt = eval_map(f, pts[-1])
-        digits = max(abs(nxt.a0), abs(nxt.a1)).bit_length() * _LOG10_2
-        if digits > digit_budget:
-            return pts, True
+        if max(abs(nxt.a0), abs(nxt.a1)).bit_length() * _LOG10_2 > digit_budget:
+            break
         pts.append(nxt)
-    return pts, False
+    return tuple(pts)
 
 
 def find_integral_pairs(
@@ -101,41 +114,27 @@ def find_integral_pairs(
     w: ProjPoint,
     s: PlaceSet,
     window: PairWindow,
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
-    mode: str = "direct",
     with_hypotheses: bool = True,
 ) -> PairReport:
     """Exact enumeration of the S-integral index pairs inside the window.
 
     Orbits are computed once; each grid cell is an independent exact
-    cross-term test.  ``mode`` 'functorial' routes each test through the
-    D_k form for k = min(m, n, 3) instead (requires S to contain the bad
-    reduction primes, checked as Res(f) being an S-unit, without
-    factoring); both modes produce identical pair sets.
-
-    Every cell gets a witness; its verdict is decided here, while its
-    violating primes are factored only when something reads them.
+    cross-term test of f^m(u) against f^n(w).  Every cell gets a witness;
+    its verdict is decided here, while its violating primes are factored
+    only when something reads them.
     """
-    if window.m_max > orbit_cap or window.n_max > orbit_cap:
+    if window.m_max > DEFAULT_ORBIT_CAP or window.n_max > DEFAULT_ORBIT_CAP:
         raise SearchError("window exceeds orbit cap")
-    if mode == "functorial" and s_free_part(f.resultant, s) != 1:
-        raise SearchError("functorial mode requires S to contain bad-reduction primes")
 
-    u_orbit, u_trunc = _orbit(f, u, window.m_max, digit_budget)
-    w_orbit, w_trunc = _orbit(f, w, window.n_max, digit_budget)
-    truncated = u_trunc or w_trunc
-    eff = PairWindow(len(u_orbit) - 1, len(w_orbit) - 1)
+    u_orbit = orbit(f, u, window.m_max, digit_budget)
+    w_orbit = orbit(f, w, window.n_max, digit_budget)
 
     pairs: list[tuple[int, int]] = []
     witnesses: dict[tuple[int, int], IntegralityWitness] = {}
-    for m in range(eff.m_max + 1):
-        for n in range(eff.n_max + 1):
-            if mode == "functorial":
-                k = min(m, n, 3)
-                wit = is_integral_rel_dn(f, u_orbit[m - k], w_orbit[n - k], k, s)
-            else:
-                wit = is_integral_pair(u_orbit[m], w_orbit[n], s)
+    for m, um in enumerate(u_orbit):
+        for n, wn in enumerate(w_orbit):
+            wit = is_integral_pair(um, wn, s)
             witnesses[(m, n)] = wit
             if wit.verdict:
                 pairs.append((m, n))
@@ -166,11 +165,10 @@ def find_integral_pairs(
         places=s,
         window=window,
         pairs=tuple(sorted(pairs)),
+        u_orbit=u_orbit,
+        w_orbit=w_orbit,
         witnesses=witnesses,
         hypotheses=hypo,
-        mode=mode,
-        truncated=truncated,
-        effective_window=eff,
         frontier=max((max(m, n) for m, n in pairs), default=None),
     )
 
@@ -204,7 +202,7 @@ def detect_coset_structure(report: PairReport) -> CosetStructure:
     the ray is an integral pair (closure within the window) and it has at
     least three members; everything else is residual.
     """
-    window = report.effective_window or report.window
+    window = report.effective_window
     pair_set = set(report.pairs)
     uncovered = set(pair_set)
     cosets = []
@@ -266,7 +264,6 @@ def powering_pair_analysis(
     w: ProjPoint,
     s: PlaceSet,
     window: PairWindow,
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> PoweringAnalysis:
     """For f conjugate to a powering map: enlarge S so u and w are S'-units,
@@ -279,15 +276,11 @@ def powering_pair_analysis(
     if ua is None or wa is None or ua == 0 or wa == 0:
         raise SearchError("u and w must be nonzero affine points")
     enlarged = s.union(_affine_prime_support(ua) | _affine_prime_support(wa))
-    report = find_integral_pairs(
-        f, u, w, enlarged, window, orbit_cap=orbit_cap, digit_budget=digit_budget
-    )
+    report = find_integral_pairs(f, u, w, enlarged, window, digit_budget=digit_budget)
     taus = []
     all_units = True
-    u_orbit, _ = _orbit(f, u, (report.effective_window or window).m_max, digit_budget)
-    w_orbit, _ = _orbit(f, w, (report.effective_window or window).n_max, digit_budget)
     for m, n in report.pairs:
-        um, wn = u_orbit[m].to_affine(), w_orbit[n].to_affine()
+        um, wn = report.u_orbit[m].to_affine(), report.w_orbit[n].to_affine()
         if um is None or wn is None or wn == 0:
             all_units = False
             continue
@@ -310,7 +303,6 @@ def exceptional_case_enlarge(
     u: ProjPoint,
     s: PlaceSet,
     window: PairWindow = PairWindow(8, 8),
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> PlaceSet:
     """S-enlargement making every window pair integral when w is the
@@ -328,9 +320,8 @@ def exceptional_case_enlarge(
             "exceptional point is not at infinity; change coordinates first"
         )
     w = INFINITY
-    orbit, _ = _orbit(f, u, window.m_max, digit_budget)
     exc_rational = {e for e in exc if isinstance(e, ProjPoint)}
-    if any(pt in exc_rational for pt in orbit):
+    if any(pt in exc_rational for pt in orbit(f, u, window.m_max, digit_budget)):
         raise SearchError("u hits exceptional point")
     extra: set[int] = set(bad_reduction_primes(f))
     fu = eval_map(f, u)
@@ -346,17 +337,8 @@ def exceptional_case_enlarge(
         extra |= set(factor(lead))
     enlarged = s.union(extra)
     report = find_integral_pairs(
-        f,
-        u,
-        w,
-        enlarged,
-        window,
-        orbit_cap=orbit_cap,
-        digit_budget=digit_budget,
-        with_hypotheses=False,
+        f, u, w, enlarged, window, digit_budget=digit_budget, with_hypotheses=False
     )
-    eff = report.effective_window or window
-    expected = {(m, n) for m in range(eff.m_max + 1) for n in range(eff.n_max + 1)}
-    if set(report.pairs) != expected:  # pragma: no cover
+    if set(report.pairs) != set(report.witnesses):  # pragma: no cover
         raise SearchError("window guarantee failed after enlargement")
     return enlarged

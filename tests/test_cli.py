@@ -168,6 +168,20 @@ class TestExitCodes:
         assert doc["body"]["truncated"] is True
         assert "effective_window" in doc["body"]
 
+    def test_orbit_truncated_by_digit_budget(self, capsys):
+        # x^2+1 from 1: f^6(1) = 210066388901 has 12 digits, past the budget
+        code, out = run_cli(
+            ["--no-timestamp", "--digit-budget", "10", "orbit", "--map", "x^2+1",
+             "--point", "1", "--n", "8"],
+            capsys,
+        )
+        assert code == EXIT_TRUNCATED
+        doc = json.loads(out)
+        assert doc["status"] == EXIT_TRUNCATED
+        assert doc["body"]["orbit"] == [
+            "[1:1]", "[2:1]", "[5:1]", "[26:1]", "[677:1]", "[458330:1]"
+        ]
+
     def test_zero_denominator_is_a_precondition_error(self, capsys):
         for args in (["orbit", "--map", "x^2", "--point", "1/0"],
                      ["orbit", "--map", "num=1/0,1;den=1", "--point", "1"]):
@@ -243,6 +257,41 @@ class TestDeterminism:
         lines = out.strip().splitlines()
         assert lines[0] == "m\tn\tverdict\tsmallest_violating_prime"
         assert len(lines) == 10  # header + 9 cells
+
+
+class TestSnapshots:
+    """sha256 of whole ``--no-timestamp`` reports, one per command: a refactor
+    that changes any byte of them, or an exit status, fails here."""
+
+    CASES = [
+        (["analyze", "--map", "x^2+1"], EXIT_OK,
+         "f3cc300479050033805f4fa58caa1ff5f360aa90f95204f97b892a6ca99df1a5"),
+        (["orbit", "--map", "(x^2+1)/x", "--point", "2", "--n", "6"], EXIT_OK,
+         "89ae03d4e54007b614a0cedf95e81b0fd1e8f0e614375dfec5cf7836c4c8ef57"),
+        (["certify", "--map", "x^2-1", "--point", "0"], EXIT_OK,
+         "94fa75cb9dee1d4415635b9ea5ee5945f51b5618c8bd875db86d92453e76c5dd"),
+        (["divisor", "--map", "x^2", "--n", "2"], EXIT_OK,
+         "b65d6193ff1c33a87f065958d2c85d7b2cadd881144fb7439a85ba54c01f5a14"),
+        (["powering", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
+          "--window", "4x4"], EXIT_OK,
+         "d248f2b6a96dfe5c3b5a383ff6a91988f6a19aab1c6d6a1d1966732d587840ff"),
+        (["exceptional", "--map", "x^2", "--u", "1/2", "--window", "8x8"], EXIT_OK,
+         "4122d157175e21dd74eebfc1b5900927dab3d77bff13f0b594e32be842401406"),
+        (["pairs", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
+          "--window", "6x6"], EXIT_OK,
+         "8d124ce114b88101de8fdff35a5861fcbbcebde642c02f14a44835b0b5e7e2e6"),
+        (["--format", "table", "pairs", "--map", "x^2+1", "--u", "1", "--w", "3",
+          "--window", "3x3"], EXIT_OK,
+         "82ba425d36970da36b2a771cc4c4a06227a1787fb62b3f7757c06c662c950a30"),
+        (["--digit-budget", "50", "pairs", "--map", "x^2", "--u", "2", "--w", "3",
+          "--window", "12x12"], EXIT_TRUNCATED,
+         "9903e88f0a946d36857ce312650b2f9a1be526dc7b773825f2c2d00419c74f88"),
+    ]
+
+    def test_report_digests(self, capsys):
+        for args, status, digest in self.CASES:
+            code, out = run_cli(["--no-timestamp"] + args, capsys)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (status, digest), args
 
 
 class TestLazyWitness:

@@ -15,6 +15,8 @@ from orbitint.search import (
     powering_pair_analysis,
 )
 
+from test_pairs_oracle import dk_pairs
+
 
 class TestPairWindow:
     def test_membership(self):
@@ -61,44 +63,29 @@ class TestFindIntegralPairs:
         # x^2+1: both orbits wander and the map is not a powering map
         assert report.hypotheses.theorem_applies is True
 
-    def test_modes_agree(self):
+    def test_dk_route_agrees(self):
+        # each cell decided through D_k, k = min(m, n, 3), on the report's orbits
         f = make_map([1, 0, Fraction(1, 2)], [1])
         s = PlaceSet((2, 3))
-        args = (ProjPoint(1, 1), ProjPoint(5, 1), s, PairWindow(4, 4))
-        direct = find_integral_pairs(f, *args, mode="direct")
-        functorial = find_integral_pairs(f, *args, mode="functorial")
-        assert direct.pairs == functorial.pairs
-
-    def test_functorial_needs_bad_primes(self):
-        f = make_map([1, 0, Fraction(1, 2)], [1])
-        with pytest.raises(SearchError, match="bad-reduction"):
-            find_integral_pairs(
-                f,
-                ProjPoint(1, 1),
-                ProjPoint(3, 1),
-                PlaceSet(),
-                PairWindow(2, 2),
-                mode="functorial",
-            )
+        report = find_integral_pairs(
+            f, ProjPoint(1, 1), ProjPoint(5, 1), s, PairWindow(4, 4)
+        )
+        assert dk_pairs(f, report, s) == report.pairs
 
     def test_bad_prime_precondition_does_not_factor(self, monkeypatch):
         # Res((x^2+1)/N) = N^2 with N a product of two 31-digit primes:
-        # the search must never try to factor it
+        # neither the search nor the D_k check of its cells may factor it
         def refuse(n):
             raise AssertionError(f"factored {n}")
 
         monkeypatch.setattr(ratmap, "factor", refuse)
         p, q = 1000000000000000000000000012367, 3000000000000000000000000000779
         f = make_map([1, 0, 1], [p * q])
-        args = (ProjPoint(1, 1), ProjPoint(2, 1), PlaceSet((p, q)), PairWindow(2, 2))
-        direct = find_integral_pairs(f, *args, mode="direct")
-        functorial = find_integral_pairs(f, *args, mode="functorial")
-        assert direct.pairs == functorial.pairs
-        with pytest.raises(SearchError, match="bad-reduction"):
-            find_integral_pairs(
-                f, ProjPoint(1, 1), ProjPoint(2, 1), PlaceSet((p,)), PairWindow(2, 2),
-                mode="functorial",
-            )
+        s = PlaceSet((p, q))
+        report = find_integral_pairs(
+            f, ProjPoint(1, 1), ProjPoint(2, 1), s, PairWindow(2, 2)
+        )
+        assert dk_pairs(f, report, s) == report.pairs
 
     def test_s_monotonicity(self):
         f = make_map([1, 0, 1], [1])
@@ -129,6 +116,12 @@ class TestFindIntegralPairs:
         )
         assert report.truncated
         assert report.effective_window.m_max < 12
+        # the cells span the orbits the budget let through
+        assert len(report.u_orbit) == report.effective_window.m_max + 1
+        assert len(report.w_orbit) == report.effective_window.n_max + 1
+        assert set(report.witnesses) == {
+            (m, n) for m in range(len(report.u_orbit)) for n in range(len(report.w_orbit))
+        }
 
     def test_preperiodic_u_flagged(self):
         f = make_map([1, 0, -1], [1])  # x^2-1, u = 0 is periodic
@@ -166,9 +159,7 @@ class TestCosetStructure:
                 f, ProjPoint(1, 1), ProjPoint(1, 1), s, PairWindow(5, 5)
             )
             structure = detect_coset_structure(report)
-            assert structure.reconstruct(
-                report.effective_window or report.window
-            ) == set(report.pairs)
+            assert structure.reconstruct(report.effective_window) == set(report.pairs)
 
 
 class TestPoweringAnalysis:
