@@ -108,6 +108,26 @@ def dx1(cs: Sequence[int]) -> Form:
     return tuple(k * cs[k] for k in range(1, d + 1))
 
 
+def monomials(p: Sequence[int], q: Sequence[int], e: int) -> list[Form]:
+    """p^(e-j) q^j for j = 0..e, for forms p, q of one degree."""
+    if len(p) != len(q):
+        raise FormError("inner degree mismatch")
+    pp, qq = [(1,)], [(1,)]
+    for _ in range(e):
+        pp.append(mul(pp[-1], p))
+        qq.append(mul(qq[-1], q))
+    return [mul(pp[e - j], qq[j]) for j in range(e + 1)]
+
+
+def combine(cs: Sequence[int], forms: Sequence[Sequence[int]]) -> Form:
+    """sum_j cs[j] * forms[j], for forms of one degree."""
+    out = [0] * len(forms[0])
+    for c, f in zip(cs, forms):
+        if c:
+            out = [o + c * x for o, x in zip(out, f)]
+    return tuple(out)
+
+
 def compose_pair(
     outer: Sequence[int], inner0: Sequence[int], inner1: Sequence[int]
 ) -> Form:
@@ -115,24 +135,7 @@ def compose_pair(
 
     inner0, inner1 must have equal degree D; result has degree deg(outer)*D.
     """
-    d = degree(outer)
-    if len(inner0) != len(inner1):
-        raise FormError("inner degree mismatch")
-    pows0 = [(1,)]
-    pows1 = [(1,)]
-    for _ in range(d):
-        pows0.append(mul(pows0[-1], inner0))
-        pows1.append(mul(pows1[-1], inner1))
-    out_len = d * degree(inner0) + 1
-    out = [0] * out_len
-    for k, c in enumerate(outer):
-        if c == 0:
-            continue
-        term = mul(pows0[d - k], pows1[k])
-        assert len(term) == out_len
-        for i, v in enumerate(term):
-            out[i] += c * v
-    return tuple(out)
+    return combine(outer, monomials(inner0, inner1, degree(outer)))
 
 
 def sylvester_resultant(p: Sequence[int], q: Sequence[int]) -> int:

@@ -3,9 +3,13 @@
 The antisymmetric forms G_n = P_n(x) Q_n(y) - P_n(y) Q_n(x) cut out the
 pullbacks D_n of the diagonal; the layer forms B_n = G_n / G_{n-1} are
 exact integer quotients (effectivity), with B_0 the diagonal form
-x0*y1 - x1*y0.  A biform is a binary form in x whose coefficients are binary
-forms in y, so all its arithmetic is ``binforms`` arithmetic, and the exact
-quotient is long division in x over Z[y0, y1].
+x0*y1 - x1*y0.  Both are pullbacks: G_n is B_0 pulled back under the iterate
+forms F_n = (P_n, Q_n) on both factors, and B_n for n >= 2 is B_1 pulled back
+under F_(n-1).  A biform is a binary form in x whose coefficients are binary
+forms in y, so all its arithmetic is ``binforms`` arithmetic.  The exact
+quotient ``exact_divide`` is long division in x over Z[y0, y1]; it builds
+B_1 = G_1 / B_0, the base case of the tower, and the tests hold every B_n
+against it.
 """
 
 from __future__ import annotations
@@ -125,18 +129,27 @@ def diagonal_form() -> BiForm:
     return BiForm.from_dict({(1, 0): 1, (0, 1): -1}, (1, 1))
 
 
+def pullback(form: BiForm, p: Form, q: Form) -> BiForm:
+    """form(P(x), Q(x); P(y), Q(y)) for forms P, Q of one degree D: the
+    pullback under (P, Q) x (P, Q), of bidegree (ex*D, ey*D).
+
+    Row a of ``form`` pulls back to u_a(x) v_a(y), with u_a = P^(ex-a) Q^a
+    and v_a = sum_b c_ab P^(ey-b) Q^b; so row i of the result is
+    sum_a u_a[i] v_a."""
+    ex, ey = form.bidegree
+    us = binforms.monomials(p, q, ex)
+    ms = us if ey == ex else binforms.monomials(p, q, ey)
+    vs = [binforms.combine(row, ms) for row in form.rows]
+    return BiForm(tuple(binforms.combine(col, vs) for col in zip(*us)))
+
+
 def g_form(f: RatMap, n: int) -> BiForm:
-    """The normalized antisymmetric form of bidegree (d^n, d^n) built from
-    the iterate forms: P_n(x) Q_n(y) - P_n(y) Q_n(x), whose row a is
-    P_n[a] Q_n(y) - Q_n[a] P_n(y)."""
+    """The normalized antisymmetric form of bidegree (d^n, d^n),
+    P_n(x) Q_n(y) - P_n(y) Q_n(x): the pullback of B_0 under the iterate
+    forms."""
     if n < 1:
         raise DivisorError("g_form requires n >= 1")
-    pn, qn = iterated_forms(f, n)
-    rows = tuple(
-        binforms.sub(binforms.scale(qn, pa), binforms.scale(pn, qa))
-        for pa, qa in zip(pn, qn)
-    )
-    form = BiForm(rows)
+    form = pullback(diagonal_form(), *iterated_forms(f, n))
     if form.is_zero:
         raise DivisorError("degenerate G form")
     return form.normalized()
@@ -182,13 +195,23 @@ class DivisorTower:
 
 
 def build_tower(f: RatMap, depth: int) -> DivisorTower:
-    """Build the divisor tower to the given depth, asserting that every
-    division G_k / G_{k-1} is exact (effectivity of each B_k)."""
+    """Build the divisor tower to the given depth.
+
+    B_1 = G_1 / B_0 is the one checked exact division (effectivity of B_1).
+    Every higher layer is a pullback, B_k = (F_(k-1) x F_(k-1))^* B_1 with
+    F_j = (P_j, Q_j), normalized: composing G_1 = B_0 B_1 with F_(k-1) gives
+    G_k = +-G_(k-1) B_k by Gauss's lemma, so B_k is the exact quotient
+    G_k / G_(k-1). The form degree cap is checked before any form is built.
+    """
     if depth < 1:
         raise DivisorError("depth must be >= 1")
+    iterated_forms(f, depth)
     gs = [g_form(f, k) for k in range(1, depth + 1)]
-    bs = [diagonal_form()]
-    bs += [exact_divide(g, prev) for g, prev in zip(gs, bs + gs)]
+    b0 = diagonal_form()
+    b1 = exact_divide(gs[0], b0)
+    bs = [b0, b1] + [
+        pullback(b1, *iterated_forms(f, k - 1)).normalized() for k in range(2, depth + 1)
+    ]
     return DivisorTower(map=f, depth=depth, g_forms=tuple(gs), b_forms=tuple(bs))
 
 

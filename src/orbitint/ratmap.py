@@ -185,10 +185,10 @@ def iterated_forms(
 def _iterated_forms(f: RatMap, n: int) -> tuple[Form, Form]:
     if n == 1:
         return f.p, f.q
-    prev_p, prev_q = _iterated_forms(f, n - 1)
-    pn = binforms.compose_pair(f.p, prev_p, prev_q)
-    qn = binforms.compose_pair(f.q, prev_p, prev_q)
-    return _normalize_pair(pn, qn)
+    # P_n = P(P_(n-1), Q_(n-1)) and Q_n = Q(P_(n-1), Q_(n-1)) share the
+    # degree-d monomials in (P_(n-1), Q_(n-1))
+    ms = binforms.monomials(*_iterated_forms(f, n - 1), f.degree)
+    return _normalize_pair(binforms.combine(f.p, ms), binforms.combine(f.q, ms))
 
 
 def bad_reduction_primes(f: RatMap) -> PlaceSet:

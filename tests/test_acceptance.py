@@ -13,6 +13,8 @@ from orbitint.cli import EXIT_OK, main as cli_main
 from orbitint.divisors import (
     build_tower,
     diagonal_critical_intersections,
+    diagonal_form,
+    exact_divide,
     leading_form_check,
 )
 from orbitint.exactarith import PlaceSet
@@ -69,10 +71,15 @@ def test_criterion_01_cube_map_diagonal_window():
 
 
 def test_criterion_02_layer_effectivity(corpus):
-    """G_(k-1) divides G_k exactly for every corpus map and k <= 3."""
+    """G_(k-1) divides G_k exactly, with quotient B_k, for every corpus map
+    and k <= 3."""
     assert len(corpus) >= 20
     for f in corpus:
-        build_tower(f, 3)  # raises DivisorError on any non-exact division
+        tower = build_tower(f, 3)
+        gs = (diagonal_form(),) + tower.g_forms
+        for k in range(1, 4):
+            # raises DivisorError on a non-exact division
+            assert exact_divide(gs[k], gs[k - 1]) == tower.b_forms[k]
     _report(2, f"exact G-tower division to depth 3 for {len(corpus)} maps")
 
 

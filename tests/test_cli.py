@@ -272,6 +272,10 @@ class TestSnapshots:
          "94fa75cb9dee1d4415635b9ea5ee5945f51b5618c8bd875db86d92453e76c5dd"),
         (["divisor", "--map", "x^2", "--n", "2"], EXIT_OK,
          "b65d6193ff1c33a87f065958d2c85d7b2cadd881144fb7439a85ba54c01f5a14"),
+        (["divisor", "--map", "(x^2+2)/(2x+1)", "--n", "5"], EXIT_OK,
+         "18b1c6c71140e142e94bcbb24066f221844593e616960a3ba0287358bccc5e60"),
+        (["divisor", "--map", "2x^3+x+1", "--n", "4"], EXIT_OK,
+         "0acfc166c4b1ff8db8ddd8ccba156a55a3773c8f9936c366a5f345d96f9f5540"),
         (["powering", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
           "--window", "4x4"], EXIT_OK,
          "d248f2b6a96dfe5c3b5a383ff6a91988f6a19aab1c6d6a1d1966732d587840ff"),

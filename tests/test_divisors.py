@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from orbitint import binforms, divisors
 from orbitint.divisors import (
     BiForm,
     DivisorError,
@@ -13,9 +14,16 @@ from orbitint.divisors import (
     g_form,
     leading_form_check,
     multi_intersection_probe,
+    pullback,
 )
 from orbitint.projective import INFINITY, ProjPoint
-from orbitint.ratmap import critical_data, make_map
+from orbitint.ratmap import (
+    FormDegreeCapError,
+    RatMapError,
+    critical_data,
+    iterated_forms,
+    make_map,
+)
 
 
 @st.composite
@@ -38,6 +46,34 @@ def divisor_biforms(draw):
     # the monomial x1^mx y1^my is the key (0, 0) of bidegree (mx, my)
     shift = BiForm.from_dict({(0, 0): 1}, (mx, my))
     return BiForm.from_dict(coeffs, (dx, dy)).multiply(shift)
+
+
+@st.composite
+def rational_maps(draw):
+    """Maps of degree 2 to 4 with small integer coefficients."""
+    d = draw(st.integers(2, 4))
+    num = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    den = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=d + 1))
+    try:
+        return make_map(num, den)
+    except RatMapError:
+        assume(False)
+
+
+# the second iterate of 2(x^2+1)/x, and of 2(x^4+x^3+x^2+x+1)/x, has content 2
+CONTENT_MAPS = [make_map([2, 0, 2], [1, 0]), make_map([2, 2, 2, 2, 2], [1, 0])]
+
+TOWER_DEPTH = {2: 4, 3: 3, 4: 2}
+
+
+def check_layers(tower):
+    """Every B_k is the exact quotient G_k / G_(k-1), and B_0...B_k = +-G_k."""
+    gs = (diagonal_form(),) + tower.g_forms
+    prod = tower.b_forms[0]
+    for k in range(1, tower.depth + 1):
+        assert exact_divide(gs[k], gs[k - 1]) == tower.b_forms[k]
+        prod = prod.multiply(tower.b_forms[k])
+        assert prod in (gs[k], gs[k].negate())
 
 
 SAMPLE_POINTS = [
@@ -95,6 +131,35 @@ class TestBiForm:
         assert form.serialize() == " ".join(
             f"({i},{j},{k},{l}):{c}" for (i, j, k, l), c in entries
         )
+
+
+class TestPullback:
+    @given(st.data())
+    def test_substitution(self, data):
+        bd, coeffs = data.draw(sparse_biforms())
+        form = BiForm.from_dict(coeffs, bd)
+        deg = data.draw(st.integers(1, 3))
+        forms = st.lists(st.integers(-3, 3), min_size=deg + 1, max_size=deg + 1)
+        p, q = tuple(data.draw(forms)), tuple(data.draw(forms))
+        pb = pullback(form, p, q)
+        assert pb.bidegree == (bd[0] * deg, bd[1] * deg)
+        for x in SAMPLE_POINTS:
+            for y in SAMPLE_POINTS:
+                fx = [binforms.evaluate(c, x.a0, x.a1) for c in (p, q)]
+                fy = [binforms.evaluate(c, y.a0, y.a1) for c in (p, q)]
+                inner = [binforms.evaluate(r, *fy) for r in form.rows]
+                assert pb.evaluate(x, y) == binforms.evaluate(inner, *fx)
+
+    def test_diagonal_pulls_back_to_g(self, corpus):
+        # B_0(P(x), Q(x); P(y), Q(y)) = P(x) Q(y) - P(y) Q(x): row a is
+        # P[a] Q(y) - Q[a] P(y)
+        for f in corpus:
+            p, q = iterated_forms(f, 2)
+            rows = tuple(
+                binforms.sub(binforms.scale(q, pa), binforms.scale(p, qa))
+                for pa, qa in zip(p, q)
+            )
+            assert pullback(diagonal_form(), p, q) == BiForm(rows)
 
 
 class TestGForms:
@@ -155,12 +220,30 @@ class TestTower:
             assert tower.g_forms[1].bidegree == (d * d, d * d)
 
     def test_effectivity_exact_division(self, corpus):
-        # G_{k-1} | G_k exactly for k <= 3 (build_tower raises otherwise)
+        # G_{k-1} | G_k exactly, with quotient B_k, for k <= 3
         for f in corpus:
-            if f.degree**3 > 27:
-                build_tower(f, 2)
-            else:
-                build_tower(f, 3)
+            check_layers(build_tower(f, 2 if f.degree**3 > 27 else 3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_maps())
+    @example(CONTENT_MAPS[0])
+    @example(CONTENT_MAPS[1])
+    def test_pullback_layers_are_quotients(self, f):
+        check_layers(build_tower(f, TOWER_DEPTH[f.degree]))
+
+    def test_content_in_iterates(self):
+        for f in CONTENT_MAPS:
+            p2 = binforms.compose_pair(f.p, f.p, f.q)
+            q2 = binforms.compose_pair(f.q, f.p, f.q)
+            assert binforms.content(p2 + q2) == 2
+
+    def test_degree_cap_before_any_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a G form")
+
+        monkeypatch.setattr(divisors, "g_form", refuse)
+        with pytest.raises(FormDegreeCapError):
+            build_tower(make_map([1, 0, 1], [1]), 13)
 
     def test_non_exact_division_raises(self):
         num = BiForm.from_dict({(1, 1): 1, (0, 0): 1}, (1, 1))
