@@ -8,6 +8,7 @@ Exit status 0 on success, 2 on precondition errors (named in the report),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -42,7 +43,7 @@ from .search import (
     PairWindow,
     SearchError,
     detect_coset_structure,
-    exceptional_case_enlarge,
+    exceptional_case_analysis,
     find_integral_pairs,
     orbit,
     powering_pair_analysis,
@@ -75,6 +76,7 @@ def _json_int(field: str, n: int) -> int:
     return n
 
 
+@functools.cache  # built on the first call, so importing stays cheap
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="orbitint",
@@ -197,9 +199,11 @@ def _run_command(args) -> tuple[dict, int]:
         body["enlarged_S"] = analysis.enlarged_places.serialize()
         body["tau_values"] = [format_fraction(t) for t in analysis.tau_values]
         body["tau_unit_checks_passed"] = analysis.tau_unit_checks_passed
+        if analysis.report.truncated:
+            status = EXIT_TRUNCATED
     elif args.command == "exceptional":
         u = parse_point(args.u)
-        enlarged = exceptional_case_enlarge(
+        enlarged, report = exceptional_case_analysis(
             f,
             u,
             PlaceSet.parse(args.S),
@@ -210,8 +214,10 @@ def _run_command(args) -> tuple[dict, int]:
             "map": f.serialize_coefficients(),
             "u": u.serialize(),
             "enlarged_S": enlarged.serialize(),
-            "window_verified": True,
+            "window_verified": not report.truncated,
         }
+        if report.truncated:
+            status = EXIT_TRUNCATED
     else:  # pragma: no cover
         raise SearchError(f"unknown command {args.command!r}")
     return body, status

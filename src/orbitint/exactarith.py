@@ -68,10 +68,13 @@ class PlaceSet:
 
 
 def decimal_str(n: int) -> str:
-    """Decimal string of an integer of any length: converted through
-    ``Decimal``, which has no limit on digits, unlike ``str(int)`` (4300
-    digits by default since Python 3.11)."""
-    return str(Decimal(n))
+    """Decimal string of an integer of any length: ``str(n)`` within
+    Python's int-to-str limit (4300 digits by default since 3.11), and past
+    it through ``Decimal``, which has no limit on digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 # ``Fraction(text)``'s grammar in Python 3.11

@@ -28,7 +28,9 @@ class IntegralityWitness:
     dividing the cross term that trial division and a bounded Pollard rho
     find in ``rest``; for astronomically large cross terms the list may be
     incomplete (``factorization_complete`` False).  Equality, hashing and
-    repr never factor.
+    repr never factor.  The rendered cross term is cached too, so a witness
+    that ``find_integral_pairs`` shares among the cells repeating one pair
+    of points is rendered and factored once.
     """
 
     cross_term: int
@@ -50,12 +52,16 @@ class IntegralityWitness:
     def factorization_complete(self) -> bool:
         return self._diagnosis[1]
 
-    def to_dict(self) -> dict:
+    @cached_property
+    def _cross_term_doc(self) -> str:
         from .report import format_big_int
 
+        return format_big_int(self.cross_term)
+
+    def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "cross_term": format_big_int(self.cross_term),
+            "cross_term": self._cross_term_doc,
             "violating_primes": list(self.violating_primes),
             "factorization_complete": self.factorization_complete,
         }

@@ -108,6 +108,12 @@ def orbit(
     return tuple(pts)
 
 
+def _first_indices(points: tuple[ProjPoint, ...]) -> list[int]:
+    """For each index, the index where its point first appears."""
+    first: dict[ProjPoint, int] = {}
+    return [first.setdefault(pt, i) for i, pt in enumerate(points)]
+
+
 def find_integral_pairs(
     f: RatMap,
     u: ProjPoint,
@@ -119,22 +125,28 @@ def find_integral_pairs(
 ) -> PairReport:
     """Exact enumeration of the S-integral index pairs inside the window.
 
-    Orbits are computed once; each grid cell is an independent exact
-    cross-term test of f^m(u) against f^n(w).  Every cell gets a witness;
-    its verdict is decided here, while its violating primes are factored
-    only when something reads them.
+    Orbits are computed once; each grid cell is an exact cross-term test of
+    f^m(u) against f^n(w).  Every cell gets a witness; its verdict is decided
+    here, while its violating primes are factored only when something reads
+    them.  A preperiodic orbit repeats points, and the cells that repeat a
+    pair of points share one witness object: each distinct pair is decided,
+    rendered and factored once.
     """
     if window.m_max > DEFAULT_ORBIT_CAP or window.n_max > DEFAULT_ORBIT_CAP:
         raise SearchError("window exceeds orbit cap")
 
     u_orbit = orbit(f, u, window.m_max, digit_budget)
     w_orbit = orbit(f, w, window.n_max, digit_budget)
+    u_first, w_first = _first_indices(u_orbit), _first_indices(w_orbit)
 
     pairs: list[tuple[int, int]] = []
     witnesses: dict[tuple[int, int], IntegralityWitness] = {}
     for m, um in enumerate(u_orbit):
         for n, wn in enumerate(w_orbit):
-            wit = is_integral_pair(um, wn, s)
+            first = (u_first[m], w_first[n])
+            wit = witnesses.get(first)
+            if wit is None:
+                wit = is_integral_pair(um, wn, s)
             witnesses[(m, n)] = wit
             if wit.verdict:
                 pairs.append((m, n))
@@ -195,42 +207,48 @@ class CosetStructure:
         return out
 
 
+def _ray_room(base: tuple[int, int], gen: tuple[int, int], window: PairWindow) -> int:
+    """Number of window points on the ray base + k*gen, k >= 0, for a base
+    in the window; a zero step puts no limit on its coordinate."""
+    tops = (window.m_max, window.n_max)
+    return 1 + min((top - b) // d for top, b, d in zip(tops, base, gen) if d)
+
+
 def detect_coset_structure(report: PairReport) -> CosetStructure:
     """Greedy single-generator coset detection over the window.
 
     A ray base + k*(dm, dn) becomes a coset only when every window point of
     the ray is an integral pair (closure within the window) and it has at
-    least three members; everything else is residual.
+    least three members; everything else is residual.  A generator is walked
+    only when its ray has room for at least three window points and for
+    more than the longest ray found so far from the same base.
     """
     window = report.effective_window
     pair_set = set(report.pairs)
+    ordered = sorted(pair_set)
     uncovered = set(pair_set)
     cosets = []
-    for base in sorted(pair_set):
+    for i, base in enumerate(ordered):
         if base not in uncovered:
             continue
-        best_ray: list[tuple[int, int]] | None = None
+        best_ray: list[tuple[int, int]] = []
         best_gen = None
-        for other in sorted(pair_set):
-            if other == base:
-                continue
+        # no ray from base is longer than a unit step along its longer side
+        longest = 1 + max(window.m_max - base[0], window.n_max - base[1])
+        for other in ordered[i + 1 :]:  # the pairs after base: dm >= 0
             dm, dn = other[0] - base[0], other[1] - base[1]
-            if dm < 0 or dn < 0 or (dm == 0 and dn == 0):
+            if dn < 0:
                 continue
-            ray = []
-            m, n = base
-            ok = True
-            while (m, n) in window:
-                if (m, n) not in pair_set:
-                    ok = False
+            room = _ray_room(base, (dm, dn), window)
+            if room < 3 or room <= len(best_ray):
+                continue
+            ray = [(base[0] + k * dm, base[1] + k * dn) for k in range(room)]
+            if all(p in pair_set for p in ray):
+                best_ray = ray
+                best_gen = (dm, dn)
+                if room == longest:
                     break
-                ray.append((m, n))
-                m, n = m + dm, n + dn
-            if ok and len(ray) >= 3:
-                if best_ray is None or len(ray) > len(best_ray):
-                    best_ray = ray
-                    best_gen = (dm, dn)
-        if best_ray is not None:
+        if best_ray:
             cosets.append((base, (best_gen,)))
             uncovered -= set(best_ray)
     residual = tuple(sorted(uncovered))
@@ -298,19 +316,20 @@ def powering_pair_analysis(
     )
 
 
-def exceptional_case_enlarge(
+def exceptional_case_analysis(
     f: RatMap,
     u: ProjPoint,
     s: PlaceSet,
     window: PairWindow = PairWindow(8, 8),
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> PlaceSet:
+) -> tuple[PlaceSet, PairReport]:
     """S-enlargement making every window pair integral when w is the
-    exceptional point at infinity.
+    exceptional point at infinity, and the report it was verified on.
 
     S' adds the bad-reduction primes, the primes of the denominators of
     u and f(u), and the primes of the leading coefficient of the second
-    iterate's numerator; the guarantee is then verified on the window.
+    iterate's numerator; the guarantee is then verified on the report's
+    window, which a digit budget may have cut (``report.truncated``).
     """
     exc = exceptional_points(f)
     if not exc:
@@ -341,4 +360,24 @@ def exceptional_case_enlarge(
     )
     if set(report.pairs) != set(report.witnesses):  # pragma: no cover
         raise SearchError("window guarantee failed after enlargement")
+    return enlarged, report
+
+
+def exceptional_case_enlarge(
+    f: RatMap,
+    u: ProjPoint,
+    s: PlaceSet,
+    window: PairWindow = PairWindow(8, 8),
+    digit_budget: int = DEFAULT_DIGIT_BUDGET,
+) -> PlaceSet:
+    """The S-enlargement of :func:`exceptional_case_analysis`, verified on
+    the whole window; a digit budget that cuts the window is a
+    ``SearchError``."""
+    enlarged, report = exceptional_case_analysis(f, u, s, window, digit_budget)
+    if report.truncated:
+        cut = report.effective_window
+        raise SearchError(
+            f"digit budget cut the window to {cut.m_max}x{cut.n_max}; "
+            "S-enlargement not verified on the whole window"
+        )
     return enlarged

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from orbitint import integrality
 from orbitint.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_TRUNCATED, main
 from orbitint.primes import factor_partial
@@ -189,6 +191,29 @@ class TestExitCodes:
             assert code == EXIT_PRECONDITION
             assert "zero denominator" in json.loads(out)["error"]
 
+    def test_exceptional_cut_by_digit_budget(self, capsys):
+        # x^2 from 3: f^6(3) = 3^64 has 31 digits, past the budget
+        code, out = run_cli(
+            ["--no-timestamp", "--digit-budget", "20", "exceptional", "--map", "x^2",
+             "--u", "3", "--window", "8x8"],
+            capsys,
+        )
+        assert code == EXIT_TRUNCATED
+        doc = json.loads(out)
+        assert doc["status"] == EXIT_TRUNCATED
+        assert doc["body"]["window_verified"] is False
+
+    def test_powering_cut_by_digit_budget(self, capsys):
+        code, out = run_cli(
+            ["--no-timestamp", "--digit-budget", "20", "powering", "--map", "x^2",
+             "--u", "3", "--w", "2", "--window", "8x8"],
+            capsys,
+        )
+        assert code == EXIT_TRUNCATED
+        doc = json.loads(out)
+        assert doc["status"] == EXIT_TRUNCATED
+        assert doc["body"]["truncated"] is True
+
     def test_bad_window_format(self, capsys):
         code, out = run_cli(
             ["--no-timestamp", "pairs", "--map", "x^2", "--u", "1", "--w", "2",
@@ -257,6 +282,48 @@ class TestDeterminism:
         lines = out.strip().splitlines()
         assert lines[0] == "m\tn\tverdict\tsmallest_violating_prime"
         assert len(lines) == 10  # header + 9 cells
+
+
+class TestParserReuse:
+    """``main`` builds its argument parser once per process: a run of calls
+    in one process prints what separate processes print."""
+
+    SEQUENCE = [
+        ["--no-timestamp", "pairs", "--map", "(x^2+1)/x", "--u", "2", "--w", "3",
+         "--window", "3x3"],
+        ["--no-timestamp", "analyze", "--map", "x^2+1"],
+        ["--no-timestamp", "pairs", "--map", "x^2", "--window", "2x2"],  # no --u
+        ["--no-timestamp", "--format", "table", "pairs", "--map", "x^2-1", "--u",
+         "0", "--w", "inf", "--window", "2x3"],
+    ]
+
+    def test_same_bytes_as_separate_processes(self, capsys):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(integrality.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        separate = []
+        for argv in self.SEQUENCE:
+            run = subprocess.run(
+                [sys.executable, "-m", "orbitint.cli", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            separate.append((run.returncode, run.stdout, run.stderr))
+        for _ in range(2):
+            for argv, expected in zip(self.SEQUENCE, separate):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                got = capsys.readouterr()
+                assert (code, got.out, got.err) == expected, argv
+
+    def test_bad_argv_exits_2_every_time(self, capsys):
+        for _ in range(3):
+            with pytest.raises(SystemExit) as exc:
+                main(self.SEQUENCE[2])
+            assert exc.value.code == EXIT_PRECONDITION
+            assert "--u" in capsys.readouterr().err
+            assert main(self.SEQUENCE[0]) == EXIT_OK
+            capsys.readouterr()
 
 
 class TestSnapshots:
@@ -330,6 +397,29 @@ class TestLazyWitness:
                 smallest = found[0] if found else None
                 expected.append(f"{m}\t{n}\t{abs(cross) == 1}\t{smallest}")
         assert out.splitlines() == expected
+
+
+    def test_table_factors_each_distinct_pair_once(self, capsys, monkeypatch):
+        # x^2-1 from 0 repeats 0, -1; from 2 it wanders: 2, 3, 8, 63, ...
+        calls = []
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return factor_partial(n, **kwargs)
+
+        monkeypatch.setattr(integrality, "factor_partial", counting)
+        code, out = run_cli(
+            ["--no-timestamp", "--format", "table", "pairs", "--map", "x^2-1",
+             "--u", "0", "--w", "2", "--window", "6x6"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 1 + 7 * 7
+        w_orbit = [2]
+        for _ in range(6):
+            w_orbit.append(w_orbit[-1] ** 2 - 1)
+        non_units = sorted(abs(a - b) for a in (0, -1) for b in w_orbit if abs(a - b) > 1)
+        assert sorted(abs(n) for n in calls) == non_units
 
 
 class TestHugeCrossTerms:

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from orbitint.exactarith import (
     ExactArithError,
     PlaceSet,
+    decimal_str,
     format_rational,
     int_valuation,
     is_s_unit,
@@ -111,6 +113,38 @@ class TestRationalFormat:
         except ExactArithError:
             got = None
         assert got == expected
+
+
+class TestDecimalStr:
+    # signs, zero, small ints, and sizes on both sides of the default
+    # 4300-digit limit of int-to-str conversion
+    INTS = st.one_of(
+        st.integers(-(10**30), 10**30),
+        st.builds(
+            lambda sign, digits, low: sign * (10 ** (digits - 1) + low),
+            st.sampled_from([-1, 1]),
+            st.integers(4290, 4310),
+            st.integers(0, 10**9),
+        ),
+    )
+
+    @given(INTS)
+    def test_agrees_with_decimal(self, n):
+        assert decimal_str(n) == str(Decimal(n))
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    @given(st.integers(630, 650), st.sampled_from([-1, 1]), st.integers(0, 10**9))
+    def test_lowered_limit(self, digits, sign, low):
+        n = sign * (10 ** (digits - 1) + low)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert decimal_str(n) == str(Decimal(n))
+            assert sys.get_int_max_str_digits() == 640  # never lifted
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestValuation:

@@ -1,15 +1,20 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from orbitint import ratmap
+from orbitint import ratmap, search
 from orbitint.exactarith import PlaceSet, is_s_unit
+from orbitint.integrality import is_integral_pair
 from orbitint.projective import INFINITY, ProjPoint, from_affine
-from orbitint.ratmap import make_map
+from orbitint.ratmap import iterate, make_map
 from orbitint.search import (
     PairWindow,
     SearchError,
     detect_coset_structure,
+    exceptional_case_analysis,
     exceptional_case_enlarge,
     find_integral_pairs,
     powering_pair_analysis,
@@ -132,7 +137,118 @@ class TestFindIntegralPairs:
         assert report.hypotheses.theorem_applies is False
 
 
+class TestRepeatingOrbits:
+    # (map, u, w, S): preperiodic orbits, w = inf for polynomial maps, a
+    # fixed u, and one wandering pair for contrast
+    CASES = [
+        (make_map([1, 0, 1], [1]), from_affine(Fraction(1, 2)), INFINITY, PlaceSet()),
+        (make_map([1, 0, -1], [1]), ProjPoint(0, 1), INFINITY, PlaceSet()),
+        (make_map([1, 0, -1], [1]), ProjPoint(0, 1), ProjPoint(-1, 1), PlaceSet()),
+        (make_map([1, 0, -1], [1]), ProjPoint(0, 1), ProjPoint(2, 1), PlaceSet((2,))),
+        (make_map([1, 0, -2], [1]), ProjPoint(-2, 1), ProjPoint(2, 1), PlaceSet()),
+        (make_map([1, 0, 0], [1]), ProjPoint(1, 1), ProjPoint(3, 1), PlaceSet((2,))),
+        (make_map([1, 0, -1, 1], [1]), from_affine(Fraction(1, 2)), INFINITY,
+         PlaceSet((2,))),
+        (make_map([1, 0, 1], [1, 0]), ProjPoint(1, 1), ProjPoint(3, 1), PlaceSet()),
+    ]
+
+    def test_cells_match_fresh_witnesses(self):
+        for f, u, w, s in self.CASES:
+            report = find_integral_pairs(f, u, w, s, PairWindow(6, 5))
+            assert report.u_orbit == tuple(iterate(f, u, m) for m in range(7))
+            assert report.w_orbit == tuple(iterate(f, w, n) for n in range(6))
+            for (m, n), wit in report.witnesses.items():
+                assert wit == is_integral_pair(report.u_orbit[m], report.w_orbit[n], s)
+                assert wit.verdict == ((m, n) in report.pairs)
+                # the cell shares the witness of the first cell of its pair
+                first = (report.u_orbit.index(report.u_orbit[m]),
+                         report.w_orbit.index(report.w_orbit[n]))
+                assert wit is report.witnesses[first]
+
+    def test_one_verdict_per_distinct_pair(self, monkeypatch):
+        calls = []
+
+        def counting(p, q, s):
+            calls.append((p, q))
+            return is_integral_pair(p, q, s)
+
+        monkeypatch.setattr(search, "is_integral_pair", counting)
+        for f, u, w, s in self.CASES:
+            calls.clear()
+            report = find_integral_pairs(f, u, w, s, PairWindow(6, 5))
+            assert len(report.witnesses) == 42
+            assert len(calls) == len(set(report.u_orbit)) * len(set(report.w_orbit))
+            assert len(set(calls)) == len(calls)
+
+
+def greedy_cosets(pair_set, window):
+    """The greedy loop that walked every generator: the reference for
+    ``detect_coset_structure``."""
+    uncovered = set(pair_set)
+    cosets = []
+    for base in sorted(pair_set):
+        if base not in uncovered:
+            continue
+        best_ray = None
+        best_gen = None
+        for other in sorted(pair_set):
+            if other == base:
+                continue
+            dm, dn = other[0] - base[0], other[1] - base[1]
+            if dm < 0 or dn < 0 or (dm == 0 and dn == 0):
+                continue
+            ray = []
+            m, n = base
+            ok = True
+            while (m, n) in window:
+                if (m, n) not in pair_set:
+                    ok = False
+                    break
+                ray.append((m, n))
+                m, n = m + dm, n + dn
+            if ok and len(ray) >= 3:
+                if best_ray is None or len(ray) > len(best_ray):
+                    best_ray = ray
+                    best_gen = (dm, dn)
+        if best_ray is not None:
+            cosets.append((base, (best_gen,)))
+            uncovered -= set(best_ray)
+    return tuple(cosets), tuple(sorted(uncovered))
+
+
+@st.composite
+def pair_sets(draw):
+    """A window up to 12x12 and a set of its cells: some whole rays, so
+    that cosets occur, plus scattered cells."""
+    window = PairWindow(draw(st.integers(0, 12)), draw(st.integers(0, 12)))
+    cells = st.tuples(st.integers(0, window.m_max), st.integers(0, window.n_max))
+    out = set(draw(st.lists(cells, max_size=30)))
+    for base in draw(st.lists(cells, max_size=4)):
+        dm, dn = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        m, n = base
+        while (m, n) in window and (dm, dn) != (0, 0):
+            out.add((m, n))
+            m, n = m + dm, n + dn
+    return window, out
+
+
 class TestCosetStructure:
+    @given(pair_sets())
+    @example((PairWindow(0, 12), {(0, n) for n in range(13)}))
+    @example((PairWindow(12, 0), {(m, 0) for m in range(0, 13, 2)} | {(3, 0)}))
+    @example((PairWindow(0, 5), {(0, 0), (0, 2), (0, 4), (0, 5)}))
+    @example((PairWindow(12, 12), {(m, n) for m in range(13) for n in range(13)}))
+    @example((PairWindow(0, 0), {(0, 0)}))
+    # two full rays of one length from (0, 0): the first generator wins
+    @example((PairWindow(6, 6), {(0, 0), (0, 2), (0, 4), (0, 6), (2, 0), (4, 0), (6, 0)}))
+    # a full row one short of the full column that comes after it
+    @example((PairWindow(12, 11), {(0, n) for n in range(12)} | {(m, 0) for m in range(13)}))
+    def test_matches_greedy_reference(self, case):
+        window, pair_set = case
+        report = SimpleNamespace(effective_window=window, pairs=tuple(sorted(pair_set)))
+        structure = detect_coset_structure(report)
+        assert (structure.cosets, structure.residual) == greedy_cosets(pair_set, window)
+
     def test_diagonal_detected(self):
         f = make_map([1, 0, 0, 0], [1])
         report = find_integral_pairs(
@@ -232,6 +348,19 @@ class TestExceptionalEnlarge:
             f, u, INFINITY, s, PairWindow(5, 5), with_hypotheses=False
         )
         assert set(report.pairs) == {(m, n) for m in range(6) for n in range(6)}
+
+    def test_digit_budget_cut_fails_by_name(self):
+        f = make_map([1, 0, 0], [1])  # 3^(2^5) has 16 digits, 3^(2^6) 31
+        u, window = ProjPoint(3, 1), PairWindow(8, 8)
+        enlarged, report = exceptional_case_analysis(
+            f, u, PlaceSet(), window, digit_budget=20
+        )
+        assert enlarged == exceptional_case_enlarge(f, u, PlaceSet(), window)
+        assert report.truncated and report.effective_window == PairWindow(5, 8)
+        with pytest.raises(SearchError, match="digit budget cut the window to 5x8"):
+            exceptional_case_enlarge(f, u, PlaceSet(), window, digit_budget=20)
+        _, whole = exceptional_case_analysis(f, u, PlaceSet(), window)
+        assert not whole.truncated
 
     def test_rejects_u_hitting_exceptional(self):
         f = make_map([1, 0, 0], [1])
