@@ -35,6 +35,7 @@ from .report import (
     pair_table,
     point_doc,
     powering_doc,
+    render_json,
     tower_doc,
     wandering_doc,
 )
@@ -223,6 +224,14 @@ def _run_command(args) -> tuple[dict, int]:
     return body, status
 
 
+class _ReportEncoder(json.JSONEncoder):
+    """The encoder ``json.dumps(doc, indent=2, sort_keys=True, cls=...)``
+    uses: ``render_json``, which writes the same bytes."""
+
+    def encode(self, o) -> str:
+        return render_json(o)
+
+
 def _render_table(doc: dict, out) -> None:
     rows = doc.get("body", {}).get("table")
     if rows:
@@ -258,7 +267,7 @@ def main(argv=None) -> int:
         if args.format == "table" and "body" in doc:
             _render_table(doc, out)
         else:
-            out.write(json.dumps(doc, indent=2, sort_keys=True))
+            out.write(json.dumps(doc, indent=2, sort_keys=True, cls=_ReportEncoder))
             out.write("\n")
     finally:
         if args.output is not None:

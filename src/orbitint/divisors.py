@@ -116,12 +116,12 @@ class BiForm:
         """Sparse monomial list "(i,j,k,l):coefficient" sorted
         lexicographically on the exponent quadruple, descending."""
         dx, dy = self.bidegree
-        return " ".join(
-            f"({dx - a},{a},{dy - b},{b}):{decimal_str(c)}"
-            for a, r in enumerate(self.rows)
-            for b, c in enumerate(r)
-            if c
-        )
+        cols = [f"{dy - b},{b}):" for b in range(dy + 1)]
+        terms: list[str] = []
+        for a, r in enumerate(self.rows):
+            row = f"({dx - a},{a},"
+            terms += [row + cols[b] + decimal_str(c) for b, c in enumerate(r) if c]
+        return " ".join(terms)
 
 
 def diagonal_form() -> BiForm:

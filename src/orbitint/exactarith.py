@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Iterable
 
@@ -74,7 +74,49 @@ def decimal_str(n: int) -> str:
     try:
         return str(n)
     except ValueError:
-        return str(Decimal(n))
+        return str(_to_decimal(n))
+
+
+# below this many bits ``Decimal(n)``'s quadratic conversion is cheap
+_SPLIT_BITS = 128
+
+
+def _to_decimal(n: int) -> Decimal:
+    """``Decimal(n)``, exactly, in subquadratic time (CPython 3.12's
+    ``_pylong.int_to_decimal``): n = hi * 2^k + lo with k half its bit
+    length, each half converted recursively, and the halves recombined in
+    ``Decimal`` arithmetic at full precision, whose multiplication is
+    subquadratic.  ``Decimal(n)`` itself converts in quadratic time."""
+    powers: dict[int, Decimal] = {}
+
+    def pow2(k: int) -> Decimal:
+        result = powers.get(k)
+        if result is None:
+            if k <= _SPLIT_BITS:
+                result = Decimal(1 << k)
+            elif k - 1 in powers:
+                result = powers[k - 1] * 2
+            else:
+                # the smaller half first, so the larger one is its double
+                half = k >> 1
+                result = pow2(half) * pow2(k - half)
+            powers[k] = result
+        return result
+
+    def convert(m: int, bits: int) -> Decimal:
+        if bits <= _SPLIT_BITS:
+            return Decimal(m)
+        half = bits >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, bits - half) * pow2(half)
+
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        ctx.Emax = MAX_EMAX
+        ctx.Emin = MIN_EMIN
+        ctx.traps[Inexact] = True
+        result = convert(abs(n), abs(n).bit_length())
+        return -result if n < 0 else result
 
 
 # ``Fraction(text)``'s grammar in Python 3.11

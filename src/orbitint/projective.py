@@ -31,11 +31,21 @@ class ProjPoint:
         if self.a0 == 0 and self.a1 == 0:
             raise ProjectiveError("not a projective point")
         g = math.gcd(self.a0, self.a1)
-        a0, a1 = self.a0 // g, self.a1 // g
+        self._set_signed(self.a0 // g, self.a1 // g)
+
+    def _set_signed(self, a0: int, a1: int) -> None:
         if a1 < 0 or (a1 == 0 and a0 < 0):
             a0, a1 = -a0, -a1
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
+
+    @classmethod
+    def _from_coprime(cls, a0: int, a1: int) -> "ProjPoint":
+        """[a0:a1] for coprime a0, a1, not both zero: only the sign is
+        fixed, with no gcd.  The caller vouches for coprimality."""
+        pt = object.__new__(cls)
+        pt._set_signed(a0, a1)
+        return pt
 
     @property
     def is_infinity(self) -> bool:

@@ -152,10 +152,21 @@ def make_map(
 
 
 def eval_map(f: RatMap, pt: ProjPoint) -> ProjPoint:
-    """Image of a point: [P(a) : Q(a)], normalized."""
+    """Image of a point: [P(a) : Q(a)], normalized.
+
+    The common factor of P(a) and Q(a) divides Res(P, Q), so it is found
+    by a gcd against the resultant, not against the full-size coordinates.
+    Proof: the Sylvester cofactors give g1*P + g2*Q = Res * x0^(2d-1) and
+    h1*P + h2*Q = Res * x1^(2d-1) as forms, so any common divisor of P(a)
+    and Q(a) divides Res * a0^(2d-1) and Res * a1^(2d-1), hence divides
+    Res * gcd(a0, a1)^(2d-1) = Res, the coordinates of a normalized point
+    being coprime."""
     v0 = binforms.evaluate(f.p, pt.a0, pt.a1)
     v1 = binforms.evaluate(f.q, pt.a0, pt.a1)
-    return ProjPoint(v0, v1)
+    g = math.gcd(math.gcd(f.resultant, v0), v1)
+    if g > 1:
+        v0, v1 = v0 // g, v1 // g
+    return ProjPoint._from_coprime(v0, v1)
 
 
 def iterate(f: RatMap, pt: ProjPoint, n: int) -> ProjPoint:

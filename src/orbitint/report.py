@@ -2,11 +2,13 @@
 
 Schema is versioned; large integers are elided beyond 80 digits with their
 length and a collision-resistant hash so witnesses stay diff-able.
+Documents are rendered as indented JSON by :func:`render_json`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from fractions import Fraction
 
 from .divisors import DivisorTower
@@ -17,6 +19,113 @@ from .search import CosetStructure, PairReport
 SCHEMA_VERSION = "1.0"
 
 ELISION_DIGITS = 80
+
+_json_str = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def render_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    The stdlib's C encoder does not indent, so ``json.dumps`` with an indent
+    walks the document in pure-Python generators, yielding a few characters
+    at a time.  This writer builds one string per container: one ``join``
+    inside one f-string, which copies its pieces once where a chain of
+    ``+`` would copy at every step, so that no more than two copies of a
+    container's text are alive at once, as with the stdlib's chunk list and
+    its join.  Scalars are spelled as the stdlib spells them: strings by
+    ``encode_basestring_ascii``, ints by ``int.__repr__`` (so an int past
+    the int-to-str limit raises the same ``ValueError``), floats by
+    ``float.__repr__`` with NaN and the infinities as ``NaN``, ``Infinity``
+    and ``-Infinity``.  Exact types are tested first; subclasses of str,
+    int, float, list, tuple and dict are then rendered as their base, as
+    the stdlib does, and any other object raises the stdlib's ``TypeError``.
+    Documents are trees: unlike ``json.dumps``, the writer does not look
+    for cycles, and a cyclic document ends in ``RecursionError``.
+    """
+    return _json_value(doc, "\n")
+
+
+def _json_value(o, newline: str) -> str:
+    """o rendered at the indent that ``newline`` (a newline and the
+    container's indent) sets for its contents."""
+    t = type(o)
+    if t is str:
+        return _json_str(o)
+    if t is dict:
+        return _json_dict(o, newline)
+    if t is int:
+        return int.__repr__(o)
+    if t is list or t is tuple:
+        return _json_list(o, newline)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is float:
+        return _json_float(o)
+    if isinstance(o, str):
+        return _json_str(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    if isinstance(o, (list, tuple)):
+        return _json_list(o, newline)
+    if isinstance(o, dict):
+        return _json_dict(o, newline)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_list(lst, newline: str) -> str:
+    if not lst:
+        return "[]"
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join([_json_value(v, inner) for v in lst])}{newline}]"
+
+
+def _json_dict(dct, newline: str) -> str:
+    if not dct:
+        return "{}"
+    inner = newline + "  "
+    body = ("," + inner).join(
+        [
+            f"{_json_str(k if type(k) is str else _json_key(k))}: {_json_value(v, inner)}"
+            for k, v in sorted(dct.items())
+        ]
+    )  # the list of items is freed here, before the brackets copy the body
+    return f"{{{inner}{body}{newline}}}"
+
+
+def _json_key(k) -> str:
+    """A non-str dict key as the stdlib turns it into a string."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _json_float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
+    )
 
 
 def format_big_int(n: int) -> str:

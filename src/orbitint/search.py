@@ -339,8 +339,10 @@ def exceptional_case_analysis(
             "exceptional point is not at infinity; change coordinates first"
         )
     w = INFINITY
-    exc_rational = {e for e in exc if isinstance(e, ProjPoint)}
-    if any(pt in exc_rational for pt in orbit(f, u, window.m_max, digit_budget)):
+    # The exceptional set is completely invariant: a returned c has
+    # f^-1(c) = {f(c)}, and f(c) is returned too.  So the orbit of u meets
+    # a rational exceptional point only if u is one.
+    if u in exc:
         raise SearchError("u hits exceptional point")
     extra: set[int] = set(bad_reduction_primes(f))
     fu = eval_map(f, u)

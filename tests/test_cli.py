@@ -214,6 +214,22 @@ class TestExitCodes:
         assert doc["status"] == EXIT_TRUNCATED
         assert doc["body"]["truncated"] is True
 
+    @pytest.mark.parametrize(
+        "args, cap",
+        [
+            (["divisor", "--map", "x^2+1", "--n", "13"], "form degree cap"),
+            (["pairs", "--map", "x^2+1", "--u", "1", "--w", "2", "--window", "13x13"],
+             "orbit cap"),
+            (["exceptional", "--map", "x^2", "--u", "1/2", "--window", "13x13"],
+             "orbit cap"),
+        ],
+    )
+    def test_cap_fails_by_name(self, capsys, args, cap):
+        code, out = run_cli(["--no-timestamp"] + args, capsys)
+        assert code == EXIT_PRECONDITION
+        doc = json.loads(out)
+        assert doc["status"] == EXIT_PRECONDITION and cap in doc["error"]
+
     def test_bad_window_format(self, capsys):
         code, out = run_cli(
             ["--no-timestamp", "pairs", "--map", "x^2", "--u", "1", "--w", "2",

@@ -16,6 +16,7 @@ from orbitint.divisors import (
     multi_intersection_probe,
     pullback,
 )
+from orbitint.exactarith import decimal_str
 from orbitint.projective import INFINITY, ProjPoint
 from orbitint.ratmap import (
     FormDegreeCapError,
@@ -114,6 +115,28 @@ class TestBiForm:
     def test_serialize_sorted(self):
         d = diagonal_form()
         assert d.serialize() == "(1,0,0,1):1 (0,1,1,0):-1"
+
+    @staticmethod
+    def serialize_reference(form):
+        """``BiForm.serialize`` as one f-string per coefficient."""
+        dx, dy = form.bidegree
+        return " ".join(
+            f"({dx - a},{a},{dy - b},{b}):{decimal_str(c)}"
+            for a, r in enumerate(form.rows)
+            for b, c in enumerate(r)
+            if c
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_serialize_matches_reference(self, data):
+        (dx, dy), coeffs = data.draw(sparse_biforms(max_degree=5))
+        form = BiForm.from_dict(coeffs, (dx, dy))
+        assert form.serialize() == self.serialize_reference(form)
+        f = data.draw(rational_maps())
+        tower = build_tower(f, 2)
+        for layer in tower.g_forms + tower.b_forms:
+            assert layer.serialize() == self.serialize_reference(layer)
 
     @given(st.data())
     def test_dict_conversions_roundtrip(self, data):

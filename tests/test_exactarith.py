@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from orbitint.exactarith import (
+    _SPLIT_BITS,
     ExactArithError,
     PlaceSet,
     decimal_str,
@@ -22,6 +23,7 @@ from orbitint.exactarith import (
     s_free_part,
     split_prime_power,
     valuation,
+    _to_decimal,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13]
@@ -143,6 +145,24 @@ class TestDecimalStr:
         try:
             assert decimal_str(n) == str(Decimal(n))
             assert sys.get_int_max_str_digits() == 640  # never lifted
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    # past the limit the conversion splits at powers of two down to
+    # _SPLIT_BITS-bit leaves: bit lengths at the leaf size and its doublings,
+    # where the split changes shape, through a lowered limit
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    @given(st.sampled_from([-1, 0, 1]), st.integers(0, 7), st.integers(-2, 2), st.data())
+    def test_split_conversion(self, sign, doublings, offset, data):
+        bits = (_SPLIT_BITS << doublings) + offset
+        n = sign * data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        assert str(_to_decimal(n)) == str(Decimal(n))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert decimal_str(n) == str(Decimal(n))
         finally:
             sys.set_int_max_str_digits(old)
 

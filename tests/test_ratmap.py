@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from orbitint import binforms
 from orbitint.projective import INFINITY, ProjPoint, from_affine
@@ -114,6 +116,46 @@ class TestEvalIterate:
         assert eval_map(f, ProjPoint(0, 1)) == INFINITY
         assert eval_map(f, INFINITY) == INFINITY
         assert eval_map(f, ProjPoint(2, 1)) == from_affine(Fraction(5, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    @example(2, None)  # [x0^2 + x1^2 : 2 x1^2] at [1:1]: content 2
+    def test_gcd_against_resultant_matches_full_gcd(self, d, data):
+        """eval_map normalizes by gcd(Res, P(a), Q(a)); the reference takes
+        the gcd of the full coordinates.  When the map has a bad prime
+        below 60, half the points are drawn on a common root of P and Q
+        modulo one, where the image loses content."""
+        if data is None:
+            f, pt = make_map([1, 0, 1], [2]), ProjPoint(1, 1)
+        else:
+            coeffs = st.integers(-6, 6)
+            try:
+                f = make_map(
+                    data.draw(st.lists(coeffs, min_size=d + 1, max_size=d + 1)),
+                    data.draw(st.lists(coeffs, min_size=1, max_size=d + 1)),
+                )
+            except RatMapError:
+                assume(False)
+            a0, a1 = data.draw(st.integers(-10**6, 10**6)), data.draw(st.integers(0, 10**6))
+            bad = [p for p in range(2, 60) if f.resultant % p == 0
+                   and all(p % q for q in range(2, p))]
+            if bad and data.draw(st.booleans()):
+                p = data.draw(st.sampled_from(bad))
+                roots = [(r, 1) for r in range(p) if binforms.evaluate(f.p, r, 1) % p == 0
+                         and binforms.evaluate(f.q, r, 1) % p == 0]
+                if f.p[0] % p == 0 and f.q[0] % p == 0:
+                    roots.append((1, 0))
+                if roots:
+                    r0, r1 = data.draw(st.sampled_from(roots))
+                    a0, a1 = r0 + p * a0, r1 + p * a1
+            assume((a0, a1) != (0, 0))
+            pt = ProjPoint(a0, a1)
+        v0 = binforms.evaluate(f.p, pt.a0, pt.a1)
+        v1 = binforms.evaluate(f.q, pt.a0, pt.a1)
+        image = eval_map(f, pt)
+        assert image == ProjPoint(v0, v1)
+        assert f.resultant % math.gcd(v0, v1) == 0
+        event("image loses content" if math.gcd(v0, v1) > 1 else "coprime image")
 
     def test_negative_iterate_rejected(self):
         f = make_map([1, 0, 0], [1])

@@ -2,21 +2,29 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitint import ratmap, search
 from orbitint.exactarith import PlaceSet, is_s_unit
 from orbitint.integrality import is_integral_pair
 from orbitint.projective import INFINITY, ProjPoint, from_affine
-from orbitint.ratmap import iterate, make_map
+from orbitint.ratmap import (
+    RatMapError,
+    exceptional_points,
+    iterate,
+    make_map,
+    mobius_conjugate,
+)
 from orbitint.search import (
+    DEFAULT_DIGIT_BUDGET,
     PairWindow,
     SearchError,
     detect_coset_structure,
     exceptional_case_analysis,
     exceptional_case_enlarge,
     find_integral_pairs,
+    orbit,
     powering_pair_analysis,
 )
 
@@ -373,3 +381,52 @@ class TestExceptionalEnlarge:
         f = make_map([1, 0, 1], [1, 0])  # no exceptional points at all
         with pytest.raises(SearchError):
             exceptional_case_enlarge(f, ProjPoint(2, 1), PlaceSet(), PairWindow(3, 3))
+
+
+def orbit_meets_exceptional(f, u, length):
+    """The check ``exceptional_case_analysis`` made before it tested u
+    alone: does the orbit of u meet a rational exceptional point?"""
+    exc_rational = {e for e in exceptional_points(f) if isinstance(e, ProjPoint)}
+    return any(pt in exc_rational for pt in orbit(f, u, length, DEFAULT_DIGIT_BUDGET))
+
+
+@st.composite
+def polynomial_or_powering_maps(draw):
+    """Polynomial maps of degree 2 or 3, or x^(+-d) conjugated by an
+    integer Moebius matrix: maps with rational exceptional points."""
+    d = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        lead = draw(st.integers(1, 3))
+        rest = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        return make_map([lead] + rest, [1])
+    base = make_map([1] + [0] * d, [1]) if draw(st.booleans()) else make_map([1], [1] + [0] * d)
+    (a, b), (c, e) = matrix = draw(
+        st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                  st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    )
+    assume(a * e - b * c != 0)
+    try:
+        return mobius_conjugate(base, matrix)
+    except RatMapError:
+        assume(False)
+
+
+class TestExceptionalStartPoint:
+    @settings(max_examples=80, deadline=None)
+    @given(polynomial_or_powering_maps(), st.data())
+    def test_orbit_scan_agrees_with_start_point(self, f, data):
+        exc = [e for e in exceptional_points(f) if isinstance(e, ProjPoint)]
+        small = st.builds(
+            lambda a, b: from_affine(Fraction(a, b)), st.integers(-4, 4), st.integers(1, 4)
+        )
+        starts = [INFINITY, ProjPoint(0, 1)] + exc
+        u = data.draw(st.one_of(small, st.sampled_from(starts)))
+        hits = orbit_meets_exceptional(f, u, 4)
+        assert hits == (u in exc)
+        if INFINITY in exc:
+            try:
+                exceptional_case_analysis(f, u, PlaceSet(), PairWindow(2, 2))
+                refused = False
+            except SearchError as err:
+                refused = str(err) == "u hits exceptional point"
+            assert refused == hits
