@@ -29,17 +29,20 @@ def degree(cs: Sequence[int]) -> int:
 
 
 def evaluate(cs: Sequence[int], a0: int, a1: int) -> int:
-    """Evaluate the form at integer coordinates (a0, a1)."""
-    d = degree(cs)
-    pows0 = [1] * (d + 1)
-    for i in range(1, d + 1):
-        pows0[i] = pows0[i - 1] * a0
-    acc = 0
+    """Evaluate the form at integer coordinates (a0, a1); the empty form
+    evaluates to 0.
+
+    Homogeneous Horner: after the coefficient c_k the accumulator holds
+    sum_(j<=k) c_j a0^(k-j) a1^j, so each step is ``acc*a0 + c_k*a1^k``
+    with a running power of a1, and a zero coefficient costs one product."""
+    if not cs:
+        return 0
+    acc = cs[0]
     p1 = 1
-    for k, c in enumerate(cs):
-        if c:
-            acc += c * pows0[d - k] * p1
+    for k in range(1, len(cs)):
         p1 *= a1
+        c = cs[k]
+        acc = acc * a0 + c * p1 if c else acc * a0
     return acc
 
 

@@ -154,21 +154,26 @@ def split_prime_power(n: int, p: int) -> tuple[int, int]:
     """(v, rest) with |n| = p^v * rest and p not dividing rest, for n != 0.
 
     Divides by p, p^2, p^4, ... while they divide, then by the same powers
-    in descending order, so the cost is near-linear in the size of p^v."""
+    in descending order, so the cost is near-linear in the size of p^v.
+    Each trial is one ``divmod``, whose quotient is kept when it divides."""
     if n == 0:
         raise ExactArithError("valuation of zero undefined")
     if p < 2:
         raise ExactArithError(f"{p} is not prime")
     n = abs(n)
     powers, q = [], p
-    while n % q == 0:
-        n //= q
+    while True:
+        quo, r = divmod(n, q)
+        if r:
+            break
+        n = quo
         powers.append(q)
         q *= q
     v = (1 << len(powers)) - 1
     for k in reversed(range(len(powers))):
-        if n % powers[k] == 0:
-            n //= powers[k]
+        quo, r = divmod(n, powers[k])
+        if not r:
+            n = quo
             v += 1 << k
     return v, n
 

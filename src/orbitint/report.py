@@ -40,24 +40,33 @@ def render_json(doc) -> str:
     and ``-Infinity``.  Exact types are tested first; subclasses of str,
     int, float, list, tuple and dict are then rendered as their base, as
     the stdlib does, and any other object raises the stdlib's ``TypeError``.
-    Documents are trees: unlike ``json.dumps``, the writer does not look
-    for cycles, and a cyclic document ends in ``RecursionError``.
+
+    A document may share subtrees: one dict object may sit in many places,
+    as the witness dicts of :func:`pair_report_doc` do.  A memo that lives
+    for one call renders such a dict at most twice per indent.  The first
+    sighting of a nonempty dict at an indent records only the object (which
+    keeps its ``id`` from being reused within the call); the second keeps
+    its rendered text, and every later sighting at that indent reuses the
+    text.  So a document with no shared dict holds no extra text.  Unlike
+    ``json.dumps``, the writer does not look for cycles, and a cyclic
+    document ends in ``RecursionError``.
     """
-    return _json_value(doc, "\n")
+    return _json_value(doc, "\n", {})
 
 
-def _json_value(o, newline: str) -> str:
+def _json_value(o, newline: str, memo: dict) -> str:
     """o rendered at the indent that ``newline`` (a newline and the
-    container's indent) sets for its contents."""
+    container's indent) sets for its contents; ``memo`` is the call's
+    shared-dict memo (see :func:`render_json`)."""
     t = type(o)
     if t is str:
         return _json_str(o)
     if t is dict:
-        return _json_dict(o, newline)
+        return _json_dict(o, newline, memo)
     if t is int:
         return int.__repr__(o)
     if t is list or t is tuple:
-        return _json_list(o, newline)
+        return _json_list(o, newline, memo)
     if o is None:
         return "null"
     if o is True:
@@ -73,9 +82,9 @@ def _json_value(o, newline: str) -> str:
     if isinstance(o, float):
         return _json_float(o)
     if isinstance(o, (list, tuple)):
-        return _json_list(o, newline)
+        return _json_list(o, newline, memo)
     if isinstance(o, dict):
-        return _json_dict(o, newline)
+        return _json_dict(o, newline, memo)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
@@ -89,24 +98,34 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _json_list(lst, newline: str) -> str:
+def _json_list(lst, newline: str, memo: dict) -> str:
     if not lst:
         return "[]"
     inner = newline + "  "
-    return f"[{inner}{(',' + inner).join([_json_value(v, inner) for v in lst])}{newline}]"
+    return (
+        f"[{inner}{(',' + inner).join([_json_value(v, inner, memo) for v in lst])}"
+        f"{newline}]"
+    )
 
 
-def _json_dict(dct, newline: str) -> str:
+def _json_dict(dct, newline: str, memo: dict) -> str:
     if not dct:
         return "{}"
+    key = (id(dct), len(newline))
+    seen = memo.get(key)
+    if seen.__class__ is tuple:  # third or later sighting: (dct, text)
+        return seen[1]
     inner = newline + "  "
     body = ("," + inner).join(
         [
-            f"{_json_str(k if type(k) is str else _json_key(k))}: {_json_value(v, inner)}"
+            f"{_json_str(k if type(k) is str else _json_key(k))}: "
+            f"{_json_value(v, inner, memo)}"
             for k, v in sorted(dct.items())
         ]
     )  # the list of items is freed here, before the brackets copy the body
-    return f"{{{inner}{body}{newline}}}"
+    text = f"{{{inner}{body}{newline}}}"
+    memo[key] = dct if seen is None else (dct, text)
+    return text
 
 
 def _json_key(k) -> str:
@@ -199,6 +218,21 @@ def exceptional_doc(items) -> list:
 
 
 def pair_report_doc(report: PairReport) -> dict:
+    """The ``pairs`` report body.
+
+    Cells that share one ``IntegralityWitness`` object (the cells that
+    repeat a pair of orbit points, see ``find_integral_pairs``) share one
+    witness dict, which :func:`render_json` renders at most twice per
+    indent.  Do not mutate a witness dict in place: the change would show
+    in every cell that holds it."""
+    witness_docs: dict[int, dict] = {}  # id(witness) -> its dict
+    cells = []
+    for m, n in report.pairs:
+        wit = report.witnesses[(m, n)]
+        wdoc = witness_docs.get(id(wit))
+        if wdoc is None:
+            wdoc = witness_docs[id(wit)] = wit.to_dict()
+        cells.append({"m": m, "n": n, "witness": wdoc})
     doc: dict = {
         "map": report.map.serialize_coefficients(),
         "u": report.u.serialize(),
@@ -211,14 +245,7 @@ def pair_report_doc(report: PairReport) -> dict:
             "exhaustive window enumeration with hypothesis certificates; "
             "not a proof of global finiteness"
         ),
-        "pairs": [
-            {
-                "m": m,
-                "n": n,
-                "witness": report.witnesses[(m, n)].to_dict(),
-            }
-            for m, n in report.pairs
-        ],
+        "pairs": cells,
         "frontier": report.frontier,
     }
     if report.truncated:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import binforms
 from .exactarith import PlaceSet, is_s_unit
@@ -30,8 +31,6 @@ from .ratmap import (
 
 DEFAULT_ORBIT_CAP = 12
 DEFAULT_DIGIT_BUDGET = 10**6
-
-_LOG10_2 = 0.30102999566398120
 
 
 class SearchError(ValueError):
@@ -92,17 +91,38 @@ class PairReport:
         return self.effective_window != self.window
 
 
+@lru_cache(maxsize=1)  # a run has one budget; a long-lived process keeps one power
+def _ten_pow(b: int) -> int:
+    return 10**b
+
+
+def _over_digit_budget(pt: ProjPoint, budget: int) -> bool:
+    """True iff a coordinate of pt has more than ``budget`` decimal digits,
+    i.e. max(|a0|, |a1|) >= 10^budget, decided in integers: a value of L
+    bits lies in [2^(L-1), 2^L), so L <= 3*budget keeps it (8^b < 10^b) and
+    L > 4*budget cuts it (16^b > 10^b); only in between is 10^budget built,
+    once per budget."""
+    top = max(abs(pt.a0), abs(pt.a1))
+    bits = top.bit_length()
+    if bits <= 3 * budget:
+        return False
+    if bits > 4 * budget:
+        return True
+    return top >= _ten_pow(budget)
+
+
 def orbit(
     f: RatMap, start: ProjPoint, length: int, digit_budget: int
 ) -> tuple[ProjPoint, ...]:
     """Orbit points start, f(start), ..., f^length(start), stopping before
-    the first point with more than ``digit_budget`` decimal digits.
+    the first point with a coordinate of more than ``digit_budget`` decimal
+    digits (an exact integer test; ``start`` itself is never cut).
 
     The run was truncated when it returns ``length`` points or fewer."""
     pts = [start]
     for _ in range(length):
         nxt = eval_map(f, pts[-1])
-        if max(abs(nxt.a0), abs(nxt.a1)).bit_length() * _LOG10_2 > digit_budget:
+        if _over_digit_budget(nxt, digit_budget):
             break
         pts.append(nxt)
     return tuple(pts)

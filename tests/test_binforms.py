@@ -114,3 +114,51 @@ class TestBezoutCofactors:
         bot = (0,) * (2 * d - 1) + (res,)
         assert binforms.add(binforms.mul(g1, p), binforms.mul(g2, q)) == top
         assert binforms.add(binforms.mul(h1, p), binforms.mul(h2, q)) == bot
+
+
+def power_table_evaluate(cs, a0, a1):
+    """The power-table evaluation that Horner's rule replaced, kept as the
+    reference: a table of a0 powers and two products per nonzero term."""
+    d = len(cs) - 1
+    pows0 = [1] * (d + 1)
+    for i in range(1, d + 1):
+        pows0[i] = pows0[i - 1] * a0
+    acc = 0
+    p1 = 1
+    for k, c in enumerate(cs):
+        if c:
+            acc += c * pows0[d - k] * p1
+        p1 *= a1
+    return acc
+
+
+coordinates = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(2**10_000), 2**10_000),
+    st.sampled_from([0, 1, -1, 2**10_000 - 1, -(2**10_000) + 1, 3**6300]),
+)
+
+
+class TestEvaluate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0), st.integers(-10**6, 10**6), st.integers()),
+            min_size=0,
+            max_size=7,
+        ),
+        coordinates,
+        coordinates,
+    )
+    def test_matches_power_table(self, cs, a0, a1):
+        assert binforms.evaluate(tuple(cs), a0, a1) == power_table_evaluate(cs, a0, a1)
+
+    def test_examples(self):
+        assert binforms.evaluate((), 5, 7) == 0
+        assert binforms.evaluate((4,), 0, 0) == 4  # degree 0: the constant
+        assert binforms.evaluate((0, 0, 1), 3, 5) == 25  # x1^2
+        assert binforms.evaluate((0, 0, 0), 3, 5) == 0
+        assert binforms.evaluate((1, 0, 0), 3, 5) == 9  # x0^2
+        assert binforms.evaluate((0, 2, -1), -3, 5) == -30 - 25
+        assert binforms.evaluate((1, 2, 3, 4), 2, -1) == 8 - 8 + 6 - 4
+        assert binforms.evaluate((1, 0, 1), 0, 0) == 0

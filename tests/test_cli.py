@@ -184,6 +184,25 @@ class TestExitCodes:
             "[1:1]", "[2:1]", "[5:1]", "[26:1]", "[677:1]", "[458330:1]"
         ]
 
+    def test_digit_budget_keeps_a_point_of_exactly_budget_digits(self, capsys):
+        # 65536 has 5 digits but 17 bits: a bits * log10(2) estimate (5.1) cuts it
+        code, out = run_cli(
+            ["--no-timestamp", "--digit-budget", "5", "orbit", "--map", "x^2",
+             "--point", "2", "--n", "4"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["body"]["orbit"] == [
+            "[2:1]", "[4:1]", "[16:1]", "[256:1]", "[65536:1]"
+        ]
+        code, out = run_cli(
+            ["--no-timestamp", "--digit-budget", "4", "orbit", "--map", "x^2",
+             "--point", "2", "--n", "4"],
+            capsys,
+        )
+        assert code == EXIT_TRUNCATED
+        assert json.loads(out)["body"]["orbit"][-1] == "[256:1]"
+
     def test_zero_denominator_is_a_precondition_error(self, capsys):
         for args in (["orbit", "--map", "x^2", "--point", "1/0"],
                      ["orbit", "--map", "num=1/0,1;den=1", "--point", "1"]):
@@ -373,6 +392,10 @@ class TestSnapshots:
         (["--digit-budget", "50", "pairs", "--map", "x^2", "--u", "2", "--w", "3",
           "--window", "12x12"], EXIT_TRUNCATED,
          "9903e88f0a946d36857ce312650b2f9a1be526dc7b773825f2c2d00419c74f88"),
+        # 49 integral cells that share 7 witnesses: w = inf is fixed
+        (["pairs", "--map", "x^2+1", "--u", "1/2", "--w", "inf", "--S", "2",
+          "--window", "6x6"], EXIT_OK,
+         "cab2b2111ddc93992b8eeed005f522539b28400776c9e9d9af19b3e005bb3ac9"),
     ]
 
     def test_report_digests(self, capsys):

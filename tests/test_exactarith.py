@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from orbitint.exactarith import (
@@ -207,6 +207,27 @@ class TestValuation:
         assert prod == n
 
 
+def mod_then_floordiv_split(n, p):
+    """The split that one divmod per power replaced, kept as the reference:
+    ``%`` to test each power of p, then ``//`` to divide by it."""
+    if n == 0:
+        raise ExactArithError("valuation of zero undefined")
+    if p < 2:
+        raise ExactArithError(f"{p} is not prime")
+    n = abs(n)
+    powers, q = [], p
+    while n % q == 0:
+        n //= q
+        powers.append(q)
+        q *= q
+    v = (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            v += 1 << k
+    return v, n
+
+
 class TestSplitPrimePower:
     @given(
         st.integers(-10**30, 10**30).filter(bool),
@@ -221,6 +242,27 @@ class TestSplitPrimePower:
             v += 1
         assert split_prime_power(n, p) == (v, m)
         assert int_valuation(n, p) == v and remove_prime_power(n, p) == m
+
+    @given(
+        st.sampled_from([2, 3, 5]),
+        st.integers(0, 3000),
+        st.one_of(st.integers(1, 10**6), st.integers(1, 2**4000)),
+        st.booleans(),
+    )
+    @example(3, 3000, 1, False)
+    @example(2, 2048, 3, True)
+    @example(5, 1023, 5**7 + 1, False)
+    def test_matches_modulo_then_floor_division(self, p, k, r, negative):
+        n = p**k * r * (-1 if negative else 1)
+        assert split_prime_power(n, p) == mod_then_floordiv_split(n, p)
+
+    def test_errors_match_modulo_then_floor_division(self):
+        for n, p in [(0, 2), (0, 3), (12, 1), (12, 0), (-12, -3), (0, 1)]:
+            with pytest.raises(ExactArithError) as expected:
+                mod_then_floordiv_split(n, p)
+            with pytest.raises(ExactArithError) as got:
+                split_prime_power(n, p)
+            assert str(got.value) == str(expected.value)
 
     def test_zero_raises(self):
         # s_free_part and remove_prime_power looped forever on zero

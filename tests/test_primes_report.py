@@ -11,8 +11,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from sympy import isprime as sympy_isprime
 
+from orbitint import PairWindow, PlaceSet, find_integral_pairs, parse_map, parse_point
 from orbitint.primes import factor, factor_partial, is_prime, prime_factors
-from orbitint.report import format_big_int, format_fraction, render_json
+from orbitint.report import format_big_int, format_fraction, pair_report_doc, render_json
 from fractions import Fraction
 
 
@@ -163,6 +164,40 @@ DOCS = st.recursive(
 )
 
 
+class _Shared(dict):
+    pass
+
+
+class _CountingDict(dict):
+    """Counts its renders: both writers read ``items()`` once per render."""
+
+    def items(self):
+        self.renders = getattr(self, "renders", 0) + 1
+        return super().items()
+
+
+@st.composite
+def shared_docs(draw):
+    """Documents in which dict objects recur: as list siblings, at different
+    depths, inside each other, and as a shared dict subclass."""
+    pool = []
+    for i in range(draw(st.integers(1, 4))):
+        kids = st.one_of(DOCS, st.sampled_from(pool)) if pool else DOCS
+        cls = draw(st.sampled_from([dict, dict, _Shared]))
+        pool.append(cls(draw(st.dictionaries(KEYS, kids, min_size=1, max_size=3))))
+    shared = st.sampled_from(pool)
+    node = st.recursive(
+        st.one_of(shared, SCALARS),
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=5),
+            st.lists(kids, max_size=3).map(tuple),
+            st.dictionaries(KEYS, kids, max_size=3),
+        ),
+        max_leaves=16,
+    )
+    return draw(st.lists(node, min_size=1, max_size=4))
+
+
 class TestRenderJson:
     @given(DOCS)
     @example({})
@@ -173,6 +208,38 @@ class TestRenderJson:
     @example({"pairs": [{"m": 0, "n": 1, "witness": {"cross_term": "-12", "verdict": True}}]})
     def test_equals_stdlib(self, doc):
         assert written_json(doc) == stdlib_json(doc)
+
+    @given(shared_docs())
+    @example([{"a": 1}] * 3)
+    @example([_Shared(b=[1]), [_Shared(b=[1])]])
+    def test_shared_dicts_equal_stdlib(self, doc):
+        assert written_json(doc) == stdlib_json(doc)
+
+    def test_explicit_sharing_equals_stdlib(self):
+        leaf = {"cross_term": "-12", "verdict": True}
+        sub = _Shared(z=leaf, a=[leaf, leaf])
+        doc = {"pairs": [{"m": m, "witness": leaf} for m in range(4)],
+               "deep": [[[sub, leaf]], sub], "sub": sub}
+        assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_dict_shared_k_times_renders_at_most_twice(self, k):
+        d = _CountingDict(b=[1, {"c": None}], a="x")
+        expected = json.dumps([d] * k, indent=2, sort_keys=True)
+        d.renders = 0
+        assert render_json([d] * k) == expected
+        assert d.renders == min(k, 2)
+
+    def test_memo_is_per_indent(self):
+        d = _CountingDict(a=[1, 2])
+        doc = {"x": [d, d, d, d], "y": d, "z": [[d]]}
+        expected = json.dumps(doc, indent=2, sort_keys=True)
+        d.renders = 0
+        assert render_json(doc) == expected
+        assert d.renders == 2 + 1 + 1  # twice at x's indent, once at y's, once at z's
+        d.renders = 0
+        render_json(doc)
+        assert d.renders == 4  # the memo lives inside one call
 
     def test_subclasses_render_as_their_base(self):
         doc = {
@@ -206,3 +273,22 @@ class TestRenderJson:
         with pytest.raises(ValueError) as got:
             render_json(doc)
         assert str(got.value) == str(expected.value)
+
+
+class TestPairReportDoc:
+    def test_cells_share_the_dict_of_their_witness_object(self):
+        # x^2+1 from 1/2 against the fixed point inf: the 49 cells of the 6x6
+        # window hold 7 witness objects, one per point of u's orbit
+        report = find_integral_pairs(
+            parse_map("x^2+1"), parse_point("1/2"), parse_point("inf"),
+            PlaceSet.parse("2"), PairWindow(6, 6),
+        )
+        cells = pair_report_doc(report)["pairs"]
+        assert len(cells) == 49
+        wits = [report.witnesses[(c["m"], c["n"])] for c in cells]
+        assert len({id(w) for w in wits}) == 7
+        for cell, wit in zip(cells, wits):
+            assert cell["witness"] == wit.to_dict()
+        for ci, wi in zip(cells, wits):
+            for cj, wj in zip(cells, wits):
+                assert (ci["witness"] is cj["witness"]) == (wi is wj)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from orbitint import ratmap, search
+from orbitint import parse_map, ratmap, search
 from orbitint.exactarith import PlaceSet, is_s_unit
 from orbitint.integrality import is_integral_pair
 from orbitint.projective import INFINITY, ProjPoint, from_affine
@@ -143,6 +143,33 @@ class TestFindIntegralPairs:
         )
         assert report.hypotheses.u_status.kind == "preperiodic"
         assert report.hypotheses.theorem_applies is False
+
+
+class TestDigitBudget:
+    @given(
+        st.integers(-(10**60), 10**60),
+        st.integers(-(10**60), 10**60),
+        st.integers(-2, 62),
+    )
+    @example(10**5, 1, 5)
+    @example(10**5 - 1, 1, 5)
+    @example(1, -(10**40), 40)
+    @example(2**133, 1, 40)  # 134 bits, 41 digits: between 3 and 4 bits per digit,
+    @example(2**132, 1, 40)  # 133 bits, 40 digits: where 10^budget decides
+    @example(1, 0, 0)
+    @example(9, 8, 1)  # 4 bits, 1 digit: the one budget where 4*budget bits fit
+    def test_cut_iff_more_than_budget_digits(self, a0, a1, budget):
+        assume((a0, a1) != (0, 0))
+        pt = ProjPoint(a0, a1)
+        digits = len(str(max(abs(pt.a0), abs(pt.a1))))
+        assert search._over_digit_budget(pt, budget) == (digits > budget)
+
+    def test_orbit_stops_before_the_first_point_over_budget(self):
+        f = parse_map("x^2")
+        two = ProjPoint(2, 1)
+        assert len(search.orbit(f, two, 4, 5)) == 5  # 65536: 5 digits
+        assert len(search.orbit(f, two, 4, 4)) == 4
+        assert len(search.orbit(f, two, 4, 0)) == 1  # the start is never cut
 
 
 class TestRepeatingOrbits:
