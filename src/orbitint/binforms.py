@@ -47,13 +47,14 @@ def evaluate(cs: Sequence[int], a0: int, a1: int) -> int:
 
 
 def mul(a: Sequence[int], b: Sequence[int]) -> Form:
-    """Product form (convolution of coefficient lists)."""
+    """Product form (convolution of coefficient lists); the inner loop runs
+    over the nonzero terms of b only."""
     out = [0] * (len(a) + len(b) - 1)
+    nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
+            for j, bj in nonzero_b:
+                out[i + j] += ai * bj
     return tuple(out)
 
 
@@ -123,11 +124,18 @@ def monomials(p: Sequence[int], q: Sequence[int], e: int) -> list[Form]:
 
 
 def combine(cs: Sequence[int], forms: Sequence[Sequence[int]]) -> Form:
-    """sum_j cs[j] * forms[j], for forms of one degree."""
-    out = [0] * len(forms[0])
-    for c, f in zip(cs, forms):
-        if c:
-            out = [o + c * x for o, x in zip(out, f)]
+    """sum_j cs[j] * forms[j], for forms of one degree; a zero cs[j] costs
+    nothing, and the first nonzero term is a plain scale."""
+    terms = [(c, f) for c, f in zip(cs, forms) if c]
+    if not terms:
+        return (0,) * len(forms[0])
+    c, f = terms[0]
+    if len(terms) == 1:
+        return tuple([c * x for x in f])
+    c1, f1 = terms[1]
+    out = [c * x + c1 * y for x, y in zip(f, f1)]
+    for c, f in terms[2:]:
+        out = [o + c * x for o, x in zip(out, f)]
     return tuple(out)
 
 

@@ -136,6 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_command(args) -> tuple[dict, int]:
+    if args.digit_budget < 0:
+        raise ValueError(f"--digit-budget must be at least 0, not {args.digit_budget}")
     f = parse_map(args.map)
     status = EXIT_OK
     if args.command == "analyze":

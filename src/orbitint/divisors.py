@@ -14,8 +14,10 @@ against it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress
 
 from . import binforms
 from .binforms import Form
@@ -70,20 +72,24 @@ class BiForm:
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
-    def _flat(self) -> list[int]:
-        return [c for row in self.rows for c in row]
-
     def content(self) -> int:
-        return binforms.content(self._flat())
+        return math.gcd(*map(binforms.content, self.rows))
 
     def normalized(self) -> "BiForm":
         """Content 1, lexicographically leading coefficient positive (the
-        first nonzero entry of the rows, read row by row)."""
+        first nonzero entry of the rows, read row by row); ``self`` when it
+        is so already."""
         if self.is_zero:
             raise DivisorError("zero form")
-        flat = binforms.primitive(self._flat())
-        w = len(self.rows[0])
-        return BiForm(tuple(flat[j : j + w] for j in range(0, len(flat), w)))
+        g = self.content()
+        if next(filter(None, next(filter(any, self.rows)))) < 0:
+            g = -g
+        if g == 1:
+            return self
+        if g == -1:
+            return self.negate()
+        return BiForm(tuple(tuple([c // g for c in r]) if any(r) else r
+                            for r in self.rows))
 
     def multiply(self, other: "BiForm") -> "BiForm":
         zero = (0,) * (len(self.rows[0]) + len(other.rows[0]) - 1)
@@ -94,7 +100,7 @@ class BiForm:
         return BiForm(tuple(out))
 
     def negate(self) -> "BiForm":
-        return BiForm(tuple(binforms.scale(r, -1) for r in self.rows))
+        return BiForm(tuple(tuple([-c for c in r]) for r in self.rows))
 
     def evaluate(self, x: ProjPoint, y: ProjPoint) -> int:
         inner = [binforms.evaluate(r, y.a0, y.a1) for r in self.rows]
@@ -119,8 +125,9 @@ class BiForm:
         cols = [f"{dy - b},{b}):" for b in range(dy + 1)]
         terms: list[str] = []
         for a, r in enumerate(self.rows):
-            row = f"({dx - a},{a},"
-            terms += [row + cols[b] + decimal_str(c) for b, c in enumerate(r) if c]
+            if any(r):
+                row = f"({dx - a},{a},"
+                terms += [row + cols[b] + decimal_str(c) for b, c in compress(enumerate(r), r)]
         return " ".join(terms)
 
 
@@ -135,12 +142,35 @@ def pullback(form: BiForm, p: Form, q: Form) -> BiForm:
 
     Row a of ``form`` pulls back to u_a(x) v_a(y), with u_a = P^(ex-a) Q^a
     and v_a = sum_b c_ab P^(ey-b) Q^b; so row i of the result is
-    sum_a u_a[i] v_a."""
+    sum_a u_a[i] v_a.  Each v_a enters a row through the span from its
+    first to its last nonzero term alone: for a polynomial map Q = c*x1^D,
+    so a v_a that is a power of Q is one term, and most rows of the result
+    are a single term."""
     ex, ey = form.bidegree
     us = binforms.monomials(p, q, ex)
     ms = us if ey == ex else binforms.monomials(p, q, ey)
-    vs = [binforms.combine(row, ms) for row in form.rows]
-    return BiForm(tuple(binforms.combine(col, vs) for col in zip(*us)))
+    width = len(ms[0])
+    # (lo, v_a[lo:hi]) for the nonzero span [lo, hi) of v_a; None for v_a = 0
+    spans = []
+    for row in form.rows:
+        v = binforms.combine(row, ms)
+        lo = binforms.x1_multiplicity(v)
+        hi = width - binforms.x1_multiplicity(v[::-1])
+        spans.append((lo, v[lo:hi]) if lo < hi else None)
+    zero = (0,) * width
+    rows = []
+    for col in zip(*us):
+        terms = [(u, s) for u, s in zip(col, spans) if u and s]
+        if not terms:
+            rows.append(zero)
+            continue
+        (u, (lo, v)), *rest = terms
+        out = [0] * lo + [u * c for c in v] + [0] * (width - lo - len(v))
+        for u, (lo, v) in rest:
+            hi = lo + len(v)
+            out[lo:hi] = [o + u * c for o, c in zip(out[lo:hi], v)]
+        rows.append(tuple(out))
+    return BiForm(tuple(rows))
 
 
 def g_form(f: RatMap, n: int) -> BiForm:

@@ -162,3 +162,65 @@ class TestEvaluate:
         assert binforms.evaluate((0, 2, -1), -3, 5) == -30 - 25
         assert binforms.evaluate((1, 2, 3, 4), 2, -1) == 8 - 8 + 6 - 4
         assert binforms.evaluate((1, 0, 1), 0, 0) == 0
+
+
+def dense_mul(a, b):
+    """Convolution over every pair of entries, zeros included: the reference
+    for ``mul``, which skips zero terms."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
+
+
+def dense_combine(cs, forms):
+    """sum_j cs[j] * forms[j] entry by entry, from a zero accumulator: the
+    reference for ``combine``."""
+    out = [0] * len(forms[0])
+    for c, f in zip(cs, forms):
+        for k, x in enumerate(f):
+            out[k] += c * x
+    return tuple(out)
+
+
+def shaped_forms(length):
+    """Forms of a given length that are all zero, a single term, sparse
+    (mostly zeros) or dense (no zeros), with small and big entries."""
+    entry = st.one_of(st.integers(-9, 9).filter(bool), st.integers(2**70, 2**90))
+    single = st.tuples(st.integers(0, length - 1), entry).map(
+        lambda t: tuple(t[1] if k == t[0] else 0 for k in range(length))
+    )
+    return st.one_of(
+        st.just((0,) * length),
+        single,
+        st.lists(st.one_of(st.just(0), st.just(0), entry), min_size=length,
+                 max_size=length).map(tuple),
+        st.lists(entry, min_size=length, max_size=length).map(tuple),
+    )
+
+
+class TestSparseKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mul_matches_dense_reference(self, data):
+        a = data.draw(shaped_forms(data.draw(st.integers(1, 9))))
+        b = data.draw(shaped_forms(data.draw(st.integers(1, 9))))
+        assert binforms.mul(a, b) == dense_mul(a, b)
+        assert binforms.mul(b, a) == dense_mul(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_combine_matches_dense_reference(self, data):
+        n = data.draw(st.integers(1, 5))
+        length = data.draw(st.integers(1, 8))
+        forms = [data.draw(shaped_forms(length)) for _ in range(n)]
+        cs = data.draw(shaped_forms(n))
+        assert binforms.combine(cs, forms) == dense_combine(cs, forms)
+
+    def test_combine_term_counts(self):
+        forms = [(1, 2, 3), (0, 5, 0), (7, 0, 0)]
+        assert binforms.combine((0, 0, 0), forms) == (0, 0, 0)
+        assert binforms.combine((0, 2, 0), forms) == (0, 10, 0)
+        assert binforms.combine((1, 0, -1), forms) == (-6, 2, 3)
+        assert binforms.combine((1, 1, 1), forms) == (8, 7, 3)

@@ -203,6 +203,21 @@ class TestExitCodes:
         assert code == EXIT_TRUNCATED
         assert json.loads(out)["body"]["orbit"][-1] == "[256:1]"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["orbit", "--map", "x^2+1", "--point", "1", "--n", "3"],
+            ["pairs", "--map", "x^2+1", "--u", "1", "--w", "3", "--window", "3x3"],
+        ],
+    )
+    @pytest.mark.parametrize("budget", ["-1", "-50"])
+    def test_negative_digit_budget_is_a_precondition_error(self, capsys, args, budget):
+        code, out = run_cli(["--no-timestamp", "--digit-budget", budget] + args, capsys)
+        assert code == EXIT_PRECONDITION
+        doc = json.loads(out)
+        assert doc["status"] == EXIT_PRECONDITION
+        assert "--digit-budget" in doc["error"] and "body" not in doc
+
     def test_zero_denominator_is_a_precondition_error(self, capsys):
         for args in (["orbit", "--map", "x^2", "--point", "1/0"],
                      ["orbit", "--map", "num=1/0,1;den=1", "--point", "1"]):
@@ -378,6 +393,13 @@ class TestSnapshots:
          "18b1c6c71140e142e94bcbb24066f221844593e616960a3ba0287358bccc5e60"),
         (["divisor", "--map", "2x^3+x+1", "--n", "4"], EXIT_OK,
          "0acfc166c4b1ff8db8ddd8ccba156a55a3773c8f9936c366a5f345d96f9f5540"),
+        # a sparse polynomial tower: G_n is P_n(x) y1^D - x1^D P_n(y), and
+        # most rows of every layer hold one term
+        (["divisor", "--map", "x^2-2x+2", "--n", "6"], EXIT_OK,
+         "c62ce2e5caf46caf319285158243e839970924f8ec3e6413c68b9288a5216aa3"),
+        # G_1 and G_3 of 2(x^2+1)/x have content 2, so normalizing divides
+        (["divisor", "--map", "(2x^2+2)/x", "--n", "3"], EXIT_OK,
+         "3db956d7d42930def49fc70e117a385f82dba4b7baf92584d926e0cabaa8fd02"),
         (["powering", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
           "--window", "4x4"], EXIT_OK,
          "d248f2b6a96dfe5c3b5a383ff6a91988f6a19aab1c6d6a1d1966732d587840ff"),

@@ -87,12 +87,44 @@ SAMPLE_POINTS = [
 ]
 
 
+def primitive_reference(form):
+    """``normalized`` as ``binforms.primitive`` on the entries read row by
+    row, cut back into rows."""
+    flat = binforms.primitive([c for r in form.rows for c in r])
+    w = len(form.rows[0])
+    return BiForm(tuple(flat[j : j + w] for j in range(0, len(flat), w)))
+
+
 class TestBiForm:
     def test_normalized(self):
         f = BiForm.from_dict({(1, 0): -4, (0, 1): 4}, (1, 1))
         g = f.normalized()
         # lex-leading key (1, 0) made positive, content divided out
         assert g.as_dict == {(1, 0): 1, (0, 1): -1}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_normalized_matches_primitive(self, data):
+        bd, coeffs = data.draw(sparse_biforms())
+        assume(any(coeffs.values()))
+        form = BiForm.from_dict(coeffs, bd)
+        # scaled by -1, by a content > 1, or left alone
+        k = data.draw(st.sampled_from([1, -1, 6, -6, 2**80]))
+        form = BiForm(tuple(tuple(k * c for c in r) for r in form.rows))
+        assert form.normalized() == primitive_reference(form)
+
+    def test_normalized_cases(self):
+        # content 1, leading entry positive: the form itself, not a copy
+        f = BiForm(((0, 0, 0), (0, 2, 3), (-5, 0, 0)))
+        assert f.normalized() is f
+        # content 1, leading entry negative: negated
+        assert f.negate().normalized() == f
+        # content > 1 with either sign of the leading entry: divided out
+        g = BiForm(((0, 0, 0), (0, -4, -6), (10, 0, 0)))
+        assert g.normalized() == f
+        assert g.negate().normalized() == f
+        with pytest.raises(DivisorError, match="zero form"):
+            BiForm(((0, 0), (0, 0))).normalized()
 
     def test_multiply_degree_and_values(self):
         d = diagonal_form()
@@ -172,6 +204,63 @@ class TestPullback:
                 fy = [binforms.evaluate(c, y.a0, y.a1) for c in (p, q)]
                 inner = [binforms.evaluate(r, *fy) for r in form.rows]
                 assert pb.evaluate(x, y) == binforms.evaluate(inner, *fx)
+
+    @staticmethod
+    def substitution_reference(form, p, q):
+        """form(P(x), Q(x); P(y), Q(y)) expanded term by term with dense
+        products: sum over (a, b) of c_ab P^(ex-a) Q^a (x) P^(ey-b) Q^b (y)."""
+
+        def mul(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+            return out
+
+        def power(f, e):
+            out = [1]
+            for _ in range(e):
+                out = mul(out, f)
+            return out
+
+        ex, ey = form.bidegree
+        deg = len(p) - 1
+        rows = [[0] * (ey * deg + 1) for _ in range(ex * deg + 1)]
+        for a, row in enumerate(form.rows):
+            u = mul(power(p, ex - a), power(q, a))
+            for b, c in enumerate(row):
+                v = mul(power(p, ey - b), power(q, b))
+                for i, ui in enumerate(u):
+                    for j, vj in enumerate(v):
+                        rows[i][j] += c * ui * vj
+        return BiForm(tuple(map(tuple, rows)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_monomial_q_matches_substitution(self, data):
+        # a polynomial map's Q_n is c*x1^D; here any monomial c*x0^(D-k) x1^k,
+        # so every power of Q pulls back to a single-term row; forms with
+        # zero rows, single-term rows and dense rows all occur
+        bd, coeffs = data.draw(sparse_biforms())
+        form = BiForm.from_dict(coeffs, bd)
+        deg = data.draw(st.integers(1, 4))
+        p = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=deg + 1, max_size=deg + 1)))
+        k = data.draw(st.integers(0, deg))
+        c = data.draw(st.sampled_from([1, -2, 3]))
+        q = tuple(c if j == k else 0 for j in range(deg + 1))
+        assert pullback(form, p, q) == self.substitution_reference(form, p, q)
+        assert pullback(form, q, p) == self.substitution_reference(form, q, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_dense_matches_substitution(self, data):
+        bd, coeffs = data.draw(sparse_biforms())
+        form = BiForm.from_dict(coeffs, bd)
+        deg = data.draw(st.integers(1, 3))
+        nonzero = st.integers(-3, 3).filter(bool)
+        p, q = (tuple(data.draw(st.lists(nonzero, min_size=deg + 1, max_size=deg + 1)))
+                for _ in range(2))
+        assert pullback(form, p, q) == self.substitution_reference(form, p, q)
 
     def test_diagonal_pulls_back_to_g(self, corpus):
         # B_0(P(x), Q(x); P(y), Q(y)) = P(x) Q(y) - P(y) Q(x): row a is
