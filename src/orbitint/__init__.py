@@ -7,16 +7,11 @@ from .exactarith import (
     PlaceSet,
     Rational,
     is_s_unit,
-    log_height,
     parse_rational,
-    format_rational,
-    valuation,
 )
 from .projective import (
     INFINITY,
-    ChordalValue,
     ProjPoint,
-    chordal_distance,
     from_affine,
     normalize,
     parse_point,
@@ -50,12 +45,10 @@ from .integrality import (
 from .divisors import (
     BiForm,
     DivisorTower,
-    b_component,
     build_tower,
     diagonal_critical_intersections,
     g_form,
     leading_form_check,
-    multi_intersection_probe,
 )
 from .search import (
     CosetStructure,

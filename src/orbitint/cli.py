@@ -57,10 +57,10 @@ EXIT_TRUNCATED = 3
 
 def _parse_window(text: str) -> PairWindow:
     try:
-        m, n = text.lower().split("x")
-        return PairWindow(int(m), int(n))
+        m, n = map(int, text.lower().split("x"))
     except ValueError:
         raise SearchError(f"cannot parse window {text!r}; expected MxN") from None
+    return PairWindow(m, n)
 
 
 def _json_int(field: str, n: int) -> int:
@@ -138,6 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_command(args) -> tuple[dict, int]:
     if args.digit_budget < 0:
         raise ValueError(f"--digit-budget must be at least 0, not {args.digit_budget}")
+    if args.command == "orbit" and args.n < 0:
+        raise ValueError(f"--n must be at least 0, not {args.n}")
     f = parse_map(args.map)
     status = EXIT_OK
     if args.command == "analyze":

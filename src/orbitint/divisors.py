@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import compress
 
 from . import binforms
 from .binforms import Form
 from .exactarith import decimal_str
 from .projective import ProjPoint
-from .ratmap import RatMap, critical_data, iterate, iterated_forms
+from .ratmap import RatMap, iterated_forms
 
 
 class DivisorError(ValueError):
@@ -35,8 +35,8 @@ class BiForm:
     """A bihomogeneous integer form in (x0, x1; y0, y1) of bidegree (dx, dy).
 
     ``rows[a][b]`` is the coefficient of x0^(dx-a) x1^a y0^(dy-b) y1^b.
-    ``from_dict``, ``as_dict`` and ``coefficients`` convert to and from the
-    sparse keys (i, k) of x0^i x1^(dx-i) y0^k y1^(dy-k).
+    ``coefficients`` lists the nonzero ones under the sparse keys (i, k) of
+    x0^i x1^(dx-i) y0^k y1^(dy-k).
     """
 
     rows: tuple[Form, ...]
@@ -44,14 +44,6 @@ class BiForm:
     @property
     def bidegree(self) -> tuple[int, int]:
         return len(self.rows) - 1, len(self.rows[0]) - 1
-
-    @classmethod
-    def from_dict(cls, coeffs: dict[tuple[int, int], int], bidegree: tuple[int, int]) -> "BiForm":
-        dx, dy = bidegree
-        rows = [[0] * (dy + 1) for _ in range(dx + 1)]
-        for (i, k), c in coeffs.items():
-            rows[dx - i][dy - k] = c
-        return cls(tuple(map(tuple, rows)))
 
     @property
     def coefficients(self) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -63,10 +55,6 @@ class BiForm:
             for b in reversed(range(dy + 1))
             if (c := self.rows[a][b])
         )
-
-    @cached_property
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.coefficients)
 
     @property
     def is_zero(self) -> bool:
@@ -91,23 +79,12 @@ class BiForm:
         return BiForm(tuple(tuple([c // g for c in r]) if any(r) else r
                             for r in self.rows))
 
-    def multiply(self, other: "BiForm") -> "BiForm":
-        zero = (0,) * (len(self.rows[0]) + len(other.rows[0]) - 1)
-        out = [zero] * (len(self.rows) + len(other.rows) - 1)
-        for a, r1 in enumerate(self.rows):
-            for b, r2 in enumerate(other.rows):
-                out[a + b] = binforms.add(out[a + b], binforms.mul(r1, r2))
-        return BiForm(tuple(out))
-
     def negate(self) -> "BiForm":
         return BiForm(tuple(tuple([-c for c in r]) for r in self.rows))
 
     def evaluate(self, x: ProjPoint, y: ProjPoint) -> int:
         inner = [binforms.evaluate(r, y.a0, y.a1) for r in self.rows]
         return binforms.evaluate(inner, x.a0, x.a1)
-
-    def swap_xy(self) -> "BiForm":
-        return BiForm(tuple(zip(*self.rows)))
 
     def restrict_to_diagonal(self) -> Form:
         """Substitute (y0, y1) := (x0, x1); a binary form of degree dx+dy:
@@ -133,7 +110,7 @@ class BiForm:
 
 def diagonal_form() -> BiForm:
     """B_0 = x0*y1 - x1*y0."""
-    return BiForm.from_dict({(1, 0): 1, (0, 1): -1}, (1, 1))
+    return BiForm(((0, 1), (-1, 0)))
 
 
 def pullback(form: BiForm, p: Form, q: Form) -> BiForm:
@@ -245,13 +222,6 @@ def build_tower(f: RatMap, depth: int) -> DivisorTower:
     return DivisorTower(map=f, depth=depth, g_forms=tuple(gs), b_forms=tuple(bs))
 
 
-def b_component(tower: DivisorTower, i: int) -> BiForm:
-    """The effective layer form B_i (B_0 is the diagonal)."""
-    if i < 0 or i > tower.depth:
-        raise DivisorError("index outside tower depth")
-    return tower.b_forms[i]
-
-
 def leading_form_check(f: RatMap, n: int) -> bool:
     """For polynomial maps: the top homogeneous part of B_n equals, up to a
     nonzero rational scalar, (x^(d^n) - y^(d^n)) / (x^(d^(n-1)) - y^(d^(n-1))),
@@ -262,7 +232,7 @@ def leading_form_check(f: RatMap, n: int) -> bool:
     if n < 1:
         raise DivisorError("n must be positive")
     tower = build_tower(f, n)
-    bn = tower.b_forms[n].as_dict
+    bn = dict(tower.b_forms[n].coefficients)
     total = max(i + k for i, k in bn)
     lead = {key: c for key, c in bn.items() if sum(key) == total}
     d, step = f.degree, f.degree ** (n - 1)
@@ -278,40 +248,3 @@ def diagonal_critical_intersections(tower: DivisorTower) -> list[ProjPoint]:
         raise DivisorError("B_1 vanishes identically on the diagonal")
     roots = binforms.rational_projective_roots(diag)
     return sorted((ProjPoint(a0, a1) for a0, a1 in roots), key=lambda p: (p.a1, p.a0))
-
-
-@dataclass(frozen=True)
-class ChainCheck:
-    index: int
-    image: ProjPoint | None
-    images_equal: bool
-    image_is_critical: bool
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    point: tuple[ProjPoint, ProjPoint]
-    vanishing_indices: tuple[int, ...]
-    chain: tuple[ChainCheck, ...]
-
-
-def multi_intersection_probe(
-    tower: DivisorTower, xi: ProjPoint, eta: ProjPoint, indices: list[int]
-) -> MembershipReport:
-    """Report which B_i forms vanish at (xi, eta); when at least two vanish,
-    verify that for each vanishing index i > 0 the common image
-    f^(i-1)(xi) = f^(i-1)(eta) is a critical point."""
-    for i in indices:
-        if i < 0 or i > tower.depth:
-            raise DivisorError("index outside tower depth")
-    vanishing = tuple(i for i in indices if tower.b_forms[i].evaluate(xi, eta) == 0)
-    chain: list[ChainCheck] = []
-    if len(vanishing) >= 2:
-        crit_points = {c.point for c in critical_data(tower.map) if c.point is not None}
-        for i in vanishing:
-            if i == 0:
-                continue
-            a = iterate(tower.map, xi, i - 1)
-            same = a == iterate(tower.map, eta, i - 1)
-            chain.append(ChainCheck(i, a if same else None, same, same and a in crit_points))
-    return MembershipReport(point=(xi, eta), vanishing_indices=vanishing, chain=tuple(chain))

@@ -1,4 +1,6 @@
-"""Foundation types: exact rationals, prime place sets, valuations, heights.
+"""Foundation types: exact rationals, prime place sets, prime-power
+splitting and S-free parts, decimal strings of any length, and ``log_int``,
+the one float here, behind the escape certificate's diagnostic constants.
 
 Rationals are ``fractions.Fraction`` throughout -- already canonical
 (reduced, positive denominator).  A :class:`PlaceSet` holds finite rational
@@ -51,9 +53,6 @@ class PlaceSet:
     def union(self, other: "PlaceSet | Iterable[int]") -> "PlaceSet":
         other_primes = other.primes if isinstance(other, PlaceSet) else tuple(other)
         return PlaceSet(self.primes + other_primes)
-
-    def issuperset(self, other: "PlaceSet") -> bool:
-        return set(self.primes) >= set(other.primes)
 
     @classmethod
     def parse(cls, text: str) -> "PlaceSet":
@@ -143,13 +142,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(-num if m["sign"] == "-" else num, den)
 
 
-def format_rational(q: Fraction) -> str:
-    """Canonical reduced form: "-3/7", integers as "5"."""
-    if q.denominator == 1:
-        return decimal_str(q.numerator)
-    return f"{decimal_str(q.numerator)}/{decimal_str(q.denominator)}"
-
-
 def split_prime_power(n: int, p: int) -> tuple[int, int]:
     """(v, rest) with |n| = p^v * rest and p not dividing rest, for n != 0.
 
@@ -178,24 +170,6 @@ def split_prime_power(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def int_valuation(n: int, p: int) -> int:
-    """Largest k with p^k | n, for n != 0."""
-    return split_prime_power(n, p)[0]
-
-
-def valuation(q: Fraction | int, p: int) -> int:
-    """p-adic valuation v_p(q) of a nonzero rational; |q|_p = p^(-v_p(q))."""
-    q = Fraction(q)
-    if not is_prime(p):
-        raise ExactArithError(f"{p} is not prime")
-    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
-
-
-def remove_prime_power(n: int, p: int) -> int:
-    """|n| with all factors of p divided out, for n != 0."""
-    return split_prime_power(n, p)[1]
-
-
 def s_free_part(n: int, s: PlaceSet) -> int:
     """|n| with all factors of primes in S removed, for n != 0."""
     if n == 0:
@@ -222,12 +196,3 @@ def log_int(n: int) -> float:
         return math.log(n)
     shift = n.bit_length() - 64
     return math.log(n >> shift) + shift * _LOG2
-
-
-def log_height(q: Fraction | int) -> float:
-    """Logarithmic height log max(|numerator|, denominator).
-
-    Diagnostic only: no exact-rational comparison may depend on this float.
-    """
-    q = Fraction(q)
-    return log_int(max(abs(q.numerator), q.denominator, 1))

@@ -4,11 +4,12 @@ Grammar (documented for the CLI):
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor | factor)*   # adjacency multiplies
-    factor := ('-' | '+') factor | atom ('^' INTEGER)*
+    factor := ('-' | '+') factor | atom ('^' INTEGER)?
     atom   := INTEGER | 'x' | '(' expr ')'
 
-'^' binds tightest and is right-associative with nonnegative integer
-exponents; rational constants are spelled as divisions, e.g. "1/2".
+'^' binds tightest and takes one nonnegative integer exponent, so
+"x^2^3" is an error (parenthesize: "(x^2)^3"); rational constants are
+spelled as divisions, e.g. "1/2".
 Parsing a map also accepts the canonical coefficient format
 "num=c_k,...,c_0;den=c_j,...,c_0".
 """

@@ -136,8 +136,3 @@ def factor(n: int) -> dict[int, int]:
     if leftover != 1:
         raise ValueError(f"could not completely factor {n}")
     return factors
-
-
-def prime_factors(n: int) -> list[int]:
-    """Sorted distinct prime factors of |n| (complete factorization)."""
-    return sorted(factor(n))

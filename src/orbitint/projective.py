@@ -1,8 +1,9 @@
-"""Points of the projective line over Q in normalized integer coordinates,
-and the per-place chordal distance.
+"""Points of the projective line over Q in normalized integer coordinates.
 
 Normalization: coprime integer coordinates with the last nonzero coordinate
-positive.  Infinity is [1:0].
+positive.  Infinity is [1:0].  With these coordinates the chordal
+distance of two points at a prime p is |a0*b1 - a1*b0|_p, so integrality
+reads the cross term alone (``integrality.cross_term``).
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import decimal_str, parse_rational, split_prime_power
-
-ARCHIMEDEAN = "inf"
+from .exactarith import decimal_str, parse_rational
 
 
 class ProjectiveError(ValueError):
@@ -46,10 +45,6 @@ class ProjPoint:
         pt = object.__new__(cls)
         pt._set_signed(a0, a1)
         return pt
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.a1 == 0
 
     def to_affine(self) -> Fraction | None:
         """Affine value a0/a1, or None for the point at infinity."""
@@ -95,36 +90,3 @@ def parse_point(text: str) -> ProjPoint:
         left, right = text[1:-1].split(":")
         return normalize(parse_rational(left), parse_rational(right))
     return from_affine(parse_rational(text))
-
-
-@dataclass(frozen=True)
-class ChordalValue:
-    """Chordal distance at one place: exact rational at finite places,
-    float (documented 1e-12 relative budget) at the archimedean place."""
-
-    place: int | str
-    value: Fraction | float
-
-    def __post_init__(self):
-        if not 0 <= self.value <= 1:
-            raise ProjectiveError(f"chordal distance {self.value!r} outside [0, 1]")
-
-
-def chordal_distance(p: ProjPoint, q: ProjPoint, place: int | str) -> ChordalValue:
-    """Chordal distance between two points at a finite prime or "inf".
-
-    With normalized coordinates the coordinate norms at finite places are 1,
-    so the non-archimedean value is p^(-v_p(cross)) exactly.
-    """
-    cross = p.a0 * q.a1 - p.a1 * q.a0
-    if place == ARCHIMEDEAN or place is None:
-        if cross == 0:
-            return ChordalValue(ARCHIMEDEAN, 0.0)
-        ratio = Fraction(
-            cross * cross,
-            (p.a0 * p.a0 + p.a1 * p.a1) * (q.a0 * q.a0 + q.a1 * q.a1),
-        )
-        return ChordalValue(ARCHIMEDEAN, math.sqrt(float(ratio)))
-    if cross == 0:
-        return ChordalValue(place, Fraction(0))
-    return ChordalValue(place, Fraction(1, place ** split_prime_power(cross, place)[0]))

@@ -413,16 +413,6 @@ def certify_wandering(f: RatMap, u: ProjPoint, max_iter: int = 64) -> WanderingR
     return WanderingResult("undecided")
 
 
-def periodic_normalization_multiplier(f: RatMap) -> int:
-    """Advisory iterate multiplier: lcm of the periods of the detected
-    periodic rational critical points (1 when there are none)."""
-    m = 1
-    for c in critical_data(f):
-        if c.periodic and c.period:
-            m = m * c.period // math.gcd(m, c.period)
-    return m
-
-
 def mobius_conjugate(f: RatMap, matrix: tuple[tuple[int, int], tuple[int, int]]) -> RatMap:
     """Conjugate f by the Moebius map x -> (a x + b) / (c x + d) given as an
     invertible integer matrix ((a, b), (c, d))."""

@@ -265,12 +265,33 @@ class TestExitCodes:
         assert doc["status"] == EXIT_PRECONDITION and cap in doc["error"]
 
     def test_bad_window_format(self, capsys):
+        # a negative bound is a well-formed window with a bad value: its
+        # own message, not the parse error's
+        for window, message in [
+            ("nope", "cannot parse window 'nope'; expected MxN"),
+            ("3", "cannot parse window '3'; expected MxN"),
+            ("2x2x2", "cannot parse window '2x2x2'; expected MxN"),
+            ("1x-2", "window bounds must be nonnegative"),
+            ("-1x0", "window bounds must be nonnegative"),
+        ]:
+            code, out = run_cli(
+                ["--no-timestamp", "pairs", "--map", "x^2", "--u", "1", "--w", "2",
+                 "--window=" + window],
+                capsys,
+            )
+            assert code == EXIT_PRECONDITION
+            doc = json.loads(out)
+            assert doc["error"] == message and "body" not in doc
+
+    def test_negative_orbit_length_is_a_precondition_error(self, capsys):
         code, out = run_cli(
-            ["--no-timestamp", "pairs", "--map", "x^2", "--u", "1", "--w", "2",
-             "--window", "nope"],
+            ["--no-timestamp", "orbit", "--map", "x^2+1", "--point", "1", "--n", "-1"],
             capsys,
         )
         assert code == EXIT_PRECONDITION
+        doc = json.loads(out)
+        assert doc["status"] == EXIT_PRECONDITION
+        assert "--n" in doc["error"] and "body" not in doc
 
 
 class TestDeterminism:

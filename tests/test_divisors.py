@@ -6,14 +6,12 @@ from orbitint import binforms, divisors
 from orbitint.divisors import (
     BiForm,
     DivisorError,
-    b_component,
     build_tower,
     diagonal_critical_intersections,
     diagonal_form,
     exact_divide,
     g_form,
     leading_form_check,
-    multi_intersection_probe,
     pullback,
 )
 from orbitint.exactarith import decimal_str
@@ -22,9 +20,36 @@ from orbitint.ratmap import (
     FormDegreeCapError,
     RatMapError,
     critical_data,
+    iterate,
     iterated_forms,
     make_map,
 )
+
+
+def from_dict(coeffs, bidegree):
+    """The biform with the sparse coefficients {(i, k): c} of
+    x0^i x1^(dx-i) y0^k y1^(dy-k)."""
+    dx, dy = bidegree
+    rows = [[0] * (dy + 1) for _ in range(dx + 1)]
+    for (i, k), c in coeffs.items():
+        rows[dx - i][dy - k] = c
+    return BiForm(tuple(map(tuple, rows)))
+
+
+def multiply(a, b):
+    """The product of two biforms, row by row: the oracle that the tower's
+    layers multiply back to G_n under."""
+    zero = (0,) * (len(a.rows[0]) + len(b.rows[0]) - 1)
+    out = [zero] * (len(a.rows) + len(b.rows) - 1)
+    for i, r1 in enumerate(a.rows):
+        for j, r2 in enumerate(b.rows):
+            out[i + j] = binforms.add(out[i + j], binforms.mul(r1, r2))
+    return BiForm(tuple(out))
+
+
+def swap_xy(form):
+    """form(y; x): the transpose of the rows."""
+    return BiForm(tuple(zip(*form.rows)))
 
 
 @st.composite
@@ -45,8 +70,8 @@ def divisor_biforms(draw):
     assume(any(coeffs.values()))
     mx, my = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     # the monomial x1^mx y1^my is the key (0, 0) of bidegree (mx, my)
-    shift = BiForm.from_dict({(0, 0): 1}, (mx, my))
-    return BiForm.from_dict(coeffs, (dx, dy)).multiply(shift)
+    shift = from_dict({(0, 0): 1}, (mx, my))
+    return multiply(from_dict(coeffs, (dx, dy)), shift)
 
 
 @st.composite
@@ -73,7 +98,7 @@ def check_layers(tower):
     prod = tower.b_forms[0]
     for k in range(1, tower.depth + 1):
         assert exact_divide(gs[k], gs[k - 1]) == tower.b_forms[k]
-        prod = prod.multiply(tower.b_forms[k])
+        prod = multiply(prod, tower.b_forms[k])
         assert prod in (gs[k], gs[k].negate())
 
 
@@ -97,17 +122,17 @@ def primitive_reference(form):
 
 class TestBiForm:
     def test_normalized(self):
-        f = BiForm.from_dict({(1, 0): -4, (0, 1): 4}, (1, 1))
+        f = from_dict({(1, 0): -4, (0, 1): 4}, (1, 1))
         g = f.normalized()
         # lex-leading key (1, 0) made positive, content divided out
-        assert g.as_dict == {(1, 0): 1, (0, 1): -1}
+        assert dict(g.coefficients) == {(1, 0): 1, (0, 1): -1}
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_normalized_matches_primitive(self, data):
         bd, coeffs = data.draw(sparse_biforms())
         assume(any(coeffs.values()))
-        form = BiForm.from_dict(coeffs, bd)
+        form = from_dict(coeffs, bd)
         # scaled by -1, by a content > 1, or left alone
         k = data.draw(st.sampled_from([1, -1, 6, -6, 2**80]))
         form = BiForm(tuple(tuple(k * c for c in r) for r in form.rows))
@@ -128,7 +153,7 @@ class TestBiForm:
 
     def test_multiply_degree_and_values(self):
         d = diagonal_form()
-        sq = d.multiply(d)
+        sq = multiply(d, d)
         assert sq.bidegree == (2, 2)
         for x in SAMPLE_POINTS:
             for y in SAMPLE_POINTS:
@@ -136,12 +161,12 @@ class TestBiForm:
 
     def test_swap_antisymmetry_of_diagonal(self):
         d = diagonal_form()
-        assert d.swap_xy() == d.negate()
+        assert swap_xy(d) == d.negate()
 
     def test_restrict_to_diagonal(self):
         d = diagonal_form()
         assert d.restrict_to_diagonal() == (0, 0, 0)
-        f = BiForm.from_dict({(1, 1): 1, (0, 0): -1}, (1, 1))  # x*y - 1
+        f = from_dict({(1, 1): 1, (0, 0): -1}, (1, 1))  # x*y - 1
         assert f.restrict_to_diagonal() == (1, 0, -1)
 
     def test_serialize_sorted(self):
@@ -163,7 +188,7 @@ class TestBiForm:
     @given(st.data())
     def test_serialize_matches_reference(self, data):
         (dx, dy), coeffs = data.draw(sparse_biforms(max_degree=5))
-        form = BiForm.from_dict(coeffs, (dx, dy))
+        form = from_dict(coeffs, (dx, dy))
         assert form.serialize() == self.serialize_reference(form)
         f = data.draw(rational_maps())
         tower = build_tower(f, 2)
@@ -175,11 +200,11 @@ class TestBiForm:
         # the sparse views are conversions of the rows; the benchmark's
         # tracer counts terms with len(form.coefficients)
         (dx, dy), coeffs = data.draw(sparse_biforms())
-        form = BiForm.from_dict(coeffs, (dx, dy))
+        form = from_dict(coeffs, (dx, dy))
         nonzero = {k: c for k, c in coeffs.items() if c}
-        assert form.as_dict == nonzero
+        assert dict(form.coefficients) == nonzero
         assert form.coefficients == tuple(sorted(nonzero.items()))
-        assert BiForm.from_dict(form.as_dict, form.bidegree) == form
+        assert from_dict(dict(form.coefficients), form.bidegree) == form
         entries = sorted(
             (((i, dx - i, k, dy - k), c) for (i, k), c in nonzero.items()), reverse=True
         )
@@ -192,7 +217,7 @@ class TestPullback:
     @given(st.data())
     def test_substitution(self, data):
         bd, coeffs = data.draw(sparse_biforms())
-        form = BiForm.from_dict(coeffs, bd)
+        form = from_dict(coeffs, bd)
         deg = data.draw(st.integers(1, 3))
         forms = st.lists(st.integers(-3, 3), min_size=deg + 1, max_size=deg + 1)
         p, q = tuple(data.draw(forms)), tuple(data.draw(forms))
@@ -242,7 +267,7 @@ class TestPullback:
         # so every power of Q pulls back to a single-term row; forms with
         # zero rows, single-term rows and dense rows all occur
         bd, coeffs = data.draw(sparse_biforms())
-        form = BiForm.from_dict(coeffs, bd)
+        form = from_dict(coeffs, bd)
         deg = data.draw(st.integers(1, 4))
         p = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=deg + 1, max_size=deg + 1)))
         k = data.draw(st.integers(0, deg))
@@ -255,7 +280,7 @@ class TestPullback:
     @given(st.data())
     def test_dense_matches_substitution(self, data):
         bd, coeffs = data.draw(sparse_biforms())
-        form = BiForm.from_dict(coeffs, bd)
+        form = from_dict(coeffs, bd)
         deg = data.draw(st.integers(1, 3))
         nonzero = st.integers(-3, 3).filter(bool)
         p, q = (tuple(data.draw(st.lists(nonzero, min_size=deg + 1, max_size=deg + 1)))
@@ -278,14 +303,14 @@ class TestGForms:
     def test_g1_squaring(self):
         g1 = g_form(make_map([1, 0, 0], [1]), 1)
         # x^2 y^2 antisymmetrization: x0^2 y1^2 - y0^2 x1^2
-        assert g1.as_dict == {(2, 0): 1, (0, 2): -1}
+        assert dict(g1.coefficients) == {(2, 0): 1, (0, 2): -1}
         assert g1.bidegree == (2, 2)
 
     def test_antisymmetry(self, corpus):
         for f in corpus:
             for n in (1, 2):
                 g = g_form(f, n)
-                assert g.swap_xy() == g.negate()
+                assert swap_xy(g) == g.negate()
                 assert g.content() == 1
 
     def test_vanishes_iff_images_agree(self, corpus):
@@ -306,17 +331,17 @@ class TestGForms:
 class TestTower:
     def test_squaring_layers(self):
         tower = build_tower(make_map([1, 0, 0], [1]), 2)
-        assert b_component(tower, 0) == diagonal_form()
+        assert tower.b_forms[0] == diagonal_form()
         # B_1 = x0 y1 + x1 y0 (affine x + y), B_2 = x0^2 y1^2 + x1^2 y0^2
-        assert b_component(tower, 1).as_dict == {(1, 0): 1, (0, 1): 1}
-        assert b_component(tower, 2).as_dict == {(2, 0): 1, (0, 2): 1}
+        assert dict(tower.b_forms[1].coefficients) == {(1, 0): 1, (0, 1): 1}
+        assert dict(tower.b_forms[2].coefficients) == {(2, 0): 1, (0, 2): 1}
 
     def test_telescoping(self, corpus):
         for f in corpus:
             tower = build_tower(f, 2)
             prod = tower.b_forms[0]
             for b in tower.b_forms[1:]:
-                prod = prod.multiply(b)
+                prod = multiply(prod, b)
             gn = tower.g_forms[-1]
             assert prod.normalized() == gn
             # sign: the product is +-G_n exactly
@@ -358,7 +383,7 @@ class TestTower:
             build_tower(make_map([1, 0, 1], [1]), 13)
 
     def test_non_exact_division_raises(self):
-        num = BiForm.from_dict({(1, 1): 1, (0, 0): 1}, (1, 1))
+        num = from_dict({(1, 1): 1, (0, 0): 1}, (1, 1))
         with pytest.raises(DivisorError, match="non-exact"):
             exact_divide(num, diagonal_form())
 
@@ -366,24 +391,25 @@ class TestTower:
     @given(st.data())
     def test_divide_product(self, data):
         bd, coeffs = data.draw(sparse_biforms())
-        a = BiForm.from_dict(coeffs, bd)
+        a = from_dict(coeffs, bd)
         b = data.draw(divisor_biforms())
-        prod = a.multiply(b)
+        prod = multiply(a, b)
         assert exact_divide(prod, b) == a
         # b has two terms or more, so it divides no monomial: adding one
         # leaves a remainder
         assume(len(b.coefficients) >= 2)
         dx, dy = prod.bidegree
         key = (data.draw(st.integers(0, dx)), data.draw(st.integers(0, dy)))
-        shifted = dict(prod.as_dict)
+        shifted = dict(prod.coefficients)
         shifted[key] = shifted.get(key, 0) + data.draw(st.sampled_from([-1, 1, 5]))
         with pytest.raises(DivisorError, match="non-exact"):
-            exact_divide(BiForm.from_dict(shifted, prod.bidegree), b)
+            exact_divide(from_dict(shifted, prod.bidegree), b)
 
     def test_index_bounds(self):
-        tower = build_tower(make_map([1, 0, 0], [1]), 1)
-        with pytest.raises(DivisorError):
-            b_component(tower, 5)
+        # layers are indexed 0..depth, and the depth starts at 1
+        for depth in (0, -1):
+            with pytest.raises(DivisorError, match="depth"):
+                build_tower(make_map([1, 0, 0], [1]), depth)
 
 
 class TestLeadingForm:
@@ -421,23 +447,25 @@ class TestDiagonalIntersections:
             assert got == expected
 
 
+def vanishing_layers(tower, xi, eta):
+    return tuple(i for i, b in enumerate(tower.b_forms) if b.evaluate(xi, eta) == 0)
+
+
 class TestProbe:
+    """Which layers B_i vanish at a point (xi, eta); where two or more do,
+    each common image f^(i-1)(xi) = f^(i-1)(eta), i > 0, is critical."""
+
     def test_generic_diagonal_point_vanishes_only_on_b0(self):
         f = make_map([1, 0, 0], [1])
         tower = build_tower(f, 2)
         p = ProjPoint(3, 1)
-        rep = multi_intersection_probe(tower, p, p, [0, 1, 2])
-        assert rep.vanishing_indices == (0,)
+        assert vanishing_layers(tower, p, p) == (0,)
 
     def test_single_layer_has_no_chain(self):
         # x^2: B_1 = x + y vanishes at (1, -1) but B_0 and B_2 do not.
         f = make_map([1, 0, 0], [1])
         tower = build_tower(f, 2)
-        rep = multi_intersection_probe(
-            tower, ProjPoint(1, 1), ProjPoint(-1, 1), [0, 1, 2]
-        )
-        assert rep.vanishing_indices == (1,)
-        assert rep.chain == ()
+        assert vanishing_layers(tower, ProjPoint(1, 1), ProjPoint(-1, 1)) == (1,)
 
     def test_multi_layer_critical_chain(self):
         # x^2 at (0, 0): every layer vanishes and each common image is the
@@ -445,15 +473,7 @@ class TestProbe:
         f = make_map([1, 0, 0], [1])
         tower = build_tower(f, 2)
         zero = ProjPoint(0, 1)
-        rep = multi_intersection_probe(tower, zero, zero, [0, 1, 2])
-        assert rep.vanishing_indices == (0, 1, 2)
-        assert [c.index for c in rep.chain] == [1, 2]
-        for check in rep.chain:
-            assert check.images_equal
-            assert check.image == zero
-            assert check.image_is_critical
-
-    def test_index_validation(self):
-        tower = build_tower(make_map([1, 0, 0], [1]), 1)
-        with pytest.raises(DivisorError):
-            multi_intersection_probe(tower, ProjPoint(1, 1), ProjPoint(2, 1), [3])
+        assert vanishing_layers(tower, zero, zero) == (0, 1, 2)
+        images = [iterate(f, zero, i - 1) for i in (1, 2)]
+        assert images == [zero, zero]
+        assert set(images) <= {c.point for c in critical_data(f)}

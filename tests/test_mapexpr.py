@@ -55,8 +55,9 @@ class TestParseErrors:
             parse_map("x^2 @ 1")
 
     def test_trailing_input(self):
-        with pytest.raises(ParseError, match="trailing"):
-            parse_map("x^2)")
+        for text in ("x^2)", "x^2^3"):
+            with pytest.raises(ParseError, match="trailing"):
+                parse_map(text)
 
     def test_bad_exponent(self):
         with pytest.raises(ParseError, match="exponent"):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sympy import isprime as sympy_isprime
 
 from orbitint import PairWindow, PlaceSet, find_integral_pairs, parse_map, parse_point
-from orbitint.primes import factor, factor_partial, is_prime, prime_factors
+from orbitint.primes import factor, factor_partial, is_prime
 from orbitint.report import format_big_int, format_fraction, pair_report_doc, render_json
 from fractions import Fraction
 
@@ -48,7 +48,6 @@ class TestFactor:
         assert factor(360) == {2: 3, 3: 2, 5: 1}
         assert factor(-17) == {17: 1}
         assert factor(1) == {}
-        assert list(prime_factors(360)) == [2, 3, 5]
 
     def test_reconstruction_random(self):
         rng = random.Random(5)

@@ -1,18 +1,15 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitint.exactarith import valuation
+from orbitint.exactarith import PlaceSet, split_prime_power
+from orbitint.integrality import cross_term, is_integral_pair
 from orbitint.projective import (
-    ARCHIMEDEAN,
     INFINITY,
-    ChordalValue,
     ProjPoint,
     ProjectiveError,
-    chordal_distance,
     from_affine,
     normalize,
     parse_point,
@@ -38,7 +35,7 @@ class TestProjPoint:
             ProjPoint(0, 0)
 
     def test_infinity(self):
-        assert INFINITY.is_infinity
+        assert (INFINITY.a0, INFINITY.a1) == (1, 0)
         assert INFINITY.to_affine() is None
         assert from_affine(None) == INFINITY
 
@@ -69,54 +66,71 @@ class TestProjPoint:
         assert parse_point(ProjPoint(-3, 7).serialize()) == ProjPoint(-3, 7)
 
 
+def _v(x, p):
+    """p-adic valuation of a rational, None for zero (infinite)."""
+    x = Fraction(x)
+    if x == 0:
+        return None
+    return split_prime_power(x.numerator, p)[0] - split_prime_power(x.denominator, p)[0]
+
+
+def _chordal_v(p, q, place):
+    """v with chordal distance place^-v at a prime: the valuation of the
+    cross term of the normalized points, None when they are equal."""
+    return _v(cross_term(p, q), place)
+
+
 class TestChordal:
+    """At a prime, the chordal distance of two normalized points is
+    |cross term|_p, so integrality decides on the cross term alone."""
+
     def test_identity_is_zero(self):
         p = ProjPoint(2, 3)
-        assert chordal_distance(p, p, 5).value == 0
-        assert chordal_distance(p, p, ARCHIMEDEAN).value == 0.0
+        assert cross_term(p, p) == 0
+        assert not is_integral_pair(p, p, PlaceSet((2, 3, 5))).verdict
 
     def test_finite_place_exact(self):
         # cross([0:1],[1:1]) = -1: distance 1 at every finite place.
-        assert chordal_distance(ProjPoint(0, 1), ProjPoint(1, 1), 3).value == 1
+        assert _chordal_v(ProjPoint(0, 1), ProjPoint(1, 1), 3) == 0
         # cross([9:1],[0:1]) = 9: v_3 = 2.
-        got = chordal_distance(ProjPoint(9, 1), ProjPoint(0, 1), 3).value
-        assert got == Fraction(1, 9)
-        assert chordal_distance(ProjPoint(9, 1), ProjPoint(0, 1), 2).value == 1
+        assert _chordal_v(ProjPoint(9, 1), ProjPoint(0, 1), 3) == 2
+        assert _chordal_v(ProjPoint(9, 1), ProjPoint(0, 1), 2) == 0
 
-    def test_out_of_range_value_raises(self):
-        for place, value in ((3, Fraction(3, 2)), (2, Fraction(-1, 4)),
-                             (ARCHIMEDEAN, 1.5), (ARCHIMEDEAN, float("nan"))):
-            with pytest.raises(ProjectiveError, match="outside"):
-                ChordalValue(place, value)
-
-    def test_archimedean_known_value(self):
-        # d_inf(0, inf) = 1; d_inf(0, 1) = 1/sqrt(2).
-        assert chordal_distance(ProjPoint(0, 1), INFINITY, ARCHIMEDEAN).value == 1.0
-        got = chordal_distance(ProjPoint(0, 1), ProjPoint(1, 1), ARCHIMEDEAN).value
-        assert math.isclose(got, 1 / math.sqrt(2), rel_tol=1e-12)
-
-    @given(_points(), _points(), st.sampled_from([2, 3, 5, 7, ARCHIMEDEAN]))
+    @given(_points(), _points(), st.sampled_from([2, 3, 5, 7]))
     def test_symmetry_and_bounds(self, p, q, place):
-        d1 = chordal_distance(p, q, place).value
-        d2 = chordal_distance(q, p, place).value
-        assert d1 == d2
-        assert 0 <= d1 <= 1
-        assert (d1 == 0) == (p == q)
+        assert cross_term(p, q) == -cross_term(q, p)
+        v = _chordal_v(p, q, place)
+        assert (v is None) == (p == q)
+        assert v is None or v >= 0  # normalized coordinates: distance <= 1
+        s = PlaceSet((place,))
+        assert is_integral_pair(p, q, s).verdict == is_integral_pair(q, p, s).verdict
 
-    @given(_points(), _points(), st.sampled_from([2, 3, 5, 7, 11]))
-    def test_nonarchimedean_matches_valuation(self, p, q, place):
-        cross = p.a0 * q.a1 - p.a1 * q.a0
-        d = chordal_distance(p, q, place).value
-        if cross == 0:
-            assert d == 0
-        else:
-            v = valuation(Fraction(cross), place)
-            assert d == Fraction(1, place**v)
-            assert v >= 0  # normalized coordinates: distance is p^-v <= 1
+    @given(
+        _points(),
+        _points(),
+        st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool),
+        st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool),
+        st.sampled_from([2, 3, 5, 7, 11]),
+    )
+    def test_nonarchimedean_matches_valuation(self, p, q, k, l, place):
+        # the distance of any coordinates [x0:x1], [y0:y1] is
+        # |x0 y1 - x1 y0|_p / (max(|x0|_p, |x1|_p) max(|y0|_p, |y1|_p));
+        # normalizing makes both maxima 1
+        x0, x1, y0, y1 = k * p.a0, k * p.a1, l * q.a0, l * q.a1
+        cross = _v(x0 * y1 - x1 * y0, place)
+
+        def norm(a, b):
+            return min(v for v in (_v(a, place), _v(b, place)) if v is not None)
+
+        want = None if cross is None else cross - norm(x0, x1) - norm(y0, y1)
+        got = _chordal_v(normalize(x0, x1), normalize(y0, y1), place)
+        assert got == want
 
     @given(_points(), _points(), _points(), st.sampled_from([2, 3, 5, 7]))
     def test_ultrametric(self, p, q, r, place):
-        dpq = chordal_distance(p, q, place).value
-        dqr = chordal_distance(q, r, place).value
-        dpr = chordal_distance(p, r, place).value
-        assert dpr <= max(dpq, dqr)
+        inf = float("inf")
+        vpq, vqr, vpr = (
+            inf if v is None else v
+            for v in (_chordal_v(p, q, place), _chordal_v(q, r, place), _chordal_v(p, r, place))
+        )
+        assert vpr >= min(vpq, vqr)

@@ -22,7 +22,6 @@ from orbitint.ratmap import (
     iterated_forms,
     make_map,
     mobius_conjugate,
-    periodic_normalization_multiplier,
     preimage_count,
 )
 
@@ -394,8 +393,13 @@ class TestCertifyWandering:
                 assert max(abs(img.a0), abs(img.a1)) > max(abs(pt.a0), abs(pt.a1))
 
     def test_periodic_multiplier(self):
-        assert periodic_normalization_multiplier(make_map([1, 0, -1], [1])) == 2
-        assert periodic_normalization_multiplier(make_map([1, 0, 0], [1])) == 1
+        # x^2 - 1: the critical point 0 lies on the 2-cycle 0 -> -1 -> 0,
+        # and infinity is fixed
+        data = {c.point: c for c in critical_data(make_map([1, 0, -1], [1]))}
+        assert {p: (c.periodic, c.period) for p, c in data.items()} == {
+            ProjPoint(0, 1): (True, 2),
+            INFINITY: (True, 1),
+        }
 
 
 class TestEscapeByIntegers:
