@@ -58,17 +58,6 @@ def mul(a: Sequence[int], b: Sequence[int]) -> Form:
     return tuple(out)
 
 
-def sub_mul(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> Form:
-    """a - b*c, with deg a = deg b + deg c; work only on nonzero terms."""
-    out = list(a)
-    nonzero_c = [(j, cj) for j, cj in enumerate(c) if cj]
-    for i, bi in enumerate(b):
-        if bi:
-            for j, cj in nonzero_c:
-                out[i + j] -= bi * cj
-    return tuple(out)
-
-
 def add(a: Sequence[int], b: Sequence[int]) -> Form:
     if len(a) != len(b):
         raise FormError("degree mismatch")

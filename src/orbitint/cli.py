@@ -138,8 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_command(args) -> tuple[dict, int]:
     if args.digit_budget < 0:
         raise ValueError(f"--digit-budget must be at least 0, not {args.digit_budget}")
-    if args.command == "orbit" and args.n < 0:
-        raise ValueError(f"--n must be at least 0, not {args.n}")
+    least = {"orbit": 0, "divisor": 1, "certify": 1}.get(args.command)
+    if least is not None and args.n < least:
+        raise ValueError(f"--n must be at least {least}, not {args.n}")
     f = parse_map(args.map)
     status = EXIT_OK
     if args.command == "analyze":

@@ -183,7 +183,7 @@ def exact_divide(numerator: BiForm, divisor: BiForm) -> BiForm:
             quo.append(q)
             if any(q):
                 for t, r in terms:
-                    num[j + t] = binforms.sub_mul(num[j + t], q, r)
+                    num[j + t] = binforms.sub(num[j + t], binforms.mul(q, r))
     except binforms.FormError:
         raise DivisorError("non-exact biform division") from None
     if any(map(any, num)):

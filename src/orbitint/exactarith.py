@@ -1,6 +1,7 @@
 """Foundation types: exact rationals, prime place sets, prime-power
-splitting and S-free parts, decimal strings of any length, and ``log_int``,
-the one float here, behind the escape certificate's diagnostic constants.
+splitting and S-free parts, decimal strings of any length (read, written,
+and elided for reports), and ``log_int``, the one float here, behind the
+escape certificate's diagnostic constants.
 
 Rationals are ``fractions.Fraction`` throughout -- already canonical
 (reduced, positive denominator).  A :class:`PlaceSet` holds finite rational
@@ -10,6 +11,7 @@ never stored.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -76,6 +78,22 @@ def decimal_str(n: int) -> str:
         return str(_to_decimal(n))
 
 
+ELISION_DIGITS = 80
+
+
+def format_big_int(n: int) -> str:
+    """Decimal string of any length, elided beyond 80 digits with length
+    and sha256."""
+    s = decimal_str(n)
+    digits = len(s.lstrip("-"))
+    if digits <= ELISION_DIGITS:
+        return s
+    h = hashlib.sha256(s.encode()).hexdigest()[:16]
+    sign = "-" if n < 0 else ""
+    body = s.lstrip("-")
+    return f"{sign}{body[:12]}...[{digits} digits, sha256:{h}]"
+
+
 # below this many bits ``Decimal(n)``'s quadratic conversion is cheap
 _SPLIT_BITS = 128
 
@@ -127,16 +145,42 @@ _RATIONAL = re.compile(
 )
 
 
+# ``int(s)`` reads at most this many digits: fewer than any int-to-str
+# limit Python accepts (640 or more), and cheap in its quadratic conversion
+_READ_DIGITS = 512
+
+
+def read_digits(s: str) -> int:
+    """``int(s)`` for a string of decimal digits of any length, in
+    subquadratic time: s splits at a power of ten into two halves, each
+    read recursively, and the halves are recombined by one integer
+    multiplication.  ``int(s)`` refuses more than 4300 digits, and
+    ``int(Decimal(s))`` converts in quadratic time."""
+    powers: dict[int, int] = {}
+
+    def read(t: str) -> int:
+        if len(t) <= _READ_DIGITS:
+            return int(t)
+        k = len(t) >> 1
+        if k not in powers:
+            powers[k] = 10**k
+        return read(t[:-k]) * powers[k] + read(t[-k:])
+
+    return read(s)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational as ``Fraction(text)`` does ("p/q", "n", "-1.5e3",
-    "1_000", ...), with no limit on the number of digits: the digits are
-    read through ``Decimal``, as ``str(int)`` refuses more than 4300."""
+    "1_000", ...), with no limit on the number of digits: integers and
+    "p/q" are read by :func:`read_digits`, decimal and exponent forms
+    through ``Decimal``."""
     m = _RATIONAL.match(text)
     if m is None:
         raise ExactArithError(f"Invalid literal for Fraction: {text!r}")
-    if m["den"] is None:
+    if m["dec"] is not None or m["exp"] is not None:
         return Fraction(Decimal(text.strip().replace("_", "")))
-    num, den = (int(Decimal(m[g].replace("_", ""))) for g in ("num", "den"))
+    num = read_digits(m["num"].replace("_", ""))
+    den = 1 if m["den"] is None else read_digits(m["den"].replace("_", ""))
     if den == 0:
         raise ExactArithError(f"zero denominator: {text!r}")
     return Fraction(-num if m["sign"] == "-" else num, den)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import binforms
-from .exactarith import PlaceSet, s_free_part
+from .exactarith import PlaceSet, format_big_int, s_free_part
 from .primes import factor_partial
 from .projective import ProjPoint
 from .ratmap import RatMap, bad_reduction_primes, iterate, iterated_forms
@@ -28,9 +28,8 @@ class IntegralityWitness:
     dividing the cross term that trial division and a bounded Pollard rho
     find in ``rest``; for astronomically large cross terms the list may be
     incomplete (``factorization_complete`` False).  Equality, hashing and
-    repr never factor.  The rendered cross term is cached too, so a witness
-    that ``find_integral_pairs`` shares among the cells repeating one pair
-    of points is rendered and factored once.
+    repr never factor, and a witness that ``find_integral_pairs`` shares
+    among the cells repeating one pair of points is factored once.
     """
 
     cross_term: int
@@ -52,16 +51,10 @@ class IntegralityWitness:
     def factorization_complete(self) -> bool:
         return self._diagnosis[1]
 
-    @cached_property
-    def _cross_term_doc(self) -> str:
-        from .report import format_big_int
-
-        return format_big_int(self.cross_term)
-
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "cross_term": self._cross_term_doc,
+            "cross_term": format_big_int(self.cross_term),
             "violating_primes": list(self.violating_primes),
             "factorization_complete": self.factorization_complete,
         }

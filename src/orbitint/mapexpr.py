@@ -17,10 +17,9 @@ Parsing a map also accepts the canonical coefficient format
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 
 from . import binforms
-from .exactarith import parse_rational
+from .exactarith import parse_rational, read_digits
 from .ratmap import RatMap, make_map
 
 
@@ -189,8 +188,7 @@ class _Parser:
     def _atom(self) -> _RatFunc:
         kind, text, pos = self.toks.next()
         if kind == "int":
-            # through Decimal: int(str) refuses literals past 4300 digits
-            return _rf_const(int(Decimal(text)))
+            return _rf_const(read_digits(text))
         if kind == "var":
             return _RatFunc([1, 0], [1])
         if kind == "(":

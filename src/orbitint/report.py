@@ -7,21 +7,17 @@ Documents are rendered as indented JSON by :func:`render_json`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 
 from .divisors import DivisorTower
-from .exactarith import decimal_str
+from .exactarith import format_big_int
 from .ratmap import CriticalDatum, EscapeCertificate, PoweringWitness, WanderingResult
 from .search import CosetStructure, PairReport
 
 SCHEMA_VERSION = "1.0"
 
-ELISION_DIGITS = 80
-
 _json_str = json.encoder.encode_basestring_ascii
-_INFINITY = float("inf")
 
 
 def render_json(doc) -> str:
@@ -33,13 +29,14 @@ def render_json(doc) -> str:
     inside one f-string, which copies its pieces once where a chain of
     ``+`` would copy at every step, so that no more than two copies of a
     container's text are alive at once, as with the stdlib's chunk list and
-    its join.  Scalars are spelled as the stdlib spells them: strings by
+    its join.  It spells itself what reports hold: dicts with str keys,
+    lists, tuples and their subclasses, strings by
     ``encode_basestring_ascii``, ints by ``int.__repr__`` (so an int past
-    the int-to-str limit raises the same ``ValueError``), floats by
-    ``float.__repr__`` with NaN and the infinities as ``NaN``, ``Infinity``
-    and ``-Infinity``.  Exact types are tested first; subclasses of str,
-    int, float, list, tuple and dict are then rendered as their base, as
-    the stdlib does, and any other object raises the stdlib's ``TypeError``.
+    the int-to-str limit raises the same ``ValueError``), bools and null.
+    Every other value -- floats, str and int subclasses, dicts with
+    non-str keys, unsupported objects -- is handed to ``json.dumps`` itself;
+    JSON text holds a raw newline only between items, so re-indenting its
+    newlines gives the stdlib's text, or its ``TypeError``, at any depth.
 
     A document may share subtrees: one dict object may sit in many places,
     as the witness dicts of :func:`pair_report_doc` do.  A memo that lives
@@ -73,29 +70,11 @@ def _json_value(o, newline: str, memo: dict) -> str:
         return "true"
     if o is False:
         return "false"
-    if t is float:
-        return _json_float(o)
-    if isinstance(o, str):
-        return _json_str(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _json_float(o)
     if isinstance(o, (list, tuple)):
         return _json_list(o, newline, memo)
     if isinstance(o, dict):
         return _json_dict(o, newline, memo)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _json_list(lst, newline: str, memo: dict) -> str:
@@ -116,48 +95,18 @@ def _json_dict(dct, newline: str, memo: dict) -> str:
     if seen.__class__ is tuple:  # third or later sighting: (dct, text)
         return seen[1]
     inner = newline + "  "
-    body = ("," + inner).join(
-        [
-            f"{_json_str(k if type(k) is str else _json_key(k))}: "
-            f"{_json_value(v, inner, memo)}"
-            for k, v in sorted(dct.items())
-        ]
-    )  # the list of items is freed here, before the brackets copy the body
+    try:
+        body = ("," + inner).join(
+            [
+                f"{_json_str(k)}: {_json_value(v, inner, memo)}"
+                for k, v in sorted(dct.items())
+            ]
+        )  # the list of items is freed here, before the brackets copy the body
+    except TypeError:  # a non-str key, or a value the stdlib refuses
+        return json.dumps(dct, indent=2, sort_keys=True).replace("\n", newline)
     text = f"{{{inner}{body}{newline}}}"
     memo[key] = dct if seen is None else (dct, text)
     return text
-
-
-def _json_key(k) -> str:
-    """A non-str dict key as the stdlib turns it into a string."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _json_float(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
-    )
-
-
-def format_big_int(n: int) -> str:
-    """Decimal string of any length, elided beyond 80 digits with length
-    and sha256."""
-    s = decimal_str(n)
-    digits = len(s.lstrip("-"))
-    if digits <= ELISION_DIGITS:
-        return s
-    h = hashlib.sha256(s.encode()).hexdigest()[:16]
-    sign = "-" if n < 0 else ""
-    body = s.lstrip("-")
-    return f"{sign}{body[:12]}...[{digits} digits, sha256:{h}]"
 
 
 def format_fraction(q: Fraction) -> str:

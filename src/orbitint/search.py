@@ -291,7 +291,6 @@ def _affine_prime_support(x: Fraction) -> set[int]:
 class PoweringAnalysis:
     report: PairReport
     enlarged_places: PlaceSet
-    tau_by_pair: tuple[tuple[tuple[int, int], Fraction], ...]
     tau_values: tuple[Fraction, ...]
     tau_unit_checks_passed: bool
 
@@ -315,7 +314,7 @@ def powering_pair_analysis(
         raise SearchError("u and w must be nonzero affine points")
     enlarged = s.union(_affine_prime_support(ua) | _affine_prime_support(wa))
     report = find_integral_pairs(f, u, w, enlarged, window, digit_budget=digit_budget)
-    taus = []
+    taus = set()
     all_units = True
     for m, n in report.pairs:
         um, wn = report.u_orbit[m].to_affine(), report.w_orbit[n].to_affine()
@@ -323,15 +322,13 @@ def powering_pair_analysis(
             all_units = False
             continue
         tau = um / wn - 1
-        taus.append(((m, n), tau))
+        taus.add(tau)
         if tau == 0 or not (is_s_unit(tau, enlarged) and is_s_unit(tau + 1, enlarged)):
             all_units = False
-    distinct = tuple(sorted({t for _, t in taus}))
     return PoweringAnalysis(
         report=report,
         enlarged_places=enlarged,
-        tau_by_pair=tuple(taus),
-        tau_values=distinct,
+        tau_values=tuple(sorted(taus)),
         tau_unit_checks_passed=all_units,
     )
 

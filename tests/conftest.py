@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from orbitint import parse_map
@@ -37,6 +39,18 @@ NONPOLY_EXPRS = [
 ]
 
 CORPUS_EXPRS = POLY_DEG2_EXPRS + POLY_DEG3_EXPRS + NONPOLY_EXPRS
+
+
+def unlimited_str(n: int) -> str:
+    """str(n) with the int-to-str digit limit lifted for this call only."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        return str(n)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

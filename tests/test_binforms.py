@@ -80,12 +80,6 @@ class TestPseudoDivision:
         assert binforms.form_quotient(binforms.mul(f, g), g) == f
         assert binforms.form_quotient((0,) * len(f), (1,)) == (0,) * len(f)
 
-    @given(polys, polys, polys)
-    def test_sub_mul(self, a, b, c):
-        n = len(b) + len(c) - 1
-        a = (tuple(a) * n)[:n]
-        assert binforms.sub_mul(a, b, c) == binforms.sub(a, binforms.mul(b, c))
-
     def test_form_quotient_needs_the_x1_power(self):
         # x0 / x1: the affine parts divide, the x1 powers do not
         with pytest.raises(binforms.FormError):

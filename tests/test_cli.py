@@ -11,7 +11,7 @@ from orbitint import integrality
 from orbitint.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_TRUNCATED, main
 from orbitint.primes import factor_partial
 
-from test_primes_report import unlimited_str
+from conftest import unlimited_str
 
 
 def run_cli(args, capsys):
@@ -284,14 +284,19 @@ class TestExitCodes:
             assert doc["error"] == message and "body" not in doc
 
     def test_negative_orbit_length_is_a_precondition_error(self, capsys):
-        code, out = run_cli(
-            ["--no-timestamp", "orbit", "--map", "x^2+1", "--point", "1", "--n", "-1"],
-            capsys,
-        )
-        assert code == EXIT_PRECONDITION
-        doc = json.loads(out)
-        assert doc["status"] == EXIT_PRECONDITION
-        assert "--n" in doc["error"] and "body" not in doc
+        # each command names the option the user typed, with its own minimum
+        for args, n, least in [
+            (["orbit", "--map", "x^2+1", "--point", "1"], -1, 0),
+            (["divisor", "--map", "x^2+1"], 0, 1),
+            (["divisor", "--map", "x^2+1"], -1, 1),
+            (["certify", "--map", "x^2+1", "--point", "1"], 0, 1),
+        ]:
+            code, out = run_cli(["--no-timestamp"] + args + ["--n", str(n)], capsys)
+            assert code == EXIT_PRECONDITION
+            doc = json.loads(out)
+            assert doc["status"] == EXIT_PRECONDITION
+            assert doc["error"] == f"--n must be at least {least}, not {n}"
+            assert "body" not in doc
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from orbitint.exactarith import (
+    _READ_DIGITS,
     _SPLIT_BITS,
     ExactArithError,
     PlaceSet,
@@ -16,6 +17,7 @@ from orbitint.exactarith import (
     is_s_unit,
     log_int,
     parse_rational,
+    read_digits,
     s_free_part,
     split_prime_power,
     _to_decimal,
@@ -118,6 +120,38 @@ class TestRationalFormat:
         except ExactArithError:
             got = None
         assert got == expected
+
+
+class TestReadDigits:
+    # the reader splits at powers of ten down to _READ_DIGITS-digit leaves:
+    # lengths at the leaf size and its doublings, where the split changes
+    # shape, with leading zeros, under the lowest int-to-str limit Python
+    # accepts; the reference is the Decimal reading it replaces
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    @given(
+        st.integers(0, 3),
+        st.integers(-2, 2),
+        st.integers(0, 2),
+        st.sampled_from(["", "-", "+"]),
+        st.data(),
+    )
+    def test_split_reading(self, doublings, offset, zeros, sign, data):
+        length = (_READ_DIGITS << doublings) + offset
+        n = data.draw(st.integers(0, 10 ** (length - zeros) - 1))
+        digits = decimal_str(n).rjust(length, "0")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert read_digits(digits) == int(Decimal(digits))
+            assert parse_rational(sign + digits) == Fraction(Decimal(sign + digits))
+            assert parse_rational(f"{sign}{digits}/{digits}1") == Fraction(
+                int(Decimal(sign + digits)), int(Decimal(digits + "1"))
+            )
+            assert sys.get_int_max_str_digits() == 640  # never lifted
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestDecimalStr:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -136,3 +137,12 @@ class TestIntegerParser:
         digits = "1" + "0" * 4399 + "7"
         f = parse_map(f"x^2 + {digits}")
         assert f.p == (1, 0, big) and f.q == (0, 0, 1)
+
+    def test_literal_of_900000_digits_parses_in_subquadratic_time(self):
+        # the bound tells quadratic reading from subquadratic: on a 2-vCPU
+        # host int(Decimal(s)) takes about 30 s here, read_digits about 1 s
+        digits = "7" * 900_000
+        start = time.perf_counter()
+        f = parse_map(f"num=1,0,{digits};den=1")
+        assert time.perf_counter() - start < 2
+        assert f.p[2] == 7 * (10**900_000 - 1) // 9

@@ -16,17 +16,7 @@ from orbitint.primes import factor, factor_partial, is_prime
 from orbitint.report import format_big_int, format_fraction, pair_report_doc, render_json
 from fractions import Fraction
 
-
-def unlimited_str(n: int) -> str:
-    """str(n) with the int-to-str digit limit lifted for this call only."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
-        return str(n)
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(old)
+from conftest import unlimited_str
 
 
 class TestPrimality:
