@@ -192,9 +192,6 @@ def bezout_cofactors(
     d = degree(p)
     if degree(q) != d:
         raise FormError("degree mismatch")
-    res = sylvester_resultant(p, q)
-    if res == 0:
-        raise FormError("resultant is zero")
     size = 2 * d
     # columns: a_0..a_{d-1} (g1, descending), b_0..b_{d-1} (g2)
     # row r = coefficient of x0^(2d-1-r) x1^r in g1*p + g2*q
@@ -207,7 +204,10 @@ def bezout_cofactors(
             mat[i + j][d + i] = c
     mat[0][size] = 1
     mat[size - 1][size + 1] = 1
-    _bareiss(mat)
+    # M is the transposed Sylvester matrix, so det M = Res(p, q)
+    res = _bareiss(mat)
+    if res == 0:
+        raise FormError("resultant is zero")
     # the eliminated system U x = e' has solution piv * x = adj(M) e in
     # integers, and |piv| = |det M| = |R|, so R * x is piv * x up to sign
     piv = mat[size - 1][size - 1]

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .divisors import build_tower, diagonal_critical_intersections
-from .exactarith import PlaceSet, decimal_str
+from .exactarith import PlaceSet
 from .mapexpr import parse_map
 from .projective import parse_point
 from .ratmap import (
@@ -31,6 +31,7 @@ from .report import (
     critical_datum_doc,
     exceptional_doc,
     format_fraction,
+    json_int,
     pair_report_doc,
     pair_table,
     point_doc,
@@ -61,20 +62,6 @@ def _parse_window(text: str) -> PairWindow:
     except ValueError:
         raise SearchError(f"cannot parse window {text!r}; expected MxN") from None
     return PairWindow(m, n)
-
-
-def _json_int(field: str, n: int) -> int:
-    """n, for a report field that JSON holds as an integer; a precondition
-    error when n has more digits than ``json`` may write (Python's limit on
-    int-to-str conversion, 4300 digits by default since 3.11)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = len(decimal_str(abs(n)))
-    if limit and digits > limit:
-        raise ValueError(
-            f"{field} has {digits} digits, more than the {limit} that a JSON "
-            "integer may have"
-        )
-    return n
 
 
 @functools.cache  # built on the first call, so importing stays cheap
@@ -148,7 +135,7 @@ def _run_command(args) -> tuple[dict, int]:
             "map": f.serialize_coefficients(),
             "degree": f.degree,
             "polynomial": f.is_polynomial,
-            "resultant": _json_int("resultant", f.resultant),
+            "resultant": json_int("resultant", f.resultant),
             "bad_reduction_primes": bad_reduction_primes(f).serialize(),
             "critical_data": [critical_datum_doc(c) for c in critical_data(f)],
             "exceptional_points": exceptional_doc(exceptional_points(f)),

@@ -16,7 +16,7 @@ Parsing a map also accepts the canonical coefficient format
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from . import binforms
 from .exactarith import parse_rational, read_digits
@@ -42,172 +42,99 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     return _trim(binforms.mul(a, b))
 
 
-@dataclass
-class _RatFunc:
-    """num/den with integer coefficient lists (every atom is an integer)."""
-
-    num: list[int]
-    den: list[int]
-
-    def reduced(self) -> "_RatFunc":
-        if not any(self.den):
-            raise ParseError("division by zero polynomial")
-        g = binforms.gcd(self.num, self.den)
-        return _RatFunc(
-            list(binforms.quotient(self.num, g)), list(binforms.quotient(self.den, g))
-        )
-
-    def negated(self) -> "_RatFunc":
-        return _RatFunc([-c for c in self.num], self.den)
-
-
-def _rf_const(c: int) -> _RatFunc:
-    return _RatFunc([c], [1])
-
-
-def _rf_add(a: _RatFunc, b: _RatFunc) -> _RatFunc:
-    return _RatFunc(
-        _add(_mul(a.num, b.den), _mul(b.num, a.den)),
-        _mul(a.den, b.den),
-    )
-
-
-def _rf_mul(a: _RatFunc, b: _RatFunc) -> _RatFunc:
-    return _RatFunc(_mul(a.num, b.num), _mul(a.den, b.den))
-
-
-def _rf_div(a: _RatFunc, b: _RatFunc) -> _RatFunc:
-    if not any(b.num):
-        raise ParseError("division by zero")
-    return _RatFunc(_mul(a.num, b.den), _mul(a.den, b.num))
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        i, text = 0, self.text
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch == "x":
-                self.tokens.append(("var", "x", i))
-                i += 1
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"syntax error at position {i}: unexpected {ch!r}")
-        self.tokens.append(("end", "", len(text)))
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
-
-    def parse(self) -> _RatFunc:
-        value = self._expr()
-        kind, _, pos = self.toks.peek()
-        if kind != "end":
-            raise ParseError(f"syntax error at position {pos}: trailing input")
-        return value.reduced()
-
-    def _expr(self) -> _RatFunc:
-        value = self._term()
-        while self.toks.peek()[0] in ("+", "-"):
-            op = self.toks.next()[0]
-            rhs = self._term()
-            if op == "-":
-                rhs = rhs.negated()
-            value = _rf_add(value, rhs)
-        return value
-
-    def _term(self) -> _RatFunc:
-        value = self._factor()
-        while True:
-            kind = self.toks.peek()[0]
-            if kind in ("*", "/"):
-                op = self.toks.next()[0]
-                rhs = self._factor()
-                value = _rf_mul(value, rhs) if op == "*" else _rf_div(value, rhs)
-            elif kind in ("int", "var", "("):
-                # adjacency: "2x", "3(x+1)"
-                value = _rf_mul(value, self._factor())
-            else:
-                return value
-
-    def _factor(self) -> _RatFunc:
-        kind, _, _ = self.toks.peek()
-        if kind in ("+", "-"):
-            op = self.toks.next()[0]
-            value = self._factor()
-            if op == "-":
-                return value.negated()
-            return value
-        return self._power()
-
-    def _power(self) -> _RatFunc:
-        base = self._atom()
-        if self.toks.peek()[0] == "^":
-            self.toks.next()
-            kind, text, pos = self.toks.next()
-            if kind != "int":
-                raise ParseError(
-                    f"syntax error at position {pos}: exponent must be a nonnegative integer"
-                )
-            exp = int(text)
-            value = _rf_const(1)
-            for _ in range(exp):
-                value = _rf_mul(value, base)
-            return value
-        return base
-
-    def _atom(self) -> _RatFunc:
-        kind, text, pos = self.toks.next()
-        if kind == "int":
-            return _rf_const(read_digits(text))
-        if kind == "var":
-            return _RatFunc([1, 0], [1])
-        if kind == "(":
-            value = self._expr()
-            kind2, _, pos2 = self.toks.next()
-            if kind2 != ")":
-                raise ParseError(f"syntax error at position {pos2}: expected ')'")
-            return value
-        raise ParseError(f"syntax error at position {pos}: unexpected {text or kind!r}")
+# a token is a run of decimal digits (exactly what ``int`` reads) or one
+# other character, after any whitespace
+_TOKEN = re.compile(r"\s*(\d+|\S)")
 
 
 def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
     """Parse an expression to coprime (numerator, denominator) integer
-    coefficient lists, descending powers."""
-    rf = _Parser(text).parse()
+    coefficient lists, descending powers.
+
+    Each rule of the grammar returns an unreduced ``(num, den)`` pair of
+    coefficient lists (every atom is an integer); the pair is reduced once,
+    at the end."""
+    toks = [(m[1], m.start(1)) for m in _TOKEN.finditer(text)]
+    for tok, pos in toks:
+        if not tok.isdecimal() and tok not in "x+-*/^()":
+            raise ParseError(f"syntax error at position {pos}: unexpected {tok!r}")
+    toks.append(("end", len(text)))  # no token read from the text is a word
+    i = 0
+
+    def take() -> tuple[str, int]:
+        nonlocal i
+        i += 1
+        return toks[i - 1]
+
+    def expr():
+        num, den = term()
+        while toks[i][0] in "+-":
+            op = take()[0]
+            rnum, rden = term()
+            if op == "-":
+                rnum = [-c for c in rnum]
+            num, den = _add(_mul(num, rden), _mul(rnum, den)), _mul(den, rden)
+        return num, den
+
+    def term():
+        num, den = factor()
+        while True:
+            op = toks[i][0]
+            if op in "*/":
+                take()
+            elif not (op.isdecimal() or op in "x("):
+                return num, den
+            rnum, rden = factor()  # adjacency multiplies: "2x", "3(x+1)"
+            if op != "/":
+                num, den = _mul(num, rnum), _mul(den, rden)
+            elif any(rnum):
+                num, den = _mul(num, rden), _mul(den, rnum)
+            else:
+                raise ParseError("division by zero")
+
+    def factor():
+        if toks[i][0] in "+-":
+            op = take()[0]
+            num, den = factor()
+            return ([-c for c in num] if op == "-" else num), den
+        base = atom()
+        if toks[i][0] != "^":
+            return base
+        take()
+        tok, pos = take()
+        if not tok.isdecimal():
+            raise ParseError(
+                f"syntax error at position {pos}: exponent must be a nonnegative integer"
+            )
+        num, den = [1], [1]
+        for _ in range(int(tok)):
+            num, den = _mul(num, base[0]), _mul(den, base[1])
+        return num, den
+
+    def atom():
+        tok, pos = take()
+        if tok.isdecimal():
+            return [read_digits(tok)], [1]
+        if tok == "x":
+            return [1, 0], [1]
+        if tok == "(":
+            value = expr()
+            tok, pos = take()
+            if tok != ")":
+                raise ParseError(f"syntax error at position {pos}: expected ')'")
+            return value
+        raise ParseError(f"syntax error at position {pos}: unexpected {tok!r}")
+
+    num, den = expr()
+    tok, pos = toks[i]
+    if tok != "end":
+        raise ParseError(f"syntax error at position {pos}: trailing input")
+    g = binforms.gcd(num, den)
+    num, den = list(binforms.quotient(num, g)), list(binforms.quotient(den, g))
     # canonical: denominator leading coefficient positive
-    if rf.den[0] < 0:
-        return [-c for c in rf.num], [-c for c in rf.den]
-    return rf.num, rf.den
+    if den[0] < 0:
+        return [-c for c in num], [-c for c in den]
+    return num, den
 
 
 def parse_coefficient_format(text: str) -> RatMap:

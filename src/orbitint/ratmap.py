@@ -178,16 +178,14 @@ def iterate(f: RatMap, pt: ProjPoint, n: int) -> ProjPoint:
     return pt
 
 
-def iterated_forms(
-    f: RatMap, n: int, cap: int = DEFAULT_FORM_DEGREE_CAP
-) -> tuple[Form, Form]:
+def iterated_forms(f: RatMap, n: int) -> tuple[Form, Form]:
     """Coprime content-1 forms (P_n, Q_n) of degree d^n with P_n/Q_n = f^n.
 
     The last ``ITERATED_FORMS_CACHE_SIZE`` results are cached, keyed on
-    (f, n); the cap is checked first and is not part of the key."""
+    (f, n); the degree cap is checked first."""
     if n < 1:
         raise RatMapError("iterated_forms requires n >= 1")
-    if f.degree**n > cap:
+    if f.degree**n > DEFAULT_FORM_DEGREE_CAP:
         raise FormDegreeCapError("form degree cap")
     return _iterated_forms(f, n)
 
@@ -363,13 +361,11 @@ def is_powering_conjugate(f: RatMap) -> PoweringWitness:
     return PoweringWitness(False, None, None)
 
 
-def preimage_count(
-    f: RatMap, b: ProjPoint, k: int, cap: int = DEFAULT_FORM_DEGREE_CAP
-) -> int:
+def preimage_count(f: RatMap, b: ProjPoint, k: int) -> int:
     """Number of distinct points of f^{-k}(b) over the algebraic closure."""
     if k < 1:
         raise RatMapError("k must be positive")
-    pk, qk = iterated_forms(f, k, cap)
+    pk, qk = iterated_forms(f, k)
     form = binforms.sub(binforms.scale(pk, b.a1), binforms.scale(qk, b.a0))
     return binforms.distinct_root_count(form)
 

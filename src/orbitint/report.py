@@ -8,10 +8,11 @@ Documents are rendered as indented JSON by :func:`render_json`.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .divisors import DivisorTower
-from .exactarith import format_big_int
+from .exactarith import decimal_str, format_big_int
 from .ratmap import CriticalDatum, EscapeCertificate, PoweringWitness, WanderingResult
 from .search import CosetStructure, PairReport
 
@@ -120,10 +121,29 @@ def point_doc(pt) -> str:
     return f"[{format_big_int(pt.a0)}:{format_big_int(pt.a1)}]"
 
 
+def json_int(field: str, n: int) -> int:
+    """n, for a report field that JSON holds as an integer; a precondition
+    error when n has more digits than ``json`` may write (Python's limit on
+    int-to-str conversion, 4300 digits by default since 3.11)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = len(decimal_str(abs(n)))
+    if limit and digits > limit:
+        raise ValueError(
+            f"{field} has {digits} digits, more than the {limit} that a JSON "
+            "integer may have"
+        )
+    return n
+
+
+def _json_form(field: str, form) -> list[int]:
+    """The coefficients of a form, each checked by :func:`json_int`."""
+    return [json_int(field, c) for c in form]
+
+
 def critical_datum_doc(c: CriticalDatum) -> dict:
     return {
         "point": c.point.serialize() if c.point is not None else None,
-        "factor": list(c.factor) if c.factor is not None else None,
+        "factor": _json_form("factor", c.factor) if c.factor is not None else None,
         "factor_degree": c.factor_degree,
         "ramification_index": c.ramification_index,
         "totally_ramified": c.totally_ramified,
@@ -152,7 +172,7 @@ def powering_doc(w: PoweringWitness) -> dict:
     if isinstance(w.pair, tuple) and w.pair and hasattr(w.pair[0], "serialize"):
         pair = [p.serialize() for p in w.pair]
     elif w.pair is not None:
-        pair = list(w.pair)
+        pair = _json_form("pair", w.pair)
     return {"is_powering": w.is_powering, "pair": pair, "kind": w.kind}
 
 
@@ -162,7 +182,7 @@ def exceptional_doc(items) -> list:
         if hasattr(item, "serialize"):
             out.append(item.serialize())
         else:
-            out.append({"quadratic_factor": list(item)})
+            out.append({"quadratic_factor": _json_form("quadratic_factor", item)})
     return out
 
 

@@ -143,9 +143,11 @@ class TestExitCodes:
         assert doc["status"] == EXIT_PRECONDITION
 
     def test_parse_error(self, capsys):
-        code, out = run_cli(["--no-timestamp", "analyze", "--map", "x^2 @"], capsys)
-        assert code == EXIT_PRECONDITION
-        assert "position" in json.loads(out)["error"]
+        # a superscript is a digit to str.isdigit, but not to int
+        for text in ("x^2 @", "x^2+\u00b2"):
+            code, out = run_cli(["--no-timestamp", "analyze", "--map", text], capsys)
+            assert code == EXIT_PRECONDITION
+            assert "position" in json.loads(out)["error"]
 
     def test_truncation(self, capsys):
         code, out = run_cli(
@@ -546,14 +548,24 @@ class TestIntStrLimit:
         doc = json.loads(out)
         assert doc["body"]["map"] == "num=1,0,1" + "0" * 4400 + ";den=1"
 
-    def test_resultant_past_limit_is_a_precondition_error(self, capsys):
-        code, out = run_cli(
-            ["--no-timestamp", "analyze", "--map", "(x^2+1)/(10^2200)"], capsys
-        )
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["analyze", "--map", "(x^2+1)/(10^2200)"], "resultant has 4401 digits"),
+            # the critical factor 3x^2 + 10^5000
+            (["analyze", "--map", "x^3+10^5000x"], "factor has 5001 digits"),
+            # the powering pair (and exceptional quadratic factor) x^2 - 3*10^5000
+            (["pairs", "--map", "(x^2+3*10^5000)/(2x)", "--u", "1", "--w", "2",
+              "--window", "1x1"], "pair has 5001 digits"),
+        ],
+        ids=["resultant", "critical-factor", "powering-pair"],
+    )
+    def test_resultant_past_limit_is_a_precondition_error(self, capsys, args, error):
+        code, out = run_cli(["--no-timestamp", *args], capsys)
         assert code == EXIT_PRECONDITION
         doc = json.loads(out)
         assert "body" not in doc
-        assert doc["error"].startswith("resultant has 4401 digits")
+        assert doc["error"].startswith(error)
 
     def test_literal_past_limit(self, capsys):
         literal = "3" * 4400

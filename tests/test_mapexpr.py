@@ -2,6 +2,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitint.mapexpr import (
     ParseError,
@@ -52,8 +54,10 @@ class TestExpressionParsing:
 
 class TestParseErrors:
     def test_position_reported(self):
-        with pytest.raises(ParseError, match="position 4"):
-            parse_map("x^2 @ 1")
+        # "\u00b2" (superscript two) is a digit to str.isdigit, but not to int
+        for text in ("x^2 @ 1", "x^2+\u00b2"):
+            with pytest.raises(ParseError, match="position 4"):
+                parse_map(text)
 
     def test_trailing_input(self):
         for text in ("x^2)", "x^2^3"):
@@ -146,3 +150,105 @@ class TestIntegerParser:
         f = parse_map(f"num=1,0,{digits};den=1")
         assert time.perf_counter() - start < 2
         assert f.p[2] == 7 * (10**900_000 - 1) // 9
+
+
+# Expression trees: ("int", n), ("x",), ("neg" | "pos", a), ("^", a, k) and
+# (op, a, b) for op in "+-*/" and "adj" (adjacency multiplies).
+_trees = st.recursive(
+    st.one_of(st.integers(0, 10**6).map(lambda n: ("int", n)), st.just(("x",))),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["neg", "pos"]), sub),
+        st.tuples(st.just("^"), sub, st.integers(0, 4)),
+        st.tuples(st.sampled_from(["+", "-", "*", "/", "adj"]), sub, sub),
+    ),
+    max_leaves=10,
+)
+
+# the grammar's levels: expr 0, term 1, factor 2, power 3, atom 4
+_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1, "adj": 1, "neg": 2, "pos": 2, "^": 3}
+
+
+def _render(tree) -> str:
+    """Text the grammar reads back as tree, with parentheses only where
+    a child's level is below what its place in the grammar needs."""
+
+    def at(child, level: int) -> str:
+        text = _render(child)
+        return text if _LEVEL.get(child[0], 4) >= level else f"({text})"
+
+    op = tree[0]
+    if op == "int":
+        return str(tree[1])
+    if op == "x":
+        return "x"
+    if op in ("neg", "pos"):
+        return ("-" if op == "neg" else "+") + at(tree[1], 2)
+    if op == "^":
+        return f"{at(tree[1], 4)}^{tree[2]}"
+    if op == "adj":  # the right factor must start with "x" or "("
+        right = at(tree[2], 3)
+        return at(tree[1], 1) + (right if right[0] in "x(" else f"({right})")
+    left, right = at(tree[1], _LEVEL[op]), at(tree[2], _LEVEL[op] + 1)
+    return f"{left} {op} {right}"
+
+
+def _value(tree, x: Fraction) -> Fraction:
+    """The tree's value at x; ZeroDivisionError where a divisor vanishes."""
+    op = tree[0]
+    if op == "int":
+        return Fraction(tree[1])
+    if op == "x":
+        return x
+    if op in ("neg", "pos"):
+        return -_value(tree[1], x) if op == "neg" else _value(tree[1], x)
+    if op == "^":
+        return _value(tree[1], x) ** tree[2]
+    a, b = _value(tree[1], x), _value(tree[2], x)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    return a / b if op == "/" else a * b
+
+
+def _divisors(tree):
+    if tree[0] == "/":
+        yield tree[2]
+    for child in tree[1:]:
+        if isinstance(child, tuple):
+            yield from _divisors(child)
+
+
+_POINTS = [Fraction(n, d) for n, d in [(1, 3), (-2, 5), (7, 2), (2, 1), (-3, 1),
+           (5, 11), (-13, 7), (17, 19), (4, 9), (10, 1), (-1, 6), (23, 8)]]
+
+
+def _defined(tree, x: Fraction) -> bool:
+    try:
+        _value(tree, x)
+    except ZeroDivisionError:
+        return False
+    return True
+
+
+def _horner(cs, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in cs:
+        acc = acc * x + c
+    return acc
+
+
+class TestRandomTrees:
+    @settings(max_examples=300, deadline=None)
+    @given(_trees)
+    def test_value_matches_tree(self, tree):
+        # a divisor that vanishes at every point is taken for the zero
+        # polynomial, which the parser refuses ("division by zero")
+        for div in _divisors(tree):
+            assume(any(_defined(div, x) and _value(div, x) != 0 for x in _POINTS))
+        points = [x for x in _POINTS if _defined(tree, x)][:5]
+        assume(len(points) == 5)
+        text = _render(tree)
+        num, den = parse_rational_function(text)
+        for x in points:
+            assert Fraction(_horner(num, x), _horner(den, x)) == _value(tree, x), text

@@ -429,13 +429,16 @@ class TestIteratedFormsCache:
 
         for c in range(1, 3 * ratmap.ITERATED_FORMS_CACHE_SIZE):
             f = make_map([1, 0, c], [1])
-            assert iterated_forms(f, 3) == iterated_forms(f, 3, cap=8)
+            iterated_forms(f, 3)
         info = ratmap._iterated_forms.cache_info()
         assert info.currsize <= ratmap.ITERATED_FORMS_CACHE_SIZE
         assert info.maxsize == ratmap.ITERATED_FORMS_CACHE_SIZE
 
-    def test_cap_checked_before_the_cache(self):
+    def test_cap_checked_before_the_cache(self, monkeypatch):
+        from orbitint import ratmap
+
         f = make_map([1, 0, 1], [1])
         iterated_forms(f, 3)  # cached under the default cap
+        monkeypatch.setattr(ratmap, "DEFAULT_FORM_DEGREE_CAP", 4)
         with pytest.raises(FormDegreeCapError):
-            iterated_forms(f, 3, cap=4)
+            iterated_forms(f, 3)
