@@ -8,8 +8,9 @@ only where a degree is forced; most operations reject it.
 
 The same tuples, read at x1 = 1 with leading zeros stripped, are the
 univariate integer polynomials of ``prem``, ``gcd`` and ``quotient``.  All
-arithmetic here is on integers; only ``factor_form``, full factorization
-over Q, calls an outside library.
+arithmetic here is on integers.  ``factor_form``, full factorization over
+Q, hands the affine part to ``modp`` (Zassenhaus's method on the same
+integer code), which is imported on its first call.
 """
 
 from __future__ import annotations
@@ -313,22 +314,18 @@ def factor_form(cs: Sequence[int]) -> tuple[int, list[tuple[Form, int]]]:
     """Factor a binary form over Q.
 
     Returns ``(x1_mult, factors)`` where factors are primitive irreducible
-    non-x1 forms (descending coefficient tuples) with multiplicities.  The
-    one use of sympy in the package, imported on first call.
+    non-x1 forms (descending coefficient tuples, positive leading
+    coefficient) with multiplicities, sorted by (degree, multiplicity,
+    coefficients).  The affine part is factored by Zassenhaus's method in
+    ``modp``, imported on the first call.
     """
-    import sympy
+    from . import modp
 
     m = x1_multiplicity(cs)
-    uni = list(cs[m:])
+    uni = cs[m:]
     if len(uni) <= 1:
         return m, []
-    t = sympy.Symbol("t")
-    _, factors = sympy.factor_list(sympy.Poly(uni, t, domain="QQ"))
-    out = []
-    for fac, mult in factors:
-        fac_cs = tuple(int(c) for c in sympy.Poly(fac, t, domain="QQ").all_coeffs())
-        out.append((primitive(fac_cs), int(mult)))
-    return m, out
+    return m, modp.factor(uni)
 
 
 def rational_projective_roots(cs: Sequence[int]) -> list[tuple[int, int]]:

@@ -8,7 +8,8 @@ All of it is integer arithmetic on ``binforms``.  The two hypotheses of the
 finiteness theorem (exceptional points, powering conjugacy) come from the
 totally ramified points, found with gcds of the Wronskian and its
 derivatives; only ``critical_data``, which lists every critical point,
-factors over Q (``binforms.factor_form``).
+factors over Q (``binforms.factor_form``, by the package's own Zassenhaus
+code in ``modp``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .primes import factor
 from .projective import INFINITY, ProjPoint
 
 DEFAULT_FORM_DEGREE_CAP = 4096
+# largest map degree: the resultant that RatMap computes first is an O(d^3)
+# elimination over growing integers, and the Wronskian that critical data
+# factors has degree 2d - 2
+MAP_DEGREE_CAP = 64
 # iterate forms kept by ``iterated_forms``: a map's whole tower, a few times
 ITERATED_FORMS_CACHE_SIZE = 32
 
@@ -61,6 +66,10 @@ class RatMap:
             raise RatMapError("numerator and denominator forms must have equal degree")
         if len(self.p) < 3:
             raise RatMapError("degree below 2")
+        if len(self.p) - 1 > MAP_DEGREE_CAP:
+            raise RatMapError(
+                f"map degree {len(self.p) - 1} exceeds the map degree cap {MAP_DEGREE_CAP}"
+            )
         p, q = _normalize_pair(self.p, self.q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)

@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from orbitint import integrality
+from orbitint import integrality, modp
 from orbitint.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_TRUNCATED, main
 from orbitint.primes import factor_partial
+from orbitint.ratmap import MAP_DEGREE_CAP
 
 from conftest import unlimited_str
 
@@ -265,6 +267,26 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         doc = json.loads(out)
         assert doc["status"] == EXIT_PRECONDITION and cap in doc["error"]
+
+    @pytest.mark.parametrize("text", ["x^65+1", "x^300+1"])
+    def test_map_degree_cap_checked_before_the_resultant(self, capsys, text):
+        # the resultant alone of a degree-300 map takes seconds
+        start = time.perf_counter()
+        code, out = run_cli(["--no-timestamp", "analyze", "--map", text], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_PRECONDITION
+        degree = text[2:-2]
+        assert json.loads(out)["error"] == (
+            f"map degree {degree} exceeds the map degree cap {MAP_DEGREE_CAP}"
+        )
+
+    def test_recombination_cap_fails_by_name(self, capsys, monkeypatch):
+        # the Wronskian of x^3 - 3x is 3 x1^2 (x0^2 - x1^2): its two factors
+        # mod p are recombined, and the first subset tried is past the cap
+        monkeypatch.setattr(modp, "RECOMBINATION_CAP", 0)
+        code, out = run_cli(["--no-timestamp", "analyze", "--map", "x^3-3x"], capsys)
+        assert code == EXIT_PRECONDITION
+        assert json.loads(out)["error"].startswith("recombination cap: more than 0 subsets")
 
     def test_bad_window_format(self, capsys):
         # a negative bound is a well-formed window with a bad value: its
@@ -607,18 +629,35 @@ class TestIntStrLimit:
         assert json.loads(out)["body"]["u"] == f"[-{big}:3]"
 
 
-def test_pairs_never_imports_sympy():
+# one command of each kind; analyze and divisor factor the Wronskian
+COMMANDS = {
+    "analyze": ["analyze", "--map", "(x^2+2)/(2x+1)"],
+    "orbit": ["orbit", "--map", "x^2+1", "--point", "1/2", "--n", "5"],
+    "pairs": ["pairs", "--map", "(x^2+1)/x", "--u", "2", "--w", "3", "--window", "3x3"],
+    "divisor": ["divisor", "--map", "x^2-2x+2", "--n", "6"],
+    "certify": ["certify", "--map", "x^2+1", "--point", "2"],
+    "powering": ["powering", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
+                 "--window", "4x4"],
+    "exceptional": ["exceptional", "--map", "x^2", "--u", "1/2", "--window", "8x8"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_never_imports_sympy(command):
+    """No command imports sympy, and only the two that factor import the
+    factorizer (``modp``), on their first factorization."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(integrality.__file__)))
     code = (
         "import os, sys\n"
         "from orbitint import cli\n"
-        "argv = ['--no-timestamp', '--output', os.devnull, 'pairs', '--map', '(x^2+1)/x',"
-        " '--u', '2', '--w', '3', '--window', '3x3']\n"
+        "assert 'orbitint.modp' not in sys.modules\n"
+        f"argv = ['--no-timestamp', '--output', os.devnull] + {COMMANDS[command]!r}\n"
         "assert cli.main(argv) == 0\n"
-        "print('sympy' in sys.modules)\n"
+        "print('sympy' in sys.modules, 'orbitint.modp' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert run.stdout.strip() == "False"
+    factors = command in ("analyze", "divisor")
+    assert run.stdout.split() == ["False", str(factors)]

@@ -1,9 +1,11 @@
-"""Differential tests of the gcd-only totally ramified path against the
-factorization it replaced: sympy's ``factor_list`` of W(f) for powering
-conjugacy and of W(f^2) for exceptional points."""
+"""Differential tests against sympy's ``factor_list``: of ``factor_form``,
+output order included, and of the gcd-only totally ramified path against
+the factorization it replaced, of W(f) for powering conjugacy and of W(f^2)
+for exceptional points."""
 
 from math import comb
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,55 @@ def _sqrt_powering(d, root, sign):
     num = [comb(d, k) * root ** (k // 2) if k % 2 == 0 else 0 for k in range(d + 1)]
     den = [comb(d, k) * root ** (k // 2) if k % 2 == 1 else 0 for k in range(1, d + 1)]
     return make_map([sign * c for c in num], den)
+
+
+# factors of degree 1 to 5 with multiplicities, up to 2^64 in size
+_factors = st.lists(
+    st.tuples(
+        st.lists(st.integers(-(2**64), 2**64), min_size=2, max_size=6).filter(
+            lambda cs: cs[0] != 0
+        ),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factors, st.integers(0, 3))
+def test_factor_form_matches_sympy(factors, x1_mult):
+    form = (1,)
+    for cs, mult in factors:
+        if len(form) - 1 + mult * (len(cs) - 1) <= 14:  # affine degree at most 14
+            for _ in range(mult):
+                form = binforms.mul(form, cs)
+    form = form + (0,) * x1_mult
+    assert binforms.factor_form(form) == _factor(form)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        (1, -3, 2),  # (t - 2)(t - 1): factored mod 2, split by the trace
+        (1, 1, 1, 3, 1, 1, 1),  # two cubics, both irreducible mod 2
+        (1, 1, 3, 3, 1, 1, 3),  # irreducible, the product of those cubics mod 2
+        (1, 0, -10, 0, 1),  # Swinnerton-Dyer, of sqrt 2 + sqrt 3: reducible mod every p
+        (1,) + (0,) * 23 + (-1,),  # t^24 - 1: eight cyclotomic factors
+        binforms.mul((1, -1, 0, 2), (3, 0, 0, 0, -7)),  # leading coefficient 3
+    ],
+)
+def test_factor_form_hard_cases(form):
+    assert binforms.factor_form(form) == _factor(form)
+
+
+def test_factor_form_order():
+    # sympy's order compares primitive coefficient tuples, so 6t - 5
+    # comes after t + 1; the square t^2 comes last, by its multiplicity
+    assert binforms.factor_form((6, -5, -6, 5, 0, 0)) == (
+        0,
+        [((1, -1), 1), ((1, 1), 1), ((6, -5), 1), ((1, 0), 2)],
+    )
 
 
 coeffs = st.integers(-5, 5)
