@@ -139,22 +139,6 @@ def compose_pair(
     return combine(outer, monomials(inner0, inner1, degree(outer)))
 
 
-def sylvester_resultant(p: Sequence[int], q: Sequence[int]) -> int:
-    """Resultant of two binary forms via Bareiss fraction-free elimination."""
-    n, m = degree(p), degree(q)
-    size = n + m
-    if size == 0:
-        return 1
-    mat = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j, c in enumerate(p):
-            mat[i][i + j] = c
-    for i in range(n):
-        for j, c in enumerate(q):
-            mat[m + i][i + j] = c
-    return _bareiss(mat)
-
-
 def _bareiss(mat: list[list[int]]) -> int:
     """Fraction-free (Bareiss) forward elimination of an n-row matrix, in
     place; columns past the n-th (right-hand sides) are carried along.

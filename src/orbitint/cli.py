@@ -245,7 +245,13 @@ def main(argv=None) -> int:
                  "command": args.command}
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+    out = sys.stdout
     try:
+        if args.output is not None:  # opened first: a bad path fails before the work
+            try:
+                out = open(args.output, "w")
+            except OSError as exc:
+                raise ValueError(f"--output {args.output}: {exc.strerror}") from None
         body, status = _run_command(args)
         doc["body"] = body
         doc["status"] = status
@@ -254,7 +260,6 @@ def main(argv=None) -> int:
         doc["status"] = EXIT_PRECONDITION
         status = EXIT_PRECONDITION
 
-    out = sys.stdout if args.output is None else open(args.output, "w")
     try:
         if args.format == "table" and "body" in doc:
             _render_table(doc, out)
@@ -262,7 +267,7 @@ def main(argv=None) -> int:
             out.write(json.dumps(doc, indent=2, sort_keys=True, cls=_ReportEncoder))
             out.write("\n")
     finally:
-        if args.output is not None:
+        if out is not sys.stdout:
             out.close()
     return status
 

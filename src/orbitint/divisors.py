@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress
 
 from . import binforms
@@ -85,15 +84,6 @@ class BiForm:
     def evaluate(self, x: ProjPoint, y: ProjPoint) -> int:
         inner = [binforms.evaluate(r, y.a0, y.a1) for r in self.rows]
         return binforms.evaluate(inner, x.a0, x.a1)
-
-    def restrict_to_diagonal(self) -> Form:
-        """Substitute (y0, y1) := (x0, x1); a binary form of degree dx+dy:
-        the sum of the rows, row a times x0^(dx-a) x1^a."""
-        dx = self.bidegree[0]
-        return reduce(
-            binforms.add,
-            ((0,) * a + r + (0,) * (dx - a) for a, r in enumerate(self.rows)),
-        )
 
     def serialize(self) -> str:
         """Sparse monomial list "(i,j,k,l):coefficient" sorted
@@ -242,9 +232,11 @@ def leading_form_check(f: RatMap, n: int) -> bool:
 
 
 def diagonal_critical_intersections(tower: DivisorTower) -> list[ProjPoint]:
-    """Rational points c with the B_1 form vanishing at (c, c)."""
-    diag = tower.b_forms[1].restrict_to_diagonal()
-    if not any(diag):
-        raise DivisorError("B_1 vanishes identically on the diagonal")
-    roots = binforms.rational_projective_roots(diag)
+    """Rational points c with the B_1 form vanishing at (c, c).
+
+    These are the rational roots of the Wronskian W of the map: by Euler's
+    identity, B_1(x, x) = W(x)/d for W = dP/dx0 dQ/dx1 - dP/dx1 dQ/dx0 and
+    B_1 = (P(x)Q(y) - P(y)Q(x)) / B_0, and the tower's B_1 is a constant
+    multiple of that quotient.  W is never zero for a map of degree >= 2."""
+    roots = binforms.rational_projective_roots(tower.map.wronskian)
     return sorted((ProjPoint(a0, a1) for a0, a1 in roots), key=lambda p: (p.a1, p.a0))

@@ -2,13 +2,13 @@
 method on the package's own integer code.
 
 The polynomial is split into squarefree parts with ``binforms.gcd``.  Each
-part is factored modulo the smallest prime p that divides neither its
+part is factored modulo the smallest odd prime p that divides neither its
 leading coefficient nor its discriminant: distinct-degree factorization,
 then Cantor–Zassenhaus equal-degree splitting with the split polynomials
-x, x + 1, ... taken in order (the trace map when p = 2).  The modular
-factors are Hensel-lifted past twice a bound on the coefficients of every
-factor over Z, and subsets of them are recombined into candidates that an
-exact trial division over Z accepts or rejects.
+x, x + 1, ... taken in order.  The modular factors are Hensel-lifted past
+twice a bound on the coefficients of every factor over Z, and subsets of
+them are recombined into candidates that an exact trial division over Z
+accepts or rejects.
 
 References: Zassenhaus, *On Hensel factorization I* (J. Number Theory
 1969); Cantor–Zassenhaus (Math. Comp. 1981); von zur Gathen–Gerhard,
@@ -26,6 +26,7 @@ from typing import Sequence
 
 from . import binforms
 from .binforms import Form, FormError
+from .primes import is_prime
 
 # Subsets of the modular factors of one squarefree part that recombination
 # may try as candidate factors over Z.  The work is exponential in the
@@ -93,16 +94,14 @@ def _factor_squarefree(f: Form) -> list[Form]:
 
 
 def _good_prime(f: Form) -> int:
-    """The smallest prime p dividing neither lc(f) nor disc(f): f mod p keeps
-    its degree and is squarefree."""
+    """The smallest odd prime p dividing neither lc(f) nor disc(f): f mod p
+    keeps its degree and is squarefree."""
     df = binforms.dx0(f)
-    p = 1
-    while True:
-        p += 1
-        if f[0] % p == 0 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-            continue
-        if len(_gcd(_reduce(f, p), _reduce(df, p), p)) == 1:
-            return p
+    p = 3
+    while (f[0] % p == 0 or not is_prime(p)
+           or len(_gcd(_reduce(f, p), _reduce(df, p), p)) > 1):
+        p += 2
+    return p
 
 
 def _recombine(
@@ -217,25 +216,17 @@ def _distinct_degree(g: list[int], p: int) -> list[tuple[list[int], int]]:
 
 def _equal_degree(g: list[int], d: int, p: int) -> list[list[int]]:
     """The monic irreducible factors, each of degree d, of a monic
-    squarefree g over F_p.  The split polynomials run through x, x + 1, ...,
-    x + p - 1 and on through every polynomial by the base-p digits of its
-    index, so the choice is deterministic and some polynomial of degree
-    below deg g splits g."""
+    squarefree g over F_p, p odd.  The split polynomials run through x,
+    x + 1, ..., x + p - 1 and on through every polynomial by the base-p
+    digits of its index, so the choice is deterministic and some polynomial
+    of degree below deg g splits g."""
     if len(g) - 1 == d:
         return [g]
     index = p
     while True:
         h = _base_p_digits(index, p)
         index += 1
-        if p == 2:
-            # the trace h + h^2 + ... + h^(2^(d-1)) is 0 or 1 at each root
-            h = trace = _divmod(h, g, 2)[1]
-            for _ in range(d - 1):
-                h = _divmod(_mul(h, h, 2), g, 2)[1]
-                trace = _add(trace, h, 2)
-        else:
-            trace = _sub(_powmod(h, (p**d - 1) // 2, g, p), [1], p)
-        fac = _gcd(g, trace, p)
+        fac = _gcd(g, _sub(_powmod(h, (p**d - 1) // 2, g, p), [1], p), p)
         if 1 < len(fac) < len(g):
             return _equal_degree(fac, d, p) + _equal_degree(_divmod(g, fac, p)[0], d, p)
 

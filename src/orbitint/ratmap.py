@@ -73,16 +73,23 @@ class RatMap:
         p, q = _normalize_pair(self.p, self.q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        if self.resultant == 0:
-            raise RatMapError("p and q not coprime")
+        self._bezout  # the cofactors exist exactly when Res(P, Q) != 0
 
     @property
     def degree(self) -> int:
         return len(self.p) - 1
 
     @cached_property
+    def _bezout(self) -> tuple[int, Form, Form, Form, Form]:
+        """Res(P, Q) and the Sylvester cofactors, from one elimination."""
+        try:
+            return binforms.bezout_cofactors(self.p, self.q)
+        except binforms.FormError:
+            raise RatMapError("p and q not coprime") from None
+
+    @cached_property
     def resultant(self) -> int:
-        return binforms.sylvester_resultant(self.p, self.q)
+        return self._bezout[0]
 
     @cached_property
     def wronskian(self) -> Form:
@@ -103,8 +110,7 @@ class RatMap:
     def cofactor_max(self) -> int:
         """Largest absolute coefficient (at least 1) of the Sylvester
         cofactors g1*P + g2*Q = Res * x0^(2d-1), h1*P + h2*Q = Res * x1^(2d-1)."""
-        _, g1, g2, h1, h2 = binforms.bezout_cofactors(self.p, self.q)
-        return max(1, max(abs(c) for cs in (g1, g2, h1, h2) for c in cs))
+        return max(1, max(abs(c) for cs in self._bezout[1:] for c in cs))
 
     @cached_property
     def height_drop_constant(self) -> float:
@@ -319,26 +325,21 @@ def _totally_ramified(f: RatMap) -> tuple[list[ProjPoint], Form | None]:
     return points, None
 
 
-def _preserves(f: RatMap, fac: Form) -> bool:
-    """Whether f maps the roots of the quadratic form fac into themselves,
-    i.e. fac divides fac(P, Q)."""
-    return binforms.divides(fac, binforms.compose_pair(fac, f.p, f.q))
-
-
 def exceptional_points(f: RatMap) -> list[ProjPoint | Form]:
     """Totally ramified fixed points of f^2 (at most two; a conjugate
     quadratic pair is reported as its irreducible form tag).
 
     f^2 is totally ramified at c exactly when f is at c and at f(c), so
     these are the totally ramified points c of f with f(c) totally
-    ramified and f(f(c)) = c."""
+    ramified and f(f(c)) = c; a quadratic pair is kept when f maps its
+    roots into themselves, i.e. the tag divides tag(P, Q)."""
     points, quad = _totally_ramified(f)
     out: list[ProjPoint | Form] = []
     for c in points:
         fc = eval_map(f, c)
         if fc in points and eval_map(f, fc) == c:
             out.append(c)
-    if quad is not None and _preserves(f, quad):
+    if quad is not None and binforms.divides(quad, binforms.compose_pair(quad, f.p, f.q)):
         out.append(quad)
     return out
 
@@ -355,15 +356,19 @@ class PoweringWitness:
 
 def is_powering_conjugate(f: RatMap) -> PoweringWitness:
     """True iff f has two distinct totally ramified points whose unordered
-    pair is f-invariant (conjugacy over the algebraic closure)."""
-    points, quad = _totally_ramified(f)
-    if len(points) == 2:
-        a, b = points
-        fa, fb = eval_map(f, a), eval_map(f, b)
-        if {fa, fb} == {a, b}:
-            kind = "fixed" if fa == a else "swapped"
-            return PoweringWitness(True, (a, b), kind)
-    elif quad is not None and _preserves(f, quad):
+    pair is f-invariant (conjugacy over the algebraic closure).
+
+    By Riemann–Hurwitz f has at most two totally ramified points, so this
+    holds exactly when ``exceptional_points`` holds two points: two
+    rational ones, or one quadratic tag.  The kind is 'fixed' when f fixes
+    each point of the pair (a tag: when it divides the fixed-point form
+    x1*P - x0*Q), else 'swapped'."""
+    exceptional = exceptional_points(f)
+    if len(exceptional) == 2:
+        a, b = exceptional
+        return PoweringWitness(True, (a, b), "fixed" if eval_map(f, a) == a else "swapped")
+    if exceptional and not isinstance(exceptional[0], ProjPoint):
+        quad = exceptional[0]
         fix1 = binforms.sub((0,) + f.p, f.q + (0,))
         kind = "fixed" if binforms.divides(quad, fix1) else "swapped"
         return PoweringWitness(True, quad, kind)

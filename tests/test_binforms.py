@@ -93,13 +93,21 @@ def _padded(a, b):
     return [0] * (n - len(a)) + list(a), [0] * (n - len(b)) + list(b)
 
 
+def sylvester_resultant(p, q):
+    """Res(p, q) of two forms of one degree d: the determinant of the
+    2d x 2d Sylvester matrix, rows of p shifted 0..d-1, then those of q."""
+    d = len(p) - 1
+    rows = [[0] * i + list(cs) + [0] * (d - 1 - i) for cs in (p, q) for i in range(d)]
+    return int(sympy.Matrix(rows).det())
+
+
 class TestBezoutCofactors:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4), st.data())
     def test_identities(self, d, data):
         p = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1)))
         q = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1)))
-        res = binforms.sylvester_resultant(p, q)
+        res = sylvester_resultant(p, q)
         if res == 0:
             return
         r, g1, g2, h1, h2 = binforms.bezout_cofactors(p, q)

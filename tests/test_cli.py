@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitint import integrality, modp
+from orbitint import cli, integrality, modp
 from orbitint.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_TRUNCATED, main
 from orbitint.primes import factor_partial
 from orbitint.ratmap import MAP_DEGREE_CAP
@@ -360,6 +360,20 @@ class TestDeterminism:
         doc = json.loads(path.read_text())
         assert doc["body"]["degree"] == 2
 
+    def test_unopenable_output_fails_before_the_command(self, tmp_path, capsys, monkeypatch):
+        def refuse(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "_run_command", refuse)
+        path = tmp_path / "missing" / "report.json"
+        code, out = run_cli(
+            ["--no-timestamp", "--output", str(path), "analyze", "--map", "x^2+1"], capsys
+        )
+        assert code == EXIT_PRECONDITION
+        doc = json.loads(out)
+        assert doc["status"] == EXIT_PRECONDITION and "--output" in doc["error"]
+        assert not path.exists()
+
     def test_table_format(self, capsys):
         code, out = run_cli(
             [
@@ -468,6 +482,18 @@ class TestSnapshots:
         (["pairs", "--map", "x^2+1", "--u", "1/2", "--w", "inf", "--S", "2",
           "--window", "6x6"], EXIT_OK,
          "cab2b2111ddc93992b8eeed005f522539b28400776c9e9d9af19b3e005bb3ac9"),
+        # a conjugate pair of totally ramified points, reported as its tag
+        (["analyze", "--map", "(x^2-3)/(2x)"], EXIT_OK,
+         "5445e1a456fb345e61dc13d7ceb71e99831e176a7107d2900089fb0309b53a4a"),
+        # the totally ramified points 0 and inf, swapped
+        (["analyze", "--map", "1/x^2"], EXIT_OK,
+         "caf9c82b4efee6cdb632636f0f6ac4c9e5fc97d11d10506fc9687e60bf67a699"),
+        # no rational point on the diagonal of B_1
+        (["divisor", "--map", "(x^2-3)/(2x)", "--n", "2"], EXIT_OK,
+         "f7f472f6fa9e44116a0cac0fc1ac0c819ffcd4c668fc6aa4cd025c3b157611c7"),
+        # diagonal roots [1:0], [-1:1], [1:1]
+        (["divisor", "--map", "x^3-3x", "--n", "1"], EXIT_OK,
+         "b16da68c2094285ae83c1fed555c0b39314c9377081028206cd670a9402addc4"),
     ]
 
     def test_report_digests(self, capsys):

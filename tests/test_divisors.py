@@ -1,4 +1,7 @@
+from functools import reduce
+
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +50,16 @@ def multiply(a, b):
     return BiForm(tuple(out))
 
 
+def restrict_to_diagonal(form):
+    """form(x; x), a binary form of degree dx+dy: the sum of the rows, row
+    a times x0^(dx-a) x1^a."""
+    dx = form.bidegree[0]
+    return reduce(
+        binforms.add,
+        ((0,) * a + r + (0,) * (dx - a) for a, r in enumerate(form.rows)),
+    )
+
+
 def swap_xy(form):
     """form(y; x): the transpose of the rows."""
     return BiForm(tuple(zip(*form.rows)))
@@ -84,6 +97,35 @@ def rational_maps(draw):
         return make_map(num, den)
     except RatMapError:
         assume(False)
+
+
+@st.composite
+def diagonal_maps(draw):
+    """Maps of degree 2 to 4, polynomial or rational, with coefficients in
+    -9..9."""
+    d = draw(st.integers(2, 4))
+    num = draw(st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1))
+    if draw(st.booleans()):
+        den = [draw(st.integers(-9, 9).filter(bool))]
+    else:
+        den = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=d + 1))
+    try:
+        return make_map(num, den)
+    except RatMapError:
+        assume(False)
+
+
+def rational_roots(form):
+    """The rational projective roots of a nonzero binary form, by sympy's
+    factorization of its affine part."""
+    t = sympy.Symbol("t")
+    m = binforms.x1_multiplicity(form)
+    roots = {INFINITY} if m else set()
+    for fac, _ in sympy.factor_list(sympy.Poly(form[m:], t))[1]:
+        if fac.degree() == 1:
+            a, b = map(int, fac.all_coeffs())
+            roots.add(ProjPoint(-b, a))
+    return roots
 
 
 # the second iterate of 2(x^2+1)/x, and of 2(x^4+x^3+x^2+x+1)/x, has content 2
@@ -165,9 +207,9 @@ class TestBiForm:
 
     def test_restrict_to_diagonal(self):
         d = diagonal_form()
-        assert d.restrict_to_diagonal() == (0, 0, 0)
+        assert restrict_to_diagonal(d) == (0, 0, 0)
         f = from_dict({(1, 1): 1, (0, 0): -1}, (1, 1))  # x*y - 1
-        assert f.restrict_to_diagonal() == (1, 0, -1)
+        assert restrict_to_diagonal(f) == (1, 0, -1)
 
     def test_serialize_sorted(self):
         d = diagonal_form()
@@ -445,6 +487,18 @@ class TestDiagonalIntersections:
                 if c.point is not None and b1.evaluate(c.point, c.point) == 0
             }
             assert got == expected
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(diagonal_maps())
+    @example(make_map([1, 0, -3, 0], [1]))  # x^3 - 3x: roots [1:0], [-1:1], [1:1]
+    @example(make_map([1, 0, -3], [2, 0]))  # no rational critical point
+    def test_b1_on_the_diagonal_is_the_wronskian(self, f):
+        tower = build_tower(f, 1)
+        diag = restrict_to_diagonal(tower.b_forms[1])
+        assert binforms.primitive(diag) == f.wronskian
+        got = diagonal_critical_intersections(tower)
+        assert got == sorted(rational_roots(diag), key=lambda p: (p.a1, p.a0))
 
 
 def vanishing_layers(tower, xi, eta):

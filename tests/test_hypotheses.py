@@ -145,9 +145,9 @@ def test_factor_form_matches_sympy(factors, x1_mult):
 @pytest.mark.parametrize(
     "form",
     [
-        (1, -3, 2),  # (t - 2)(t - 1): factored mod 2, split by the trace
-        (1, 1, 1, 3, 1, 1, 1),  # two cubics, both irreducible mod 2
-        (1, 1, 3, 3, 1, 1, 3),  # irreducible, the product of those cubics mod 2
+        (1, -3, 2),  # (t - 2)(t - 1): two roots mod 3, split at degree 1
+        (1, 1, 1, 3, 1, 1, 1),  # two cubics, both irreducible mod 5: split at degree 3
+        (1, 1, 3, 3, 1, 1, 3),  # irreducible; two linear and two quadratic factors mod 3
         (1, 0, -10, 0, 1),  # Swinnerton-Dyer, of sqrt 2 + sqrt 3: reducible mod every p
         (1,) + (0,) * 23 + (-1,),  # t^24 - 1: eight cyclotomic factors
         binforms.mul((1, -1, 0, 2), (3, 0, 0, 0, -7)),  # leading coefficient 3
