@@ -1,7 +1,6 @@
 """Foundation types: exact rationals, prime place sets, prime-power
-splitting and S-free parts, decimal strings of any length (read, written,
-and elided for reports), and ``log_int``, the one float here, behind the
-escape certificate's diagnostic constants.
+splitting and S-free parts, and decimal strings of any length (read,
+written, and elided for reports).  Everything here is exact: no floats.
 
 Rationals are ``fractions.Fraction`` throughout -- already canonical
 (reduced, positive denominator).  A :class:`PlaceSet` holds finite rational
@@ -12,7 +11,6 @@ never stored.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
@@ -22,8 +20,6 @@ from typing import Iterable
 from .primes import is_prime
 
 Rational = Fraction
-
-_LOG2 = math.log(2)
 
 
 class ExactArithError(ValueError):
@@ -230,13 +226,3 @@ def is_s_unit(q: Fraction | int, s: PlaceSet) -> bool:
     if q == 0:
         raise ExactArithError("zero is not an S-unit")
     return s_free_part(q.numerator, s) == 1 and s_free_part(q.denominator, s) == 1
-
-
-def log_int(n: int) -> float:
-    """log of a positive integer, safe for values far beyond float range."""
-    if n <= 0:
-        raise ExactArithError("log of non-positive integer")
-    if n.bit_length() <= 900:
-        return math.log(n)
-    shift = n.bit_length() - 64
-    return math.log(n >> shift) + shift * _LOG2

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import binforms
 from .binforms import Form
-from .exactarith import PlaceSet, decimal_str, log_int
+from .exactarith import PlaceSet, decimal_str
 from .primes import factor
 from .projective import INFINITY, ProjPoint
 
@@ -113,27 +113,29 @@ class RatMap:
         return max(1, max(abs(c) for cs in self._bezout[1:] for c in cs))
 
     @cached_property
-    def height_drop_constant(self) -> float:
-        """A constant c_f with h(f(P)) >= d*h(P) - c_f for all P, from the
-        Sylvester cofactor identity (a diagnostic; ``escape_bound`` decides)."""
-        return (
-            log_int(abs(self.resultant))
-            + math.log(2 * self.degree)
-            + log_int(self.cofactor_max)
-        )
-
-    @cached_property
-    def escape_threshold(self) -> float:
-        """Log-height above which heights strictly increase forever (a
-        diagnostic; ``escape_bound`` decides)."""
-        return self.height_drop_constant / (self.degree - 1) + math.log(2)
-
-    @cached_property
     def escape_bound(self) -> int:
-        """2^(d-1) * |Res| * 2d * cofactor_max: a point of height H with
-        H^(d-1) > escape_bound lies above ``escape_threshold``, in integers."""
+        """2^(d-1) * |Res| * 2d * cofactor_max.  By the Sylvester cofactor
+        identity the image of a point of height H has height at least
+        H^d / (|Res| * 2d * cofactor_max), so once H^(d-1) > escape_bound
+        the heights of the later iterates strictly increase."""
         d = self.degree
         return 2 ** (d - 1) * abs(self.resultant) * 2 * d * self.cofactor_max
+
+    @cached_property
+    def _exceptional(self) -> tuple[ProjPoint | Form, ...]:
+        """The exceptional set, computed once per map; see
+        ``exceptional_points``."""
+        points, quad = _totally_ramified(self)
+        out: list[ProjPoint | Form] = []
+        for c in points:
+            fc = eval_map(self, c)
+            if fc in points and eval_map(self, fc) == c:
+                out.append(c)
+        if quad is not None and binforms.divides(
+            quad, binforms.compose_pair(quad, self.p, self.q)
+        ):
+            out.append(quad)
+        return tuple(out)
 
     def serialize_coefficients(self) -> str:
         """Canonical coefficient-list format "num=c_k,...,c_0;den=...";
@@ -240,7 +242,9 @@ def orbit_classify(
     f: RatMap, pt: ProjPoint, max_iter: int = 64
 ) -> tuple[str, int | None, int | None]:
     """Exact cycle detection: ('preperiodic', tail, period),
-    ('wandering', escape_index, None), or ('undecided', None, None)."""
+    ('wandering', escape_index, height), or ('undecided', None, None).  The
+    orbit escapes at the first iterate whose height H (its larger absolute
+    coordinate) has H^(d-1) > ``f.escape_bound``."""
     seen: dict[ProjPoint, int] = {}
     cur = pt
     bound, e = f.escape_bound, f.degree - 1
@@ -248,8 +252,9 @@ def orbit_classify(
         if cur in seen:
             tail = seen[cur]
             return "preperiodic", tail, i - tail
-        if max(abs(cur.a0), abs(cur.a1)) ** e > bound:
-            return "wandering", i, None
+        height = max(abs(cur.a0), abs(cur.a1))
+        if height**e > bound:
+            return "wandering", i, height
         seen[cur] = i
         cur = eval_map(f, cur)
     return "undecided", None, None
@@ -332,16 +337,9 @@ def exceptional_points(f: RatMap) -> list[ProjPoint | Form]:
     f^2 is totally ramified at c exactly when f is at c and at f(c), so
     these are the totally ramified points c of f with f(c) totally
     ramified and f(f(c)) = c; a quadratic pair is kept when f maps its
-    roots into themselves, i.e. the tag divides tag(P, Q)."""
-    points, quad = _totally_ramified(f)
-    out: list[ProjPoint | Form] = []
-    for c in points:
-        fc = eval_map(f, c)
-        if fc in points and eval_map(f, fc) == c:
-            out.append(c)
-    if quad is not None and binforms.divides(quad, binforms.compose_pair(quad, f.p, f.q)):
-        out.append(quad)
-    return out
+    roots into themselves, i.e. the tag divides tag(P, Q).  The set is
+    computed once per map; each call returns a fresh list."""
+    return list(f._exceptional)
 
 
 @dataclass(frozen=True)
@@ -386,15 +384,14 @@ def preimage_count(f: RatMap, b: ProjPoint, k: int) -> int:
 
 @dataclass(frozen=True)
 class EscapeCertificate:
-    """Witness that an orbit escapes: once the log height of an iterate
-    exceeds ``threshold`` = c_f/(d-1) + log 2, heights strictly increase
-    forever, so no repeat is possible.  ``achieved_at`` is decided in
-    integers (``RatMap.escape_bound``); ``threshold`` and ``c_f`` are
-    float diagnostics."""
+    """Witness that an orbit escapes, in integers: iterate ``achieved_at``
+    has height ``height`` with height^(d-1) > ``bound`` (the map's
+    ``RatMap.escape_bound``), so the heights strictly increase from there
+    on and no point repeats."""
 
-    threshold: float
     achieved_at: int
-    c_f: float
+    height: int
+    bound: int
 
 
 @dataclass(frozen=True)
@@ -410,15 +407,11 @@ def certify_wandering(f: RatMap, u: ProjPoint, max_iter: int = 64) -> WanderingR
     conservative height-escape certificate; 'undecided' is allowed."""
     if max_iter < 1:
         raise RatMapError("max_iter must be >= 1")
-    kind, tail, period = orbit_classify(f, u, max_iter)
+    kind, index, value = orbit_classify(f, u, max_iter)
     if kind == "preperiodic":
-        return WanderingResult("preperiodic", tail=tail, period=period)
+        return WanderingResult("preperiodic", tail=index, period=value)
     if kind == "wandering":
-        cert = EscapeCertificate(
-            threshold=f.escape_threshold,
-            achieved_at=tail if tail is not None else 0,
-            c_f=f.height_drop_constant,
-        )
+        cert = EscapeCertificate(achieved_at=index, height=value, bound=f.escape_bound)
         return WanderingResult("wandering", certificate=cert)
     return WanderingResult("undecided")
 

@@ -13,10 +13,10 @@ from fractions import Fraction
 
 from .divisors import DivisorTower
 from .exactarith import decimal_str, format_big_int
-from .ratmap import CriticalDatum, EscapeCertificate, PoweringWitness, WanderingResult
+from .ratmap import CriticalDatum, PoweringWitness, WanderingResult
 from .search import CosetStructure, PairReport
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 
 _json_str = json.encoder.encode_basestring_ascii
 
@@ -158,11 +158,11 @@ def wandering_doc(r: WanderingResult) -> dict:
         out["tail"] = r.tail
         out["period"] = r.period
     if r.certificate is not None:
-        cert: EscapeCertificate = r.certificate
+        cert = r.certificate
         out["certificate"] = {
-            "threshold": cert.threshold,
             "achieved_at": cert.achieved_at,
-            "c_f": cert.c_f,
+            "height": format_big_int(cert.height),
+            "escape_bound": format_big_int(cert.bound),
         }
     return out
 
@@ -208,7 +208,6 @@ def pair_report_doc(report: PairReport) -> dict:
         "w": report.w.serialize(),
         "S": report.places.serialize(),
         "window": {"m_max": report.window.m_max, "n_max": report.window.n_max},
-        "mode": "direct",  # the one route; the key stays in the 1.0 schema
         "truncated": report.truncated,
         "note": (
             "exhaustive window enumeration with hypothesis certificates; "

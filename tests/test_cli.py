@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,13 +8,14 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from orbitint import cli, integrality, modp
+from orbitint import cli, integrality, modp, ratmap
 from orbitint.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_TRUNCATED, main
 from orbitint.primes import factor_partial
 from orbitint.ratmap import MAP_DEGREE_CAP
 
-from conftest import unlimited_str
+from conftest import CORPUS_EXPRS, unlimited_str
 
 
 def run_cli(args, capsys):
@@ -27,7 +29,7 @@ class TestBasicCommands:
         code, out = run_cli(["--no-timestamp", "analyze", "--map", "x^2+1"], capsys)
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["schema_version"] == "1.0"
+        assert doc["schema_version"] == "2.0"
         assert doc["body"]["degree"] == 2
         assert doc["body"]["polynomial"] is True
         assert doc["body"]["exceptional_points"] == ["[1:0]"]
@@ -446,54 +448,54 @@ class TestSnapshots:
 
     CASES = [
         (["analyze", "--map", "x^2+1"], EXIT_OK,
-         "f3cc300479050033805f4fa58caa1ff5f360aa90f95204f97b892a6ca99df1a5"),
+         "ea9749d3e3bf9bdb6decd5747a911c28230af7929ccff172574bb8acd54edc3a"),
         (["orbit", "--map", "(x^2+1)/x", "--point", "2", "--n", "6"], EXIT_OK,
-         "89ae03d4e54007b614a0cedf95e81b0fd1e8f0e614375dfec5cf7836c4c8ef57"),
+         "5991d1b206f9db9ac83787ddab918b6b8647e87011c40144ba1c7afe17d25d3b"),
         (["certify", "--map", "x^2-1", "--point", "0"], EXIT_OK,
-         "94fa75cb9dee1d4415635b9ea5ee5945f51b5618c8bd875db86d92453e76c5dd"),
+         "504c73ab2fff7307fb03feb2e7083d6879a5a9cf487eb2256e2e7792c3c6998f"),
         (["divisor", "--map", "x^2", "--n", "2"], EXIT_OK,
-         "b65d6193ff1c33a87f065958d2c85d7b2cadd881144fb7439a85ba54c01f5a14"),
+         "36d37b2ef172fae7675613a7fd432fc004883f7db337c56a18207500e63dd8f2"),
         (["divisor", "--map", "(x^2+2)/(2x+1)", "--n", "5"], EXIT_OK,
-         "18b1c6c71140e142e94bcbb24066f221844593e616960a3ba0287358bccc5e60"),
+         "017732ec06230ae6dfa03f14523efb3ddfbab3e0a23a51f87185b009091bee5a"),
         (["divisor", "--map", "2x^3+x+1", "--n", "4"], EXIT_OK,
-         "0acfc166c4b1ff8db8ddd8ccba156a55a3773c8f9936c366a5f345d96f9f5540"),
+         "d4cb54e3d35d56b073f018041b7364848b5a8ab2c860734c9c9bba2f6cd202c8"),
         # a sparse polynomial tower: G_n is P_n(x) y1^D - x1^D P_n(y), and
         # most rows of every layer hold one term
         (["divisor", "--map", "x^2-2x+2", "--n", "6"], EXIT_OK,
-         "c62ce2e5caf46caf319285158243e839970924f8ec3e6413c68b9288a5216aa3"),
+         "5e71ceb214118f002f2963451df7a875ceb9ceb2263bec591b4cc838beece387"),
         # G_1 and G_3 of 2(x^2+1)/x have content 2, so normalizing divides
         (["divisor", "--map", "(2x^2+2)/x", "--n", "3"], EXIT_OK,
-         "3db956d7d42930def49fc70e117a385f82dba4b7baf92584d926e0cabaa8fd02"),
+         "35b6e5cd3f303658e6edacb31dfc06fef8b8f071b89f8f58b62e9a474343d821"),
         (["powering", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
           "--window", "4x4"], EXIT_OK,
-         "d248f2b6a96dfe5c3b5a383ff6a91988f6a19aab1c6d6a1d1966732d587840ff"),
+         "c5b1d2a49ec0f996c3cedbdc088e9cb3ed882e7f4e64ca9d2df1c973ac75dc4b"),
         (["exceptional", "--map", "x^2", "--u", "1/2", "--window", "8x8"], EXIT_OK,
-         "4122d157175e21dd74eebfc1b5900927dab3d77bff13f0b594e32be842401406"),
+         "e66b98732a2f0ec2d3e50b30dd8fe95f7a4696a0cee0aaa21583eb46a0024b62"),
         (["pairs", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
           "--window", "6x6"], EXIT_OK,
-         "8d124ce114b88101de8fdff35a5861fcbbcebde642c02f14a44835b0b5e7e2e6"),
+         "ed0d155534a364814a5a9ffb9d3b3918f516ebf810aa22dfe274e31ad002dfeb"),
         (["--format", "table", "pairs", "--map", "x^2+1", "--u", "1", "--w", "3",
           "--window", "3x3"], EXIT_OK,
          "82ba425d36970da36b2a771cc4c4a06227a1787fb62b3f7757c06c662c950a30"),
         (["--digit-budget", "50", "pairs", "--map", "x^2", "--u", "2", "--w", "3",
           "--window", "12x12"], EXIT_TRUNCATED,
-         "9903e88f0a946d36857ce312650b2f9a1be526dc7b773825f2c2d00419c74f88"),
+         "8ee8f9f7793593e74f0775113ed4052afbdeac9dbf2a7ce4c6724fe5d1fce900"),
         # 49 integral cells that share 7 witnesses: w = inf is fixed
         (["pairs", "--map", "x^2+1", "--u", "1/2", "--w", "inf", "--S", "2",
           "--window", "6x6"], EXIT_OK,
-         "cab2b2111ddc93992b8eeed005f522539b28400776c9e9d9af19b3e005bb3ac9"),
+         "3bee24171be181ed132fd5d1cb2ec89211b57aae77f0f070b70381427ae67324"),
         # a conjugate pair of totally ramified points, reported as its tag
         (["analyze", "--map", "(x^2-3)/(2x)"], EXIT_OK,
-         "5445e1a456fb345e61dc13d7ceb71e99831e176a7107d2900089fb0309b53a4a"),
+         "af35780400131339c70e3bbfbd35e4ee15fd28c313424819600ad8815ba2dc40"),
         # the totally ramified points 0 and inf, swapped
         (["analyze", "--map", "1/x^2"], EXIT_OK,
-         "caf9c82b4efee6cdb632636f0f6ac4c9e5fc97d11d10506fc9687e60bf67a699"),
+         "7d5fbf6ba3541c196d6d355d8f7ec7a653168dfac73484f1588c67ed49d14586"),
         # no rational point on the diagonal of B_1
         (["divisor", "--map", "(x^2-3)/(2x)", "--n", "2"], EXIT_OK,
-         "f7f472f6fa9e44116a0cac0fc1ac0c819ffcd4c668fc6aa4cd025c3b157611c7"),
+         "3ea60702968edd426434761ec7583d198852dc3a0b5eb66305f16ec0b83a27e1"),
         # diagonal roots [1:0], [-1:1], [1:1]
         (["divisor", "--map", "x^3-3x", "--n", "1"], EXIT_OK,
-         "b16da68c2094285ae83c1fed555c0b39314c9377081028206cd670a9402addc4"),
+         "0c7d90f635bbe18da11db2d92d1a10268d7ba3ce585a4ed698d8f1d9fd35fe13"),
     ]
 
     def test_report_digests(self, capsys):
@@ -557,6 +559,126 @@ class TestLazyWitness:
             w_orbit.append(w_orbit[-1] ** 2 - 1)
         non_units = sorted(abs(a - b) for a in (0, -1) for b in w_orbit if abs(a - b) > 1)
         assert sorted(abs(n) for n in calls) == non_units
+
+
+class TestExceptionalOnce:
+    @pytest.mark.parametrize("args", [
+        ["pairs", "--map", "(x^2+1)/x", "--u", "2", "--w", "3", "--window", "3x3"],
+        ["analyze", "--map", "(x^2-3)/(2x)"],
+    ])
+    def test_totally_ramified_points_found_once(self, capsys, monkeypatch, args):
+        # the hypotheses read the exceptional set twice: directly and
+        # through is_powering_conjugate
+        calls = []
+        found = ratmap._totally_ramified
+
+        def counting(f):
+            calls.append(f)
+            return found(f)
+
+        monkeypatch.setattr(ratmap, "_totally_ramified", counting)
+        code, _ = run_cli(["--no-timestamp"] + args, capsys)
+        assert (code, len(calls)) == (EXIT_OK, 1)
+
+
+def _plain_form(coeffs: list[int], d: int) -> list[int]:
+    """Descending coefficients of an affine polynomial, as a degree-d form:
+    [c_d, ..., c_0] with c_k the coefficient of x0^k x1^(d-k)."""
+    return [0] * (d + 1 - len(coeffs)) + coeffs
+
+
+def _plain_eval(form: list[int], a0: int, a1: int) -> int:
+    d = len(form) - 1
+    return sum(c * a0 ** (d - i) * a1**i for i, c in enumerate(form))
+
+
+def _plain_cofactor_max(p: list[int], q: list[int], res: int) -> int:
+    """Largest absolute coefficient (at least 1) of the forms g1, g2, h1,
+    h2 of degree d-1 with g1*P + g2*Q = res * x0^(2d-1) and
+    h1*P + h2*Q = res * x1^(2d-1), solved for in exact rationals."""
+    d = len(p) - 1
+    columns = []  # the coefficients of x0^(d-1-i) x1^i * P, then of Q
+    for form in (p, q):
+        for i in range(d):
+            columns.append([0] * i + form + [0] * (d - 1 - i))
+    m = sympy.Matrix(columns).T
+    cofactors = []
+    for target in (0, 2 * d - 1):
+        rhs = sympy.Matrix([res if k == target else 0 for k in range(2 * d)])
+        cofactors += list(m.LUsolve(rhs))
+    assert all(c.is_integer for c in cofactors)
+    return max(1, max(abs(int(c)) for c in cofactors))
+
+
+class TestCertificatesInPlainInts:
+    """Every wandering certificate that ``certify`` and ``pairs`` write over
+    the corpus is checked from the report alone, with plain ints and an
+    independent resultant: no orbitint arithmetic."""
+
+    POINTS = ["0", "3", "1/2", "-2", "inf"]
+
+    def certificates(self, capsys):
+        """(map text, start point text, certificate) for each certificate."""
+        out = []
+        for expr in CORPUS_EXPRS:
+            for point in self.POINTS:
+                code, text = run_cli(
+                    ["--no-timestamp", "certify", "--map", expr, "--point", point], capsys
+                )
+                assert code == EXIT_OK
+                body = json.loads(text)["body"]
+                cert = body["result"].get("certificate")
+                if cert is not None:
+                    out.append((body["map"], body["point"], cert))
+            for u, w, s in (("1", "2", ""), ("1/2", "inf", "2")):
+                code, text = run_cli(
+                    ["--no-timestamp", "pairs", "--map", expr, "--u", u, "--w", w,
+                     "--S", s, "--window", "2x2"],
+                    capsys,
+                )
+                assert code == EXIT_OK
+                body = json.loads(text)["body"]
+                for key in ("u", "w"):
+                    cert = body["hypotheses"][key].get("certificate")
+                    if cert is not None:
+                        out.append((body["map"], body[key], cert))
+        return out
+
+    def test_every_certificate_checks(self, capsys):
+        certificates = self.certificates(capsys)
+        assert len(certificates) >= 100
+        for map_text, point, cert in certificates:
+            num, den = (
+                [int(c) for c in part.split("=")[1].split(",")] for part in map_text.split(";")
+            )
+            d = max(len(num), len(den)) - 1
+            p, q = _plain_form(num, d), _plain_form(den, d)
+            if point.startswith("["):
+                a0, a1 = (int(c) for c in point[1:-1].split(":"))
+            elif point == "inf":
+                a0, a1 = 1, 0
+            else:
+                a0, _, a1 = point.partition("/")
+                a0, a1 = int(a0), int(a1 or 1)
+            heights = []
+            for _ in range(cert["achieved_at"] + 4):
+                g = math.gcd(a0, a1)
+                a0, a1 = a0 // g, a1 // g
+                heights.append(max(abs(a0), abs(a1)))
+                a0, a1 = _plain_eval(p, a0, a1), _plain_eval(q, a0, a1)
+            at = cert["achieved_at"]
+            height, bound = int(cert["height"]), int(cert["escape_bound"])
+            assert heights[at] == height, (map_text, point)
+            assert height ** (d - 1) > bound, (map_text, point)
+            x = sympy.Symbol("x")
+            pa, qa = sympy.Poly(num, x), sympy.Poly(den, x)
+            res = abs(int(sympy.resultant(pa, qa)))
+            if pa.degree() < d:  # the form P has a root at infinity
+                res *= abs(den[0]) ** (d - pa.degree())
+            elif qa.degree() < d:
+                res *= abs(num[0]) ** (d - qa.degree())
+            assert bound == 2 ** (d - 1) * res * 2 * d * _plain_cofactor_max(p, q, res)
+            assert heights[at] < heights[at + 1] < heights[at + 2] < heights[at + 3]
 
 
 class TestHugeCrossTerms:

@@ -1,4 +1,3 @@
-import math
 import re
 import sys
 from decimal import Decimal
@@ -15,7 +14,6 @@ from orbitint.exactarith import (
     PlaceSet,
     decimal_str,
     is_s_unit,
-    log_int,
     parse_rational,
     read_digits,
     s_free_part,
@@ -344,22 +342,3 @@ class TestSUnits:
         if is_s_unit(a, small):
             assert is_s_unit(a, big)
 
-
-class TestLogHeight:
-    def test_examples(self):
-        assert log_int(1) == 0.0
-        assert math.isclose(log_int(3), math.log(3))
-        assert math.isclose(log_int(2**2000), 2000 * math.log(2), rel_tol=1e-12)
-        for n in (0, -7):
-            with pytest.raises(ExactArithError):
-                log_int(n)
-
-    def test_huge_integer_no_overflow(self):
-        n = 3 ** (10**5)
-        got = log_int(n)
-        expected = 10**5 * math.log(3)
-        assert math.isclose(got, expected, rel_tol=1e-12)
-
-    @given(st.integers(min_value=1, max_value=10**18))
-    def test_log_int_matches_math_log(self, n):
-        assert math.isclose(log_int(n), math.log(n), rel_tol=1e-12)

@@ -387,7 +387,7 @@ class TestCertifyWandering:
                 num = rng.randint(10**4, 10**7)
                 den = rng.randint(1, 99)
                 pt = ProjPoint(num, den)
-                if math.log(max(abs(pt.a0), abs(pt.a1))) <= f.escape_threshold:
+                if max(abs(pt.a0), abs(pt.a1)) ** (f.degree - 1) <= f.escape_bound:
                     continue
                 img = eval_map(f, pt)
                 assert max(abs(img.a0), abs(img.a1)) > max(abs(pt.a0), abs(pt.a1))
@@ -414,13 +414,6 @@ class TestEscapeByIntegers:
         at = certify_wandering(f, ProjPoint(bound, 1)).certificate.achieved_at
         above = certify_wandering(f, ProjPoint(bound + 1, 1)).certificate.achieved_at
         assert (at, above) == (1, 0)
-
-    def test_bound_matches_threshold(self, corpus):
-        for f in corpus:
-            d = f.degree
-            assert math.isclose(
-                math.log(f.escape_bound) / (d - 1), f.escape_threshold, rel_tol=1e-12
-            )
 
 
 class TestIteratedFormsCache:
