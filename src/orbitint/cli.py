@@ -225,16 +225,11 @@ class _ReportEncoder(json.JSONEncoder):
 
 
 def _render_table(doc: dict, out) -> None:
-    rows = doc.get("body", {}).get("table")
-    if rows:
-        out.write("m\tn\tverdict\tsmallest_violating_prime\n")
-        for row in rows:
-            out.write(
-                f"{row['m']}\t{row['n']}\t{row['verdict']}\t"
-                f"{row['smallest_violating_prime']}\n"
-            )
+    body = doc["body"]
+    if "table" in body:
+        out.write(body["table"])
         return
-    for key, value in sorted(doc.get("body", {}).items()):
+    for key, value in sorted(body.items()):
         out.write(f"{key}\t{json.dumps(value, sort_keys=True)}\n")
 
 

@@ -58,7 +58,13 @@ class PlaceSet:
         text = text.strip()
         if not text:
             return cls()
-        return cls(tuple(int(tok) for tok in text.split(",")))
+        primes = []
+        for tok in text.split(","):
+            try:
+                primes.append(int(tok))
+            except ValueError:
+                raise ExactArithError(f"cannot parse prime {tok!r} in {text!r}") from None
+        return cls(tuple(primes))
 
     def serialize(self) -> str:
         return ",".join(str(p) for p in self.primes)
@@ -165,14 +171,25 @@ def read_digits(s: str) -> int:
     return read(s)
 
 
+# the most decimal digits that a power written in an input (an exponent
+# form of a rational, a constant power in a map expression) may build
+POWER_DIGIT_CAP = 10**6
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational as ``Fraction(text)`` does ("p/q", "n", "-1.5e3",
     "1_000", ...), with no limit on the number of digits: integers and
     "p/q" are read by :func:`read_digits`, decimal and exponent forms
-    through ``Decimal``."""
+    through ``Decimal``.  An exponent past ``POWER_DIGIT_CAP`` is refused
+    before the power of ten is built."""
     m = _RATIONAL.match(text)
     if m is None:
         raise ExactArithError(f"Invalid literal for Fraction: {text!r}")
+    if m["exp"] is not None and abs(int(m["exp"])) > POWER_DIGIT_CAP:
+        raise ExactArithError(
+            f"exponent {m['exp']} of {text.strip()!r} is past the power digit "
+            f"cap {POWER_DIGIT_CAP}"
+        )
     if m["dec"] is not None or m["exp"] is not None:
         return Fraction(Decimal(text.strip().replace("_", "")))
     num = read_digits(m["num"].replace("_", ""))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import binforms
-from .exactarith import PlaceSet, format_big_int, s_free_part
+from .exactarith import PlaceSet, s_free_part
 from .primes import factor_partial
 from .projective import ProjPoint
 from .ratmap import RatMap, bad_reduction_primes, iterate, iterated_forms
@@ -50,14 +50,6 @@ class IntegralityWitness:
     @property
     def factorization_complete(self) -> bool:
         return self._diagnosis[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "cross_term": format_big_int(self.cross_term),
-            "violating_primes": list(self.violating_primes),
-            "factorization_complete": self.factorization_complete,
-        }
 
 
 def _witness(cross: int, s: PlaceSet) -> IntegralityWitness:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 
 from . import binforms
-from .exactarith import parse_rational, read_digits
-from .ratmap import RatMap, make_map
+from .exactarith import POWER_DIGIT_CAP, parse_rational, read_digits
+from .ratmap import DEFAULT_FORM_DEGREE_CAP, RatMap, make_map
 
 
 class ParseError(ValueError):
@@ -100,14 +100,30 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
         base = atom()
         if toks[i][0] != "^":
             return base
-        take()
+        caret = take()[1]
         tok, pos = take()
         if not tok.isdecimal():
             raise ParseError(
                 f"syntax error at position {pos}: exponent must be a nonnegative integer"
             )
+        e = int(tok)
+        num, den = base
+        if len(num) == 1 and len(den) == 1:  # a constant: one int power each
+            # |c|^e >= 2^((L-1)e) for c of L bits, and 2^(10/3) > 10
+            bits = (max(abs(num[0]), abs(den[0])).bit_length() - 1) * e
+            if bits > POWER_DIGIT_CAP * 10 // 3:
+                raise ParseError(
+                    f"power at position {caret} has more than {POWER_DIGIT_CAP} digits"
+                )
+            return [num[0] ** e], [den[0] ** e]
+        degree = e * (max(len(num), len(den)) - 1)
+        if degree > DEFAULT_FORM_DEGREE_CAP:
+            raise ParseError(
+                f"power at position {caret} has degree {degree}, past the form "
+                f"degree cap {DEFAULT_FORM_DEGREE_CAP}"
+            )
         num, den = [1], [1]
-        for _ in range(int(tok)):
+        for _ in range(e):
             num, den = _mul(num, base[0]), _mul(den, base[1])
         return num, den
 

@@ -22,7 +22,9 @@ _json_str = json.encoder.encode_basestring_ascii
 
 
 def render_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for
+    what reports hold: dicts with str keys, lists, tuples, str, int, bool
+    and None, each of exactly that type; anything else raises ``TypeError``.
 
     The stdlib's C encoder does not indent, so ``json.dumps`` with an indent
     walks the document in pure-Python generators, yielding a few characters
@@ -30,14 +32,9 @@ def render_json(doc) -> str:
     inside one f-string, which copies its pieces once where a chain of
     ``+`` would copy at every step, so that no more than two copies of a
     container's text are alive at once, as with the stdlib's chunk list and
-    its join.  It spells itself what reports hold: dicts with str keys,
-    lists, tuples and their subclasses, strings by
-    ``encode_basestring_ascii``, ints by ``int.__repr__`` (so an int past
-    the int-to-str limit raises the same ``ValueError``), bools and null.
-    Every other value -- floats, str and int subclasses, dicts with
-    non-str keys, unsupported objects -- is handed to ``json.dumps`` itself;
-    JSON text holds a raw newline only between items, so re-indenting its
-    newlines gives the stdlib's text, or its ``TypeError``, at any depth.
+    its join.  Strings are spelled by ``encode_basestring_ascii`` and ints
+    by ``int.__repr__`` (so an int past the int-to-str limit raises the
+    same ``ValueError``).
 
     A document may share subtrees: one dict object may sit in many places,
     as the witness dicts of :func:`pair_report_doc` do.  A memo that lives
@@ -71,11 +68,7 @@ def _json_value(o, newline: str, memo: dict) -> str:
         return "true"
     if o is False:
         return "false"
-    if isinstance(o, (list, tuple)):
-        return _json_list(o, newline, memo)
-    if isinstance(o, dict):
-        return _json_dict(o, newline, memo)
-    return json.dumps(o, indent=2, sort_keys=True).replace("\n", newline)
+    raise TypeError(f"Object of type {t.__name__} is not a report value")
 
 
 def _json_list(lst, newline: str, memo: dict) -> str:
@@ -96,15 +89,12 @@ def _json_dict(dct, newline: str, memo: dict) -> str:
     if seen.__class__ is tuple:  # third or later sighting: (dct, text)
         return seen[1]
     inner = newline + "  "
-    try:
-        body = ("," + inner).join(
-            [
-                f"{_json_str(k)}: {_json_value(v, inner, memo)}"
-                for k, v in sorted(dct.items())
-            ]
-        )  # the list of items is freed here, before the brackets copy the body
-    except TypeError:  # a non-str key, or a value the stdlib refuses
-        return json.dumps(dct, indent=2, sort_keys=True).replace("\n", newline)
+    body = ("," + inner).join(
+        [
+            f"{_json_str(k)}: {_json_value(v, inner, memo)}"
+            for k, v in sorted(dct.items())
+        ]
+    )  # the list of items is freed here, before the brackets copy the body
     text = f"{{{inner}{body}{newline}}}"
     memo[key] = dct if seen is None else (dct, text)
     return text
@@ -200,7 +190,12 @@ def pair_report_doc(report: PairReport) -> dict:
         wit = report.witnesses[(m, n)]
         wdoc = witness_docs.get(id(wit))
         if wdoc is None:
-            wdoc = witness_docs[id(wit)] = wit.to_dict()
+            wdoc = witness_docs[id(wit)] = {
+                "verdict": wit.verdict,
+                "cross_term": format_big_int(wit.cross_term),
+                "violating_primes": list(wit.violating_primes),
+                "factorization_complete": wit.factorization_complete,
+            }
         cells.append({"m": m, "n": n, "witness": wdoc})
     doc: dict = {
         "map": report.map.serialize_coefficients(),
@@ -243,24 +238,14 @@ def coset_doc(structure: CosetStructure) -> dict:
     }
 
 
-def pair_table(report: PairReport) -> list[dict]:
-    """One row per grid cell: m, n, verdict, smallest known violating prime."""
-    window = report.effective_window
-    rows = []
-    for m in range(window.m_max + 1):
-        for n in range(window.n_max + 1):
-            wit = report.witnesses[(m, n)]
-            rows.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "verdict": wit.verdict,
-                    "smallest_violating_prime": (
-                        wit.violating_primes[0] if wit.violating_primes else None
-                    ),
-                }
-            )
-    return rows
+def pair_table(report: PairReport) -> str:
+    """The ``pairs`` table as TSV text: a header, then one row per grid
+    cell: m, n, verdict, smallest known violating prime (None if none)."""
+    rows = ["m\tn\tverdict\tsmallest_violating_prime\n"]
+    for (m, n), wit in sorted(report.witnesses.items()):
+        prime = wit.violating_primes[0] if wit.violating_primes else None
+        rows.append(f"{m}\t{n}\t{wit.verdict}\t{prime}\n")
+    return "".join(rows)
 
 
 def tower_doc(tower: DivisorTower) -> dict:

@@ -282,6 +282,37 @@ class TestExitCodes:
             f"map degree {degree} exceeds the map degree cap {MAP_DEGREE_CAP}"
         )
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            # parse_rational: Fraction(Decimal("1e10000000")) alone takes seconds
+            (["pairs", "--map", "x^2+1", "--u", "1e99999999", "--w", "2",
+              "--window", "1x1"],
+             "exponent 99999999 of '1e99999999' is past the power digit cap 1000000"),
+            # mapexpr, a constant power: 2^(10^8) has 30 million digits
+            (["analyze", "--map", "2^100000000*x^2"],
+             "power at position 1 has more than 1000000 digits"),
+            # mapexpr, a power of x: x^30000 took 23 s to build
+            (["analyze", "--map", "x^30000"],
+             "power at position 1 has degree 30000, past the form degree cap 4096"),
+        ],
+    )
+    def test_huge_power_refused_before_it_is_built(self, capsys, args, error):
+        start = time.perf_counter()
+        code, out = run_cli(["--no-timestamp"] + args, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_PRECONDITION
+        assert json.loads(out)["error"] == error
+
+    def test_unparsable_prime_names_the_set(self, capsys):
+        code, out = run_cli(
+            ["--no-timestamp", "pairs", "--map", "x^2+1", "--u", "1", "--w", "2",
+             "--S", "2,,3"],
+            capsys,
+        )
+        assert code == EXIT_PRECONDITION
+        assert json.loads(out)["error"] == "cannot parse prime '' in '2,,3'"
+
     def test_recombination_cap_fails_by_name(self, capsys, monkeypatch):
         # the Wronskian of x^3 - 3x is 3 x1^2 (x0^2 - x1^2): its two factors
         # mod p are recombined, and the first subset tried is past the cap

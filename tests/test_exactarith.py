@@ -120,6 +120,14 @@ class TestRationalFormat:
         assert got == expected
 
 
+    def test_exponent_forms_up_to_the_power_digit_cap(self):
+        assert parse_rational("1e1000000") == 10**1000000
+        assert parse_rational("-2.5E-1_000_000") == Fraction(-25, 10**1000001)
+        for text in ("1e1000001", "1e-9999999999", " 7.5e+1_000_001 "):
+            with pytest.raises(ExactArithError, match="power digit cap 1000000"):
+                parse_rational(text)
+
+
 class TestReadDigits:
     # the reader splits at powers of ten down to _READ_DIGITS-digit leaves:
     # lengths at the leaf size and its doublings, where the split changes

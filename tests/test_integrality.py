@@ -202,10 +202,9 @@ class TestRelDn:
         with pytest.raises(IntegralityError):
             monotonicity_check(f, ProjPoint(1, 1), ProjPoint(2, 1), 2, 1, PlaceSet())
 
-    def test_witness_dict_shape(self):
+    def test_witness_fields(self):
         w = is_integral_pair(ProjPoint(5, 1), ProjPoint(2, 1), PlaceSet())
-        d = w.to_dict()
-        assert d["verdict"] is False
-        assert d["cross_term"] == "3"
-        assert d["violating_primes"] == [3]
-        assert d["factorization_complete"] is True
+        assert w.verdict is False
+        assert w.cross_term == 3
+        assert w.violating_primes == (3,)
+        assert w.factorization_complete is True

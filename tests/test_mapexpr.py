@@ -136,6 +136,15 @@ class TestIntegerParser:
         assert den[0] > 0
         assert Fraction(num[0], num[-1]) == 2 and len(den) == 2 and den[1] == 0
 
+    def test_constant_powers_within_the_power_digit_cap(self):
+        # each constant power is one int ** (2^3333333 has 1003434 digits)
+        assert parse_rational_function("x^2+10^4400") == ([1, 0, 10**4400], [1])
+        assert parse_rational_function("x^3+10^5000x") == ([1, 0, 10**5000, 0], [1])
+        assert parse_rational_function("(-3)^5x^2+(2/3)^3") == ([-6561, 0, 8], [27])
+        assert parse_rational_function("0^0+0^7x+1^99999999")[0] == [2]
+        num, den = parse_rational_function("2^3333333")
+        assert num == [2**3333333] and den == [1]
+
     def test_literal_past_int_str_limit(self):
         big = 10**4400 + 7
         digits = "1" + "0" * 4399 + "7"
