@@ -189,14 +189,14 @@ def _run_command(args) -> tuple[dict, int]:
             digit_budget=args.digit_budget,
         )
         body = pair_report_doc(analysis.report)
-        body["enlarged_S"] = analysis.enlarged_places.serialize()
+        body["enlarged_S"] = analysis.report.places.serialize()
         body["tau_values"] = [format_fraction(t) for t in analysis.tau_values]
         body["tau_unit_checks_passed"] = analysis.tau_unit_checks_passed
         if analysis.report.truncated:
             status = EXIT_TRUNCATED
     elif args.command == "exceptional":
         u = parse_point(args.u)
-        enlarged, report = exceptional_case_analysis(
+        report = exceptional_case_analysis(
             f,
             u,
             PlaceSet.parse(args.S),
@@ -206,7 +206,7 @@ def _run_command(args) -> tuple[dict, int]:
         body = {
             "map": f.serialize_coefficients(),
             "u": u.serialize(),
-            "enlarged_S": enlarged.serialize(),
+            "enlarged_S": report.places.serialize(),
             "window_verified": not report.truncated,
         }
         if report.truncated:

@@ -155,11 +155,10 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
 
 def parse_coefficient_format(text: str) -> RatMap:
     """Parse the canonical "num=c_k,...,c_0;den=c_j,...,c_0" format."""
-    try:
-        num_part, den_part = text.split(";")
-        assert num_part.startswith("num=") and den_part.startswith("den=")
-    except (ValueError, AssertionError):
-        raise ParseError(f"cannot parse coefficient format: {text!r}") from None
+    parts = text.split(";")
+    if len(parts) != 2 or not (parts[0].startswith("num=") and parts[1].startswith("den=")):
+        raise ParseError(f"cannot parse coefficient format: {text!r}")
+    num_part, den_part = parts
     num = [parse_rational(tok) for tok in num_part[4:].split(",")]
     den = [parse_rational(tok) for tok in den_part[4:].split(",")]
     return make_map(num, den)

@@ -238,68 +238,77 @@ class CriticalDatum:
     period: int | None
 
 
-def orbit_classify(
-    f: RatMap, pt: ProjPoint, max_iter: int = 64
-) -> tuple[str, int | None, int | None]:
-    """Exact cycle detection: ('preperiodic', tail, period),
-    ('wandering', escape_index, height), or ('undecided', None, None).  The
-    orbit escapes at the first iterate whose height H (its larger absolute
-    coordinate) has H^(d-1) > ``f.escape_bound``."""
+@dataclass(frozen=True)
+class EscapeCertificate:
+    """Witness that an orbit escapes, in integers: iterate ``achieved_at``
+    has height ``height`` with height^(d-1) > ``bound`` (the map's
+    ``RatMap.escape_bound``), so the heights strictly increase from there
+    on and no point repeats."""
+
+    achieved_at: int
+    height: int
+    bound: int
+
+
+@dataclass(frozen=True)
+class WanderingResult:
+    kind: str  # 'preperiodic' | 'wandering' | 'undecided'
+    tail: int | None = None
+    period: int | None = None
+    certificate: EscapeCertificate | None = None
+
+
+def certify_wandering(f: RatMap, u: ProjPoint, max_iter: int = 64) -> WanderingResult:
+    """Decide preperiodic vs wandering by exact cycle detection over the
+    iterates 0..max_iter plus the conservative height-escape certificate;
+    'undecided' is allowed.  The orbit escapes at the first iterate whose
+    height H (its larger absolute coordinate) has H^(d-1) > ``f.escape_bound``."""
+    if max_iter < 1:
+        raise RatMapError("max_iter must be >= 1")
     seen: dict[ProjPoint, int] = {}
-    cur = pt
+    cur = u
     bound, e = f.escape_bound, f.degree - 1
     for i in range(max_iter + 1):
         if cur in seen:
             tail = seen[cur]
-            return "preperiodic", tail, i - tail
+            return WanderingResult("preperiodic", tail=tail, period=i - tail)
         height = max(abs(cur.a0), abs(cur.a1))
         if height**e > bound:
-            return "wandering", i, height
+            cert = EscapeCertificate(achieved_at=i, height=height, bound=bound)
+            return WanderingResult("wandering", certificate=cert)
         seen[cur] = i
         cur = eval_map(f, cur)
-    return "undecided", None, None
+    return WanderingResult("undecided")
 
 
 def critical_data(f: RatMap) -> list[CriticalDatum]:
     """All critical points with ramification indices from Wronskian
-    multiplicities; periodicity resolved for rational critical points."""
+    multiplicities, infinity (the factor x1) first; periodicity resolved
+    for rational critical points."""
     d = f.degree
     x1_mult, factors = binforms.factor_form(f.wronskian)
-    out: list[CriticalDatum] = []
-
-    def rational_datum(point: ProjPoint, mult: int) -> CriticalDatum:
-        e = mult + 1
-        kind, tail, period = orbit_classify(f, point)
-        periodic = kind == "preperiodic" and tail == 0
-        return CriticalDatum(
-            point=point,
-            factor=None,
-            factor_degree=1,
-            ramification_index=e,
-            totally_ramified=(e == d),
-            periodic=periodic if kind != "undecided" else None,
-            period=period if periodic else None,
-        )
-
     if x1_mult > 0:
-        out.append(rational_datum(INFINITY, x1_mult))
+        factors = [((0, 1), x1_mult)] + factors
+    out: list[CriticalDatum] = []
     for fac, mult in factors:
-        if binforms.degree(fac) == 1:
-            a, b = fac
-            out.append(rational_datum(ProjPoint(-b, a), mult))
-        else:
-            e = mult + 1
-            out.append(
-                CriticalDatum(
-                    point=None,
-                    factor=fac,
-                    factor_degree=binforms.degree(fac),
-                    ramification_index=e,
-                    totally_ramified=(e == d),
-                    periodic=None,
-                    period=None,
-                )
+        e = mult + 1
+        if len(fac) == 2:
+            point = ProjPoint(-fac[1], fac[0])
+            result = certify_wandering(f, point)
+        else:  # an irrational critical point is not classified
+            point, result = None, WanderingResult("undecided")
+        periodic = result.kind == "preperiodic" and result.tail == 0
+        out.append(
+            CriticalDatum(
+                point=point,
+                factor=None if point is not None else fac,
+                factor_degree=len(fac) - 1,
+                ramification_index=e,
+                totally_ramified=(e == d),
+                periodic=periodic if result.kind != "undecided" else None,
+                period=result.period if periodic else None,
             )
+        )
     return out
 
 
@@ -380,40 +389,6 @@ def preimage_count(f: RatMap, b: ProjPoint, k: int) -> int:
     pk, qk = iterated_forms(f, k)
     form = binforms.sub(binforms.scale(pk, b.a1), binforms.scale(qk, b.a0))
     return binforms.distinct_root_count(form)
-
-
-@dataclass(frozen=True)
-class EscapeCertificate:
-    """Witness that an orbit escapes, in integers: iterate ``achieved_at``
-    has height ``height`` with height^(d-1) > ``bound`` (the map's
-    ``RatMap.escape_bound``), so the heights strictly increase from there
-    on and no point repeats."""
-
-    achieved_at: int
-    height: int
-    bound: int
-
-
-@dataclass(frozen=True)
-class WanderingResult:
-    kind: str  # 'preperiodic' | 'wandering' | 'undecided'
-    tail: int | None = None
-    period: int | None = None
-    certificate: EscapeCertificate | None = None
-
-
-def certify_wandering(f: RatMap, u: ProjPoint, max_iter: int = 64) -> WanderingResult:
-    """Decide preperiodic vs wandering by exact cycle detection plus the
-    conservative height-escape certificate; 'undecided' is allowed."""
-    if max_iter < 1:
-        raise RatMapError("max_iter must be >= 1")
-    kind, index, value = orbit_classify(f, u, max_iter)
-    if kind == "preperiodic":
-        return WanderingResult("preperiodic", tail=index, period=value)
-    if kind == "wandering":
-        cert = EscapeCertificate(achieved_at=index, height=value, bound=f.escape_bound)
-        return WanderingResult("wandering", certificate=cert)
-    return WanderingResult("undecided")
 
 
 def mobius_conjugate(f: RatMap, matrix: tuple[tuple[int, int], tuple[int, int]]) -> RatMap:

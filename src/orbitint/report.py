@@ -242,7 +242,8 @@ def pair_table(report: PairReport) -> str:
     """The ``pairs`` table as TSV text: a header, then one row per grid
     cell: m, n, verdict, smallest known violating prime (None if none)."""
     rows = ["m\tn\tverdict\tsmallest_violating_prime\n"]
-    for (m, n), wit in sorted(report.witnesses.items()):
+    # find_integral_pairs fills the witnesses in (m, n) order
+    for (m, n), wit in report.witnesses.items():
         prime = wit.violating_primes[0] if wit.violating_primes else None
         rows.append(f"{m}\t{n}\t{wit.verdict}\t{prime}\n")
     return "".join(rows)

@@ -196,7 +196,7 @@ def find_integral_pairs(
         w=w,
         places=s,
         window=window,
-        pairs=tuple(sorted(pairs)),
+        pairs=tuple(pairs),  # the loop above appends in (m, n) order
         u_orbit=u_orbit,
         w_orbit=w_orbit,
         witnesses=witnesses,
@@ -290,7 +290,6 @@ def _affine_prime_support(x: Fraction) -> set[int]:
 @dataclass(frozen=True)
 class PoweringAnalysis:
     report: PairReport
-    enlarged_places: PlaceSet
     tau_values: tuple[Fraction, ...]
     tau_unit_checks_passed: bool
 
@@ -327,7 +326,6 @@ def powering_pair_analysis(
             all_units = False
     return PoweringAnalysis(
         report=report,
-        enlarged_places=enlarged,
         tau_values=tuple(sorted(taus)),
         tau_unit_checks_passed=all_units,
     )
@@ -339,9 +337,10 @@ def exceptional_case_analysis(
     s: PlaceSet,
     window: PairWindow = PairWindow(8, 8),
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> tuple[PlaceSet, PairReport]:
-    """S-enlargement making every window pair integral when w is the
-    exceptional point at infinity, and the report it was verified on.
+) -> PairReport:
+    """The report verifying the S-enlargement that makes every window pair
+    integral when w is the exceptional point at infinity; S' is
+    ``report.places``.
 
     S' adds the bad-reduction primes, the primes of the denominators of
     u and f(u), and the primes of the leading coefficient of the second
@@ -373,13 +372,12 @@ def exceptional_case_analysis(
     lead = p2[binforms.x1_multiplicity(p2)]
     if abs(lead) > 1:
         extra |= set(factor(lead))
-    enlarged = s.union(extra)
     report = find_integral_pairs(
-        f, u, w, enlarged, window, digit_budget=digit_budget, with_hypotheses=False
+        f, u, w, s.union(extra), window, digit_budget=digit_budget, with_hypotheses=False
     )
     if set(report.pairs) != set(report.witnesses):  # pragma: no cover
         raise SearchError("window guarantee failed after enlargement")
-    return enlarged, report
+    return report
 
 
 def exceptional_case_enlarge(
@@ -392,11 +390,11 @@ def exceptional_case_enlarge(
     """The S-enlargement of :func:`exceptional_case_analysis`, verified on
     the whole window; a digit budget that cuts the window is a
     ``SearchError``."""
-    enlarged, report = exceptional_case_analysis(f, u, s, window, digit_budget)
+    report = exceptional_case_analysis(f, u, s, window, digit_budget)
     if report.truncated:
         cut = report.effective_window
         raise SearchError(
             f"digit budget cut the window to {cut.m_max}x{cut.n_max}; "
             "S-enlargement not verified on the whole window"
         )
-    return enlarged
+    return report.places

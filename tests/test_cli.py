@@ -153,6 +153,17 @@ class TestExitCodes:
             assert code == EXIT_PRECONDITION
             assert "position" in json.loads(out)["error"]
 
+    def test_coefficient_format_checked_under_optimize(self):
+        # python -O drops assert statements; the num=/den= check holds there too
+        src = os.path.dirname(os.path.dirname(os.path.abspath(integrality.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "orbitint.cli", "--no-timestamp",
+             "analyze", "--map", "num=1,0,1;xyz=1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert run.returncode == EXIT_PRECONDITION
+        assert "cannot parse coefficient format" in json.loads(run.stdout)["error"]
+
     def test_truncation(self, capsys):
         code, out = run_cli(
             [

@@ -163,5 +163,8 @@ def test_find_integral_pairs_matches_oracle(inst):
     report = find_integral_pairs(f, pu, pw, s, win, with_hypotheses=False)
     assert not report.truncated
     assert report.pairs == expected
+    # pair_table writes the witnesses in the order they were filled
+    cells = [(m, n) for m in range(window[0] + 1) for n in range(window[1] + 1)]
+    assert list(report.witnesses) == cells
     if set(bad_reduction_primes(f)) <= set(primes):
         assert dk_pairs(f, report, s) == expected

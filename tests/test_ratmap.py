@@ -416,6 +416,98 @@ class TestEscapeByIntegers:
         assert (at, above) == (1, 0)
 
 
+def orbit_classify(f, pt, max_iter=64):
+    """The classifier ``certify_wandering`` absorbed, kept as its oracle:
+    ('preperiodic', tail, period), ('wandering', escape_index, height), or
+    ('undecided', None, None), by exact cycle detection over the iterates
+    0..max_iter and the escape test H^(d-1) > ``f.escape_bound``."""
+    seen = {}
+    cur = pt
+    bound, e = f.escape_bound, f.degree - 1
+    for i in range(max_iter + 1):
+        if cur in seen:
+            tail = seen[cur]
+            return "preperiodic", tail, i - tail
+        height = max(abs(cur.a0), abs(cur.a1))
+        if height**e > bound:
+            return "wandering", i, height
+        seen[cur] = i
+        cur = eval_map(f, cur)
+    return "undecided", None, None
+
+
+# (map, start) pairs with a preperiodic orbit: x^2 - 1 at 0 and -1 (the
+# 2-cycle), x^2 at 0, 1, -1 and infinity
+KNOWN_PREPERIODIC = [
+    (make_map([1, 0, -1], [1]), pt) for pt in (ProjPoint(0, 1), ProjPoint(-1, 1))
+] + [
+    (make_map([1, 0, 0], [1]), pt)
+    for pt in (ProjPoint(0, 1), ProjPoint(1, 1), ProjPoint(-1, 1), INFINITY)
+]
+
+
+@st.composite
+def small_maps(draw):
+    """Maps of degree 2 or 3 with coefficients in -9..9."""
+    d = draw(st.integers(2, 3))
+    coeffs = st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1)
+    try:
+        return make_map(draw(coeffs), draw(coeffs))
+    except RatMapError:
+        assume(False)
+
+
+@st.composite
+def map_and_start(draw):
+    """A known preperiodic start, or a small map at a small rational, at
+    infinity, or at an integer next to the escape threshold (the largest
+    h with h^(d-1) <= escape_bound, and h +- 1)."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(KNOWN_PREPERIODIC))
+    f = draw(small_maps())
+    small = st.builds(
+        lambda a, b: from_affine(Fraction(a, b)), st.integers(-9, 9), st.integers(1, 9)
+    )
+    h = f.escape_bound if f.degree == 2 else math.isqrt(f.escape_bound)
+    edge = st.builds(lambda k: ProjPoint(h + k, 1), st.integers(-1, 1))
+    return f, draw(st.one_of(small, st.just(INFINITY), edge))
+
+
+class TestCertifyAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(map_and_start(), st.integers(1, 64))
+    def test_matches_orbit_classify(self, f_pt, max_iter):
+        f, pt = f_pt
+        kind, index, value = orbit_classify(f, pt, max_iter)
+        r = certify_wandering(f, pt, max_iter)
+        event(kind)
+        assert r.kind == kind
+        if kind == "preperiodic":
+            assert (r.tail, r.period, r.certificate) == (index, value, None)
+        elif kind == "wandering":
+            assert (r.tail, r.period) == (None, None)
+            cert = r.certificate
+            assert (cert.achieved_at, cert.height, cert.bound) == (index, value, f.escape_bound)
+        else:
+            assert (r.tail, r.period, r.certificate) == (None, None, None)
+
+    def test_critical_data_matches_oracle(self, corpus):
+        for f in corpus:
+            for c in critical_data(f):
+                if c.point is None:
+                    assert c.factor_degree >= 2 and (c.periodic, c.period) == (None, None)
+                    continue
+                assert c.factor is None and c.factor_degree == 1
+                kind, tail, period = orbit_classify(f, c.point)
+                periodic = kind == "preperiodic" and tail == 0
+                assert c.periodic == (periodic if kind != "undecided" else None)
+                assert c.period == (period if periodic else None)
+
+    def test_max_iter_below_one_refused(self):
+        with pytest.raises(RatMapError, match="max_iter"):
+            certify_wandering(make_map([1, 0, 0], [1]), ProjPoint(2, 1), 0)
+
+
 class TestIteratedFormsCache:
     def test_cache_stays_bounded(self):
         from orbitint import ratmap

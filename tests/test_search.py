@@ -319,14 +319,14 @@ class TestPoweringAnalysis:
         analysis = powering_pair_analysis(
             f, ProjPoint(2, 1), ProjPoint(-2, 1), PlaceSet((2,)), PairWindow(4, 4)
         )
-        assert 2 in analysis.enlarged_places
+        assert 2 in analysis.report.places
         assert analysis.report.pairs == tuple((m, m) for m in range(5))
         # on the diagonal f^m(u)/f^m(w) = -1, so tau = -2 throughout
         assert analysis.tau_values == (Fraction(-2),)
         assert analysis.tau_unit_checks_passed
         for tau in analysis.tau_values:
-            assert is_s_unit(tau, analysis.enlarged_places)
-            assert is_s_unit(tau + 1, analysis.enlarged_places)
+            assert is_s_unit(tau, analysis.report.places)
+            assert is_s_unit(tau + 1, analysis.report.places)
 
     def test_rejects_non_powering(self):
         f = make_map([1, 0, 1], [1])
@@ -355,7 +355,7 @@ class TestPoweringAnalysis:
             PlaceSet(),
             PairWindow(3, 3),
         )
-        assert {2, 3, 5} <= set(analysis.enlarged_places)
+        assert {2, 3, 5} <= set(analysis.report.places)
 
 
 class TestExceptionalEnlarge:
@@ -387,14 +387,12 @@ class TestExceptionalEnlarge:
     def test_digit_budget_cut_fails_by_name(self):
         f = make_map([1, 0, 0], [1])  # 3^(2^5) has 16 digits, 3^(2^6) 31
         u, window = ProjPoint(3, 1), PairWindow(8, 8)
-        enlarged, report = exceptional_case_analysis(
-            f, u, PlaceSet(), window, digit_budget=20
-        )
-        assert enlarged == exceptional_case_enlarge(f, u, PlaceSet(), window)
+        report = exceptional_case_analysis(f, u, PlaceSet(), window, digit_budget=20)
+        assert report.places == exceptional_case_enlarge(f, u, PlaceSet(), window)
         assert report.truncated and report.effective_window == PairWindow(5, 8)
         with pytest.raises(SearchError, match="digit budget cut the window to 5x8"):
             exceptional_case_enlarge(f, u, PlaceSet(), window, digit_budget=20)
-        _, whole = exceptional_case_analysis(f, u, PlaceSet(), window)
+        whole = exceptional_case_analysis(f, u, PlaceSet(), window)
         assert not whole.truncated
 
     def test_rejects_u_hitting_exceptional(self):
