@@ -3,9 +3,11 @@
 The antisymmetric forms G_n = P_n(x) Q_n(y) - P_n(y) Q_n(x) cut out the
 pullbacks D_n of the diagonal; the layer forms B_n = G_n / G_{n-1} are
 exact integer quotients (effectivity), with B_0 the diagonal form
-x0*y1 - x1*y0.  Both are pullbacks: G_n is B_0 pulled back under the iterate
-forms F_n = (P_n, Q_n) on both factors, and B_n for n >= 2 is B_1 pulled back
-under F_(n-1).  A biform is a binary form in x whose coefficients are binary
+x0*y1 - x1*y0.  G_n is B_0 pulled back under the iterate forms
+F_n = (P_n, Q_n) on both factors; being antisymmetric, it is built as its
+minors above the diagonal, P_n[i] Q_n[j] - Q_n[i] P_n[j] for j > i, and
+mirrored with negation.  B_n for n >= 2 is B_1 pulled back under F_(n-1).
+A biform is a binary form in x whose coefficients are binary
 forms in y, so all its arithmetic is ``binforms`` arithmetic.  The exact
 quotient ``exact_divide`` is long division in x over Z[y0, y1]; it builds
 B_1 = G_1 / B_0, the base case of the tower, and the tests hold every B_n
@@ -17,12 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from operator import neg
 
 from . import binforms
 from .binforms import Form
 from .exactarith import decimal_str
 from .projective import ProjPoint
-from .ratmap import RatMap, iterated_forms
+from .ratmap import FormDegreeCapError, RatMap, iterated_forms
+
+# largest degree D of G_n and B_n in x and in y that ``build_tower`` builds:
+# a biform has (D+1)^2 coefficients, and a degree-4 rational tower at
+# D = 1024 took about 30 s and wrote a 751 MB report
+BIFORM_DEGREE_CAP = 256
 
 
 class DivisorError(ValueError):
@@ -60,7 +68,7 @@ class BiForm:
         return not any(map(any, self.rows))
 
     def content(self) -> int:
-        return math.gcd(*map(binforms.content, self.rows))
+        return _content(self.rows)
 
     def normalized(self) -> "BiForm":
         """Content 1, lexicographically leading coefficient positive (the
@@ -96,6 +104,16 @@ class BiForm:
                 row = f"({dx - a},{a},"
                 terms += [row + cols[b] + decimal_str(c) for b, c in compress(enumerate(r), r)]
         return " ".join(terms)
+
+
+def _content(rows) -> int:
+    """The gcd of every entry of ``rows``, read row by row until it is 1."""
+    g = 0
+    for r in rows:
+        g = math.gcd(g, *r)
+        if g == 1:
+            break
+    return g
 
 
 def diagonal_form() -> BiForm:
@@ -143,13 +161,45 @@ def pullback(form: BiForm, p: Form, q: Form) -> BiForm:
 def g_form(f: RatMap, n: int) -> BiForm:
     """The normalized antisymmetric form of bidegree (d^n, d^n),
     P_n(x) Q_n(y) - P_n(y) Q_n(x): the pullback of B_0 under the iterate
-    forms."""
+    forms.
+
+    Entry (i, j) is the minor P_n[i] Q_n[j] - Q_n[i] P_n[j], so the form is
+    built as the minors above the diagonal and mirrored with negation, the
+    diagonal 0.  Its content is theirs, and its first nonzero entry, read
+    row by row, lies above the diagonal: the entries left of it mirror
+    entries of earlier rows, which are zero.  Row i of the minors is
+    nonzero only over the span of Q_n when P_n[i] != 0 and of P_n when
+    Q_n[i] != 0; for a polynomial map Q_n = c*x1^D, so all but one row of
+    the minors is a single term."""
     if n < 1:
         raise DivisorError("g_form requires n >= 1")
-    form = pullback(diagonal_form(), *iterated_forms(f, n))
-    if form.is_zero:
+    p, q = iterated_forms(f, n)
+    width = len(p)
+    (plo, phi), (qlo, qhi) = [
+        (binforms.x1_multiplicity(v), width - binforms.x1_multiplicity(v[::-1])) for v in (p, q)
+    ]
+    # (lo, [minor (i, j) for lo <= j < hi]) for row i, with lo > i
+    minors = []
+    for i, (a, b) in enumerate(zip(p, q)):
+        lo = max(i + 1, min(qlo if a else width, plo if b else width))
+        hi = max(qhi if a else 0, phi if b else 0)
+        minors.append((lo, [a * y - b * x for x, y in zip(p[lo:hi], q[lo:hi])]))
+    upper = [m for _, m in minors]
+    g = _content(upper)
+    if not g:
         raise DivisorError("degenerate G form")
-    return form.normalized()
+    if next(filter(None, next(filter(any, upper)))) < 0:
+        g = -g
+    flat = [0] * (width * width)
+    for i, (lo, m) in enumerate(minors):
+        if m:
+            if g != 1:
+                m = [c // g for c in m]
+            start = i * width + lo
+            flat[start:start + len(m)] = m
+            start = lo * width + i
+            flat[start:start + len(m) * width:width] = map(neg, m)
+    return BiForm(tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width)))
 
 
 def exact_divide(numerator: BiForm, divisor: BiForm) -> BiForm:
@@ -198,10 +248,17 @@ def build_tower(f: RatMap, depth: int) -> DivisorTower:
     Every higher layer is a pullback, B_k = (F_(k-1) x F_(k-1))^* B_1 with
     F_j = (P_j, Q_j), normalized: composing G_1 = B_0 B_1 with F_(k-1) gives
     G_k = +-G_(k-1) B_k by Gauss's lemma, so B_k is the exact quotient
-    G_k / G_(k-1). The form degree cap is checked before any form is built.
+    G_k / G_(k-1). The biform degree cap, d^depth <= ``BIFORM_DEGREE_CAP``,
+    is checked before any form is built.
     """
     if depth < 1:
         raise DivisorError("depth must be >= 1")
+    if f.degree**depth > BIFORM_DEGREE_CAP:
+        raise FormDegreeCapError(
+            f"biform degree {f.degree**depth} exceeds the biform degree cap {BIFORM_DEGREE_CAP}"
+        )
+    # the iterate forms F_1..F_depth in one recursion, before any biform, so
+    # that the traced spans of g_form time the biforms alone
     iterated_forms(f, depth)
     gs = [g_form(f, k) for k in range(1, depth + 1)]
     b0 = diagonal_form()

@@ -20,7 +20,7 @@ import re
 
 from . import binforms
 from .exactarith import POWER_DIGIT_CAP, parse_rational, read_digits
-from .ratmap import DEFAULT_FORM_DEGREE_CAP, RatMap, make_map
+from .ratmap import MAP_DEGREE_CAP, RatMap, make_map
 
 
 class ParseError(ValueError):
@@ -38,7 +38,16 @@ def _add(a: list[int], b: list[int]) -> list[int]:
     return _trim(binforms.add([0] * (n - len(a)) + a, [0] * (n - len(b)) + b))
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
+def _mul(a: list[int], b: list[int], what: str, pos: int) -> list[int]:
+    """a*b, refused before it is built when its degree passes the map
+    degree cap: the unreduced numerator and denominator of an expression
+    stay within it, so a short text cannot build a huge polynomial."""
+    degree = len(a) + len(b) - 2
+    if degree > MAP_DEGREE_CAP:
+        raise ParseError(
+            f"{what} at position {pos} has degree {degree}, past the map degree cap "
+            f"{MAP_DEGREE_CAP}"
+        )
     return _trim(binforms.mul(a, b))
 
 
@@ -53,7 +62,8 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
 
     Each rule of the grammar returns an unreduced ``(num, den)`` pair of
     coefficient lists (every atom is an integer); the pair is reduced once,
-    at the end."""
+    at the end.  A sum, product or power whose unreduced numerator or
+    denominator would pass ``MAP_DEGREE_CAP`` is refused by position."""
     toks = [(m[1], m.start(1)) for m in _TOKEN.finditer(text)]
     for tok, pos in toks:
         if not tok.isdecimal() and tok not in "x+-*/^()":
@@ -69,26 +79,27 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
     def expr():
         num, den = term()
         while toks[i][0] in "+-":
-            op = take()[0]
+            op, pos = take()
             rnum, rden = term()
             if op == "-":
                 rnum = [-c for c in rnum]
-            num, den = _add(_mul(num, rden), _mul(rnum, den)), _mul(den, rden)
+            num, den = (_add(_mul(num, rden, "sum", pos), _mul(rnum, den, "sum", pos)),
+                        _mul(den, rden, "sum", pos))
         return num, den
 
     def term():
         num, den = factor()
         while True:
-            op = toks[i][0]
+            op, pos = toks[i]
             if op in "*/":
                 take()
             elif not (op.isdecimal() or op in "x("):
                 return num, den
             rnum, rden = factor()  # adjacency multiplies: "2x", "3(x+1)"
             if op != "/":
-                num, den = _mul(num, rnum), _mul(den, rden)
+                num, den = _mul(num, rnum, "product", pos), _mul(den, rden, "product", pos)
             elif any(rnum):
-                num, den = _mul(num, rden), _mul(den, rnum)
+                num, den = _mul(num, rden, "product", pos), _mul(den, rnum, "product", pos)
             else:
                 raise ParseError("division by zero")
 
@@ -117,14 +128,14 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
                 )
             return [num[0] ** e], [den[0] ** e]
         degree = e * (max(len(num), len(den)) - 1)
-        if degree > DEFAULT_FORM_DEGREE_CAP:
+        if degree > MAP_DEGREE_CAP:
             raise ParseError(
-                f"power at position {caret} has degree {degree}, past the form "
-                f"degree cap {DEFAULT_FORM_DEGREE_CAP}"
+                f"power at position {caret} has degree {degree}, past the map "
+                f"degree cap {MAP_DEGREE_CAP}"
             )
         num, den = [1], [1]
         for _ in range(e):
-            num, den = _mul(num, base[0]), _mul(den, base[1])
+            num, den = _mul(num, base[0], "power", caret), _mul(den, base[1], "power", caret)
         return num, den
 
     def atom():

@@ -283,15 +283,43 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", ["x^65+1", "x^300+1"])
     def test_map_degree_cap_checked_before_the_resultant(self, capsys, text):
-        # the resultant alone of a degree-300 map takes seconds
+        # the resultant alone of a degree-300 map takes seconds; the
+        # expression reader refuses the power before RatMap sees it
         start = time.perf_counter()
         code, out = run_cli(["--no-timestamp", "analyze", "--map", text], capsys)
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_PRECONDITION
         degree = text[2:-2]
         assert json.loads(out)["error"] == (
-            f"map degree {degree} exceeds the map degree cap {MAP_DEGREE_CAP}"
+            f"power at position 1 has degree {degree}, past the map degree cap {MAP_DEGREE_CAP}"
         )
+
+    def test_map_degree_cap_of_the_coefficient_format(self, capsys):
+        # the coefficient format reaches RatMap's own check
+        text = "num=1," + "0," * 299 + "1;den=1"
+        start = time.perf_counter()
+        code, out = run_cli(["--no-timestamp", "analyze", "--map", text], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_PRECONDITION
+        assert json.loads(out)["error"] == (
+            f"map degree 300 exceeds the map degree cap {MAP_DEGREE_CAP}"
+        )
+
+    @pytest.mark.parametrize(
+        "text, n, error",
+        [
+            # a biform of degree 512 has 263169 coefficients: this tower
+            # took 5.7 s and wrote a 117 MB report
+            ("(x^2+2)/(2x+1)", "9", "biform degree 512 exceeds the biform degree cap 256"),
+            ("x^2+1", "13", "biform degree 8192 exceeds the biform degree cap 256"),
+        ],
+    )
+    def test_biform_degree_cap_before_any_form(self, capsys, text, n, error):
+        start = time.perf_counter()
+        code, out = run_cli(["--no-timestamp", "divisor", "--map", text, "--n", n], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_PRECONDITION
+        assert json.loads(out)["error"] == error
 
     @pytest.mark.parametrize(
         "args, error",
@@ -305,7 +333,11 @@ class TestExitCodes:
              "power at position 1 has more than 1000000 digits"),
             # mapexpr, a power of x: x^30000 took 23 s to build
             (["analyze", "--map", "x^30000"],
-             "power at position 1 has degree 30000, past the form degree cap 4096"),
+             "power at position 1 has degree 30000, past the map degree cap 64"),
+            # mapexpr, a product: refused by its degree before it is built,
+            # as (x+1)^1024*(x+1)^1024 is, which took 2.8 s to reach RatMap
+            (["analyze", "--map", "(x+1)^64*(x+1)^64"],
+             "product at position 8 has degree 128, past the map degree cap 64"),
         ],
     )
     def test_huge_power_refused_before_it_is_built(self, capsys, args, error):

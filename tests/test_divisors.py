@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 
 import pytest
@@ -18,6 +19,7 @@ from orbitint.divisors import (
     pullback,
 )
 from orbitint.exactarith import decimal_str
+from orbitint.mapexpr import parse_map
 from orbitint.projective import INFINITY, ProjPoint
 from orbitint.ratmap import (
     FormDegreeCapError,
@@ -339,6 +341,57 @@ class TestPullback:
                 for pa, qa in zip(p, q)
             )
             assert pullback(diagonal_form(), p, q) == BiForm(rows)
+
+
+# depth of the deepest tower with d^n <= 81
+DEEPEST = {2: 6, 3: 4, 4: 3}
+
+
+class TestTriangle:
+    """g_form builds the minors above the diagonal and mirrors them; the
+    full pullback of B_0, normalized, is its oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagonal_maps())
+    @example(make_map([2, 0, 2], [1, 0]))
+    @example(make_map([1, 0, -3], [2, 0]))
+    @example(make_map([1, 0, 1], [1]))
+    def test_g_forms_match_the_pullback(self, f):
+        n = DEEPEST[f.degree]
+        tower = build_tower(f, n)
+        for k, g in enumerate(tower.g_forms, 1):
+            assert g == pullback(diagonal_form(), *iterated_forms(f, k)).normalized()
+            assert swap_xy(g) == g.negate()
+        for b in tower.b_forms[1:]:
+            assert b.rows == tuple(zip(*b.rows))
+
+    @pytest.mark.parametrize("text, contents", [
+        ("(2x^2+2)/x", [2, 1, 2, 1]),
+        ("(x^2-3)/(2x)", [2, 4, 8, 16]),
+    ])
+    def test_content_above_one(self, text, contents):
+        # the minors of these G_n have content above 1, which g_form divides
+        # out; the property above holds the result to the oracle
+        f = parse_map(text)
+        for k, want in enumerate(contents, 1):
+            assert pullback(diagonal_form(), *iterated_forms(f, k)).content() == want
+            assert g_form(f, k).content() == 1
+
+    @given(st.integers(1, 5).flatmap(lambda width: st.lists(
+        st.one_of(
+            st.just((0,) * width),
+            st.tuples(*[st.integers(-12, 12)] * width),
+            st.tuples(*[st.sampled_from([-6, 0, 4, 9])] * width),
+        ),
+        min_size=1, max_size=6,
+    )))
+    @example([(0, 0), (0, 0)])
+    @example([(0, 0), (0, 0), (-4, 6)])
+    @example([(0, 0), (-3, 0), (1, 9)])
+    @example([(-6, 0), (0, -9), (0, 0)])
+    def test_content_is_the_gcd_of_every_entry(self, rows):
+        # zero rows, leading zero rows and negative entries
+        assert BiForm(tuple(rows)).content() == math.gcd(*(c for r in rows for c in r))
 
 
 class TestGForms:

@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitint.mapexpr import (
@@ -11,7 +11,7 @@ from orbitint.mapexpr import (
     parse_map,
     parse_rational_function,
 )
-from orbitint.ratmap import make_map
+from orbitint.ratmap import MAP_DEGREE_CAP, make_map
 
 from conftest import CORPUS_EXPRS
 
@@ -75,6 +75,35 @@ class TestParseErrors:
     def test_division_by_zero(self):
         with pytest.raises(ParseError):
             parse_map("x^2 / 0")
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("(x+1)^2048", "power at position 5 has degree 2048"),
+            ("(x+1)^1024*(x+1)^1024", "power at position 5 has degree 1024"),
+            ("(x+1)^40 (x+1)^40", "product at position 9 has degree 80"),
+            ("1/(x+1)^40 + 1/(x+2)^40", "sum at position 11 has degree 80"),
+            # the cap holds for the unreduced pair: this is 1/(x-1)^25
+            ("(x+1)^40/((x+1)^40*(x-1)^25)", "product at position 18 has degree 65"),
+        ],
+    )
+    def test_map_degree_cap_refuses_before_building(self, text, error):
+        # (x+1)^2048 took 1.7 s to build, and the product 2.8 s, before
+        # RatMap refused the map by its degree
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_rational_function(text)
+        assert time.perf_counter() - start < 0.1
+        assert str(err.value).startswith(error)
+
+    def test_map_degree_cap_counts_the_unreduced_pair(self):
+        # a degree-2 map, but its numerator is built to degree 102 first
+        text = "(x+1)^100*x^2/(x+1)^100"
+        with pytest.raises(ParseError, match=f"past the map degree cap {MAP_DEGREE_CAP}"):
+            parse_map(text)
+        # at the cap the same cancellation is read
+        assert parse_rational_function("(x+1)^62*x^2/(x+1)^62") == ([1, 0, 0], [1])
+        assert parse_rational_function("x^64") == ([1] + [0] * 64, [1])
 
     def test_degree_below_two_from_expression(self):
         from orbitint.ratmap import RatMapError
@@ -220,6 +249,32 @@ def _value(tree, x: Fraction) -> Fraction:
     return a / b if op == "/" else a * b
 
 
+def _degree_bound(tree) -> tuple[int, int, int]:
+    """Upper bounds on the degrees of the unreduced numerator and
+    denominator the parser builds for tree, and the largest bound met in
+    any subtree."""
+    op = tree[0]
+    if op == "int":
+        return 0, 0, 0
+    if op == "x":
+        return 1, 0, 1
+    if op in ("neg", "pos"):
+        return _degree_bound(tree[1])
+    if op == "^":
+        n, d, peak = _degree_bound(tree[1])
+        n, d = n * tree[2], d * tree[2]
+        return n, d, max(peak, n, d)
+    an, ad, ap = _degree_bound(tree[1])
+    bn, bd, bp = _degree_bound(tree[2])
+    if op in "+-":
+        n, d = max(an + bd, bn + ad), ad + bd
+    elif op == "/":
+        n, d = an + bd, ad + bn
+    else:
+        n, d = an + bn, ad + bd
+    return n, d, max(ap, bp, n, d)
+
+
 def _divisors(tree):
     if tree[0] == "/":
         yield tree[2]
@@ -250,6 +305,8 @@ def _horner(cs, x: Fraction) -> Fraction:
 class TestRandomTrees:
     @settings(max_examples=300, deadline=None)
     @given(_trees)
+    # degree 65 unreduced: refused by the map degree cap
+    @example(("*", ("^", ("^", ("^", ("x",), 4), 4), 4), ("x",)))
     def test_value_matches_tree(self, tree):
         # a divisor that vanishes at every point is taken for the zero
         # polynomial, which the parser refuses ("division by zero")
@@ -258,6 +315,12 @@ class TestRandomTrees:
         points = [x for x in _POINTS if _defined(tree, x)][:5]
         assume(len(points) == 5)
         text = _render(tree)
-        num, den = parse_rational_function(text)
+        try:
+            num, den = parse_rational_function(text)
+        except ParseError as err:
+            # only a tree whose unreduced degree may pass the cap is refused
+            assert "past the map degree cap" in str(err), text
+            assert _degree_bound(tree)[2] > MAP_DEGREE_CAP, text
+            return
         for x in points:
             assert Fraction(_horner(num, x), _horner(den, x)) == _value(tree, x), text
