@@ -312,20 +312,6 @@ def factor_form(cs: Sequence[int]) -> tuple[int, list[tuple[Form, int]]]:
     return m, modp.factor(uni)
 
 
-def rational_projective_roots(cs: Sequence[int]) -> list[tuple[int, int]]:
-    """Rational projective roots [a0:a1] (coprime, a1 >= 0) of a binary form,
-    including [1:0] when x1 divides the form."""
-    m, factors = factor_form(cs)
-    roots = []
-    if m > 0:
-        roots.append((1, 0))
-    for fac, _ in factors:
-        if degree(fac) == 1:
-            a, b = fac  # a*t + b, primitive with a > 0
-            roots.append((-b, a))
-    return roots
-
-
 def divides(div: Sequence[int], num: Sequence[int]) -> bool:
     """Exact divisibility of binary forms over Q: the x1 power of div
     divides num's, and the pseudo-remainder of the affine parts is zero."""

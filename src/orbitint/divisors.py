@@ -294,6 +294,11 @@ def diagonal_critical_intersections(tower: DivisorTower) -> list[ProjPoint]:
     These are the rational roots of the Wronskian W of the map: by Euler's
     identity, B_1(x, x) = W(x)/d for W = dP/dx0 dQ/dx1 - dP/dx1 dQ/dx0 and
     B_1 = (P(x)Q(y) - P(y)Q(x)) / B_0, and the tower's B_1 is a constant
-    multiple of that quotient.  W is never zero for a map of degree >= 2."""
-    roots = binforms.rational_projective_roots(tower.map.wronskian)
-    return sorted((ProjPoint(a0, a1) for a0, a1 in roots), key=lambda p: (p.a1, p.a0))
+    multiple of that quotient.  W is never zero for a map of degree >= 2.
+    The roots are read off the linear factors of W, x1 first, as
+    ``ratmap.critical_data`` reads them."""
+    x1_mult, factors = binforms.factor_form(tower.map.wronskian)
+    if x1_mult > 0:
+        factors = [((0, 1), x1_mult)] + factors
+    points = (ProjPoint(-fac[1], fac[0]) for fac, _ in factors if len(fac) == 2)
+    return sorted(points, key=lambda p: (p.a1, p.a0))

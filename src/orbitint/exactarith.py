@@ -17,7 +17,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Iterable
 
-from .primes import is_prime
+from .primes import factor, is_prime
 
 Rational = Fraction
 
@@ -51,6 +51,11 @@ class PlaceSet:
     def union(self, other: "PlaceSet | Iterable[int]") -> "PlaceSet":
         other_primes = other.primes if isinstance(other, PlaceSet) else tuple(other)
         return PlaceSet(self.primes + other_primes)
+
+    @classmethod
+    def dividing(cls, *ns: int) -> "PlaceSet":
+        """The primes that divide any of the nonzero integers ``ns``."""
+        return cls(tuple(p for n in ns for p in factor(n)))
 
     @classmethod
     def parse(cls, text: str) -> "PlaceSet":

@@ -23,7 +23,6 @@ from typing import Sequence
 from . import binforms
 from .binforms import Form
 from .exactarith import PlaceSet, decimal_str
-from .primes import factor
 from .projective import INFINITY, ProjPoint
 
 DEFAULT_FORM_DEGREE_CAP = 4096
@@ -219,10 +218,7 @@ def _iterated_forms(f: RatMap, n: int) -> tuple[Form, Form]:
 
 def bad_reduction_primes(f: RatMap) -> PlaceSet:
     """Primes dividing Res(P, Q): exactly the primes of bad reduction."""
-    res = abs(f.resultant)
-    if res == 1:
-        return PlaceSet()
-    return PlaceSet(tuple(factor(res)))
+    return PlaceSet.dividing(abs(f.resultant))
 
 
 @dataclass(frozen=True)

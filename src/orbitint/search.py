@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import binforms
 from .exactarith import PlaceSet, is_s_unit
 from .integrality import IntegralityWitness, is_integral_pair
-from .primes import factor
 from .projective import INFINITY, ProjPoint
 from .ratmap import (
     PoweringWitness,
@@ -26,7 +24,6 @@ from .ratmap import (
     eval_map,
     exceptional_points,
     is_powering_conjugate,
-    iterated_forms,
 )
 
 DEFAULT_ORBIT_CAP = 12
@@ -278,15 +275,6 @@ def detect_coset_structure(report: PairReport) -> CosetStructure:
     return structure
 
 
-def _affine_prime_support(x: Fraction) -> set[int]:
-    out: set[int] = set()
-    if x.numerator != 0:
-        out |= set(factor(x.numerator)) if abs(x.numerator) > 1 else set()
-    if x.denominator > 1:
-        out |= set(factor(x.denominator))
-    return out
-
-
 @dataclass(frozen=True)
 class PoweringAnalysis:
     report: PairReport
@@ -308,10 +296,9 @@ def powering_pair_analysis(
     witness = is_powering_conjugate(f)
     if not witness.is_powering:
         raise SearchError("map is not conjugate to a powering map")
-    ua, wa = u.to_affine(), w.to_affine()
-    if ua is None or wa is None or ua == 0 or wa == 0:
+    if 0 in (u.a0, u.a1, w.a0, w.a1):
         raise SearchError("u and w must be nonzero affine points")
-    enlarged = s.union(_affine_prime_support(ua) | _affine_prime_support(wa))
+    enlarged = s.union(PlaceSet.dividing(u.a0, u.a1, w.a0, w.a1))
     report = find_integral_pairs(f, u, w, enlarged, window, digit_budget=digit_budget)
     taus = set()
     all_units = True
@@ -342,10 +329,14 @@ def exceptional_case_analysis(
     integral when w is the exceptional point at infinity; S' is
     ``report.places``.
 
-    S' adds the bad-reduction primes, the primes of the denominators of
-    u and f(u), and the primes of the leading coefficient of the second
-    iterate's numerator; the guarantee is then verified on the report's
-    window, which a digit budget may have cut (``report.truncated``).
+    S' is S with three parts added: the bad-reduction primes, the primes
+    of u's denominator and the primes of f(u)'s denominator.  The leading
+    coefficient P_2(1, 0) of the second iterate adds no prime: a prime
+    dividing it makes [1:0], which f^2 fixes, a common zero of P_2 and Q_2
+    modulo that prime, so it divides Res(f^2), a product of powers of
+    Res(f) (Silverman, GTM 241, ch. 2).  The guarantee is verified on
+    the report's window, which a digit budget may have cut
+    (``report.truncated``).
     """
     exc = exceptional_points(f)
     if not exc:
@@ -357,21 +348,11 @@ def exceptional_case_analysis(
     w = INFINITY
     # The exceptional set is completely invariant: a returned c has
     # f^-1(c) = {f(c)}, and f(c) is returned too.  So the orbit of u meets
-    # a rational exceptional point only if u is one.
+    # a rational exceptional point only if u is one, and for u outside the
+    # set, neither u nor f(u) is infinity.
     if u in exc:
         raise SearchError("u hits exceptional point")
-    extra: set[int] = set(bad_reduction_primes(f))
-    fu = eval_map(f, u)
-    for pt in (u, fu):
-        aff = pt.to_affine()
-        if aff is None:
-            raise SearchError("u hits exceptional point")
-        if aff.denominator > 1:
-            extra |= set(factor(aff.denominator))
-    p2, _q2 = iterated_forms(f, 2)
-    lead = p2[binforms.x1_multiplicity(p2)]
-    if abs(lead) > 1:
-        extra |= set(factor(lead))
+    extra = bad_reduction_primes(f).union(PlaceSet.dividing(u.a1, eval_map(f, u).a1))
     report = find_integral_pairs(
         f, u, w, s.union(extra), window, digit_budget=digit_budget, with_hypotheses=False
     )

@@ -553,6 +553,13 @@ class TestDiagonalIntersections:
         got = diagonal_critical_intersections(tower)
         assert got == sorted(rational_roots(diag), key=lambda p: (p.a1, p.a0))
 
+    @settings(max_examples=80, deadline=None)
+    @given(rational_maps())
+    def test_roots_are_the_rational_critical_points(self, f):
+        got = diagonal_critical_intersections(build_tower(f, 1))
+        points = [c.point for c in critical_data(f) if c.point is not None]
+        assert got == sorted(points, key=lambda p: (p.a1, p.a0))
+
 
 def vanishing_layers(tower, xi, eta):
     return tuple(i for i, b in enumerate(tower.b_forms) if b.evaluate(xi, eta) == 0)

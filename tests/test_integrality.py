@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitint import integrality, ratmap
+from orbitint import exactarith, integrality
 from orbitint.exactarith import PlaceSet
 from orbitint.integrality import (
     IntegralityError,
@@ -160,7 +160,7 @@ class TestRelDn:
         def refuse(n):
             raise AssertionError("factored")
 
-        monkeypatch.setattr(ratmap, "factor", refuse)
+        monkeypatch.setattr(exactarith, "factor", refuse)
         f = make_map([1, 0, Fraction(1, 2)], [1])
         w = is_integral_rel_dn(f, ProjPoint(1, 1), ProjPoint(3, 1), 1, PlaceSet((2,)))
         assert w.cross_term == d_n_cross_form_value(f, ProjPoint(1, 1), ProjPoint(3, 1), 1)

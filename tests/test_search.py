@@ -1,18 +1,23 @@
 from fractions import Fraction
+from math import comb
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from orbitint import parse_map, ratmap, search
+from orbitint import binforms, exactarith, parse_map, search
 from orbitint.exactarith import PlaceSet, is_s_unit
 from orbitint.integrality import is_integral_pair
+from orbitint.primes import factor
 from orbitint.projective import INFINITY, ProjPoint, from_affine
 from orbitint.ratmap import (
     RatMapError,
+    bad_reduction_primes,
+    eval_map,
     exceptional_points,
     iterate,
+    iterated_forms,
     make_map,
     mobius_conjugate,
 )
@@ -91,7 +96,7 @@ class TestFindIntegralPairs:
         def refuse(n):
             raise AssertionError(f"factored {n}")
 
-        monkeypatch.setattr(ratmap, "factor", refuse)
+        monkeypatch.setattr(exactarith, "factor", refuse)
         p, q = 1000000000000000000000000012367, 3000000000000000000000000000779
         f = make_map([1, 0, 1], [p * q])
         s = PlaceSet((p, q))
@@ -357,6 +362,19 @@ class TestPoweringAnalysis:
         )
         assert {2, 3, 5} <= set(analysis.report.places)
 
+    def test_factors_exactly_the_coordinates(self, monkeypatch):
+        factored = []
+
+        def record(n):
+            factored.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(exactarith, "factor", record)
+        f, u, w = make_map([1, 0, 0], [1]), from_affine(Fraction(-30, 7)), ProjPoint(2, 1)
+        analysis = powering_pair_analysis(f, u, w, PlaceSet(), PairWindow(3, 3))
+        assert factored == [-30, 7, 2, 1]
+        assert analysis.report.places.primes == (2, 3, 5, 7)
+
 
 class TestExceptionalEnlarge:
     def test_integer_point_needs_nothing(self):
@@ -394,6 +412,20 @@ class TestExceptionalEnlarge:
             exceptional_case_enlarge(f, u, PlaceSet(), window, digit_budget=20)
         whole = exceptional_case_analysis(f, u, PlaceSet(), window)
         assert not whole.truncated
+
+    def test_factors_exactly_res_and_denominators(self, monkeypatch):
+        factored = []
+
+        def record(n):
+            factored.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(exactarith, "factor", record)
+        f = swap_map(2, 1, 2)  # 2 + 1/(x-2)^2: Res = -1, f(5/3) = 11
+        u = from_affine(Fraction(5, 3))
+        report = exceptional_case_analysis(f, u, PlaceSet(), PairWindow(3, 3))
+        assert factored == [abs(f.resultant), u.a1, eval_map(f, u).a1] == [1, 3, 1]
+        assert report.places.primes == (3,)
 
     def test_rejects_u_hitting_exceptional(self):
         f = make_map([1, 0, 0], [1])
@@ -455,3 +487,63 @@ class TestExceptionalStartPoint:
             except SearchError as err:
                 refused = str(err) == "u hits exceptional point"
             assert refused == hits
+
+
+def swap_map(c, a, d):
+    """c + a/(x - c)^d: infinity and c are exceptional, swapped by f."""
+    den = [comb(d, k) * (-c) ** k for k in range(d + 1)]
+    num = [c * x for x in den]
+    num[-1] += a
+    return make_map(num, den)
+
+
+def p2_route_primes(f, u):
+    """S' as ``exceptional_case_analysis`` built it with the leading
+    coefficient of P_2 factored in: the bad-reduction primes, the primes of
+    the denominators of u and f(u), and the primes of P_2(1, 0)."""
+    primes = set(bad_reduction_primes(f))
+    for pt in (u, eval_map(f, u)):
+        primes |= set(factor(pt.a1))
+    p2, _q2 = iterated_forms(f, 2)
+    return primes | set(factor(p2[binforms.x1_multiplicity(p2)]))
+
+
+@st.composite
+def infinity_exceptional_maps(draw):
+    """Polynomial maps, with rational coefficients, and swap-type maps
+    c + a/(x - c)^d, of degree 2 or 3: maps with infinity exceptional."""
+    d = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+        lead = draw(coeff.filter(bool))
+        rest = draw(st.lists(coeff, min_size=d, max_size=d))
+        return make_map([lead] + rest, [draw(st.integers(1, 6))])
+    return swap_map(draw(st.integers(-4, 4)), draw(st.integers(-6, 6).filter(bool)), d)
+
+
+class TestExceptionalPlacesAgainstP2Route:
+    @settings(max_examples=120, deadline=None)
+    @given(infinity_exceptional_maps(), st.integers(-9, 9), st.integers(1, 9))
+    @example(swap_map(2, 1, 2), 5, 3)
+    def test_p2_primes_are_in_the_enlarged_set(self, f, num, den):
+        exc = exceptional_points(f)
+        assert INFINITY in exc
+        u = from_affine(Fraction(num, den))
+        assume(u not in exc)
+        assert eval_map(f, u).a1 != 0
+        report = exceptional_case_analysis(f, u, PlaceSet(), PairWindow(3, 3))
+        assert p2_route_primes(f, u) <= set(report.places)
+        window = report.effective_window
+        assert len(report.witnesses) == (window.m_max + 1) * (window.n_max + 1)
+        assert set(report.pairs) == set(report.witnesses)
+        # a cell (m, n) with w = infinity is integral iff f^m(u)'s
+        # denominator is an S'-unit
+        assert all(is_s_unit(pt.a1, report.places) for pt in report.u_orbit)
+
+    @pytest.mark.parametrize("c, a, d", [(2, 1, 2), (0, 3, 3), (-3, -2, 2)])
+    def test_start_at_f_of_infinity_is_refused(self, c, a, d):
+        f = swap_map(c, a, d)
+        u = eval_map(f, INFINITY)
+        assert u == ProjPoint(c, 1) and u in exceptional_points(f)
+        with pytest.raises(SearchError, match="^u hits exceptional point$"):
+            exceptional_case_analysis(f, u, PlaceSet(), PairWindow(3, 3))
