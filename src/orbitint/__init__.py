@@ -55,7 +55,6 @@ from .search import (
     PairReport,
     PairWindow,
     detect_coset_structure,
-    exceptional_case_analysis,
     exceptional_case_enlarge,
     find_integral_pairs,
     powering_pair_analysis,

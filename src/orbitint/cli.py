@@ -45,7 +45,7 @@ from .search import (
     PairWindow,
     SearchError,
     detect_coset_structure,
-    exceptional_case_analysis,
+    exceptional_case_enlarge,
     find_integral_pairs,
     orbit,
     powering_pair_analysis,
@@ -113,11 +113,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S", default="")
     p.add_argument("--window", default="6x6")
 
-    p = sub.add_parser("exceptional", help="S-enlargement for exceptional w = inf")
+    p = sub.add_parser(
+        "exceptional",
+        help="S-enlargement making every (m, n) integral for exceptional w = inf",
+    )
     add_map(p)
     p.add_argument("--u", required=True)
     p.add_argument("--S", default="")
-    p.add_argument("--window", default="8x8")
 
     return ap
 
@@ -196,21 +198,17 @@ def _run_command(args) -> tuple[dict, int]:
             status = EXIT_TRUNCATED
     elif args.command == "exceptional":
         u = parse_point(args.u)
-        report = exceptional_case_analysis(
-            f,
-            u,
-            PlaceSet.parse(args.S),
-            _parse_window(args.window),
-            digit_budget=args.digit_budget,
-        )
+        places = exceptional_case_enlarge(f, u, PlaceSet.parse(args.S))
         body = {
             "map": f.serialize_coefficients(),
             "u": u.serialize(),
-            "enlarged_S": report.places.serialize(),
-            "window_verified": not report.truncated,
+            "enlarged_S": places.serialize(),
+            "note": (
+                "enlarged_S makes every (m, n) in N^2 integral for w = inf, by "
+                "good reduction: at each prime outside it, f has good reduction "
+                "and no f^m(u) reduces onto the exceptional set"
+            ),
         }
-        if report.truncated:
-            status = EXIT_TRUNCATED
     else:  # pragma: no cover
         raise SearchError(f"unknown command {args.command!r}")
     return body, status

@@ -25,7 +25,7 @@ from . import binforms
 from .binforms import Form
 from .exactarith import decimal_str
 from .projective import ProjPoint
-from .ratmap import FormDegreeCapError, RatMap, iterated_forms
+from .ratmap import FormDegreeCapError, RatMap, critical_factors, iterated_forms
 
 # largest degree D of G_n and B_n in x and in y that ``build_tower`` builds:
 # a biform has (D+1)^2 coefficients, and a degree-4 rational tower at
@@ -295,10 +295,8 @@ def diagonal_critical_intersections(tower: DivisorTower) -> list[ProjPoint]:
     identity, B_1(x, x) = W(x)/d for W = dP/dx0 dQ/dx1 - dP/dx1 dQ/dx0 and
     B_1 = (P(x)Q(y) - P(y)Q(x)) / B_0, and the tower's B_1 is a constant
     multiple of that quotient.  W is never zero for a map of degree >= 2.
-    The roots are read off the linear factors of W, x1 first, as
-    ``ratmap.critical_data`` reads them."""
-    x1_mult, factors = binforms.factor_form(tower.map.wronskian)
-    if x1_mult > 0:
-        factors = [((0, 1), x1_mult)] + factors
+    The roots are read off the linear factors of
+    ``ratmap.critical_factors``, as ``ratmap.critical_data`` reads them."""
+    factors = critical_factors(tower.map)
     points = (ProjPoint(-fac[1], fac[0]) for fac, _ in factors if len(fac) == 2)
     return sorted(points, key=lambda p: (p.a1, p.a0))

@@ -277,16 +277,22 @@ def certify_wandering(f: RatMap, u: ProjPoint, max_iter: int = 64) -> WanderingR
     return WanderingResult("undecided")
 
 
+def critical_factors(f: RatMap) -> list[tuple[Form, int]]:
+    """The irreducible factors of the Wronskian with their multiplicities,
+    the factor x1 (the critical point infinity) first: one per critical
+    point or conjugate set of them, a linear factor (a, b) for the
+    rational point [-b:a]."""
+    x1_mult, factors = binforms.factor_form(f.wronskian)
+    return [((0, 1), x1_mult)] + factors if x1_mult else factors
+
+
 def critical_data(f: RatMap) -> list[CriticalDatum]:
     """All critical points with ramification indices from Wronskian
-    multiplicities, infinity (the factor x1) first; periodicity resolved
-    for rational critical points."""
+    multiplicities, in the order of :func:`critical_factors`; periodicity
+    resolved for rational critical points."""
     d = f.degree
-    x1_mult, factors = binforms.factor_form(f.wronskian)
-    if x1_mult > 0:
-        factors = [((0, 1), x1_mult)] + factors
     out: list[CriticalDatum] = []
-    for fac, mult in factors:
+    for fac, mult in critical_factors(f):
         e = mult + 1
         if len(fac) == 2:
             point = ProjPoint(-fac[1], fac[0])

@@ -16,7 +16,7 @@ from .exactarith import decimal_str, format_big_int
 from .ratmap import CriticalDatum, PoweringWitness, WanderingResult
 from .search import CosetStructure, PairReport
 
-SCHEMA_VERSION = "2.0"
+SCHEMA_VERSION = "2.1"
 
 _json_str = json.encoder.encode_basestring_ascii
 
@@ -216,15 +216,14 @@ def pair_report_doc(report: PairReport) -> dict:
             "m_max": report.effective_window.m_max,
             "n_max": report.effective_window.n_max,
         }
-    if report.hypotheses is not None:
-        h = report.hypotheses
-        doc["hypotheses"] = {
-            "u": wandering_doc(h.u_status),
-            "w": wandering_doc(h.w_status),
-            "powering": powering_doc(h.powering),
-            "exceptional_points": exceptional_doc(h.exceptional),
-            "theorem_applies": h.theorem_applies,
-        }
+    h = report.hypotheses
+    doc["hypotheses"] = {
+        "u": wandering_doc(h.u_status),
+        "w": wandering_doc(h.w_status),
+        "powering": powering_doc(h.powering),
+        "exceptional_points": exceptional_doc(h.exceptional),
+        "theorem_applies": h.theorem_applies,
+    }
     return doc
 
 

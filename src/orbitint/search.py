@@ -2,8 +2,11 @@
 (m, n) over a finite search window, with the powering-map and
 exceptional-point special cases.
 
-Global finiteness is not re-proved here: the search is an exhaustive
-window enumeration plus hypothesis certificates, and every report says so.
+Global finiteness is not re-proved here: a pair search is an exhaustive
+window enumeration plus hypothesis certificates, and every pair report
+says so.  The exceptional case is answered for all of N^2 without a
+window: :func:`exceptional_case_enlarge` builds the S' that a
+good-reduction argument proves sufficient.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ class PairReport:
     pairs: tuple[tuple[int, int], ...]
     u_orbit: tuple[ProjPoint, ...]
     w_orbit: tuple[ProjPoint, ...]
+    hypotheses: Hypotheses
     witnesses: dict = field(hash=False, compare=False, default_factory=dict)
-    hypotheses: Hypotheses | None = None
     frontier: int | None = None  # max over pairs of max(m, n)
 
     @property
@@ -138,7 +141,6 @@ def find_integral_pairs(
     s: PlaceSet,
     window: PairWindow,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
-    with_hypotheses: bool = True,
 ) -> PairReport:
     """Exact enumeration of the S-integral index pairs inside the window.
 
@@ -168,24 +170,21 @@ def find_integral_pairs(
             if wit.verdict:
                 pairs.append((m, n))
 
-    hypo = None
-    if with_hypotheses:
-        depth = max(window.m_max, window.n_max) + 32
-        u_status = certify_wandering(f, u, depth)
-        w_status = certify_wandering(f, w, depth)
-        powering = is_powering_conjugate(f)
-        exc = tuple(exceptional_points(f))
-        hypo = Hypotheses(
-            u_status=u_status,
-            w_status=w_status,
-            powering=powering,
-            exceptional=exc,
-            theorem_applies=(
-                u_status.kind == "wandering"
-                and w_status.kind == "wandering"
-                and not powering.is_powering
-            ),
-        )
+    depth = max(window.m_max, window.n_max) + 32
+    u_status = certify_wandering(f, u, depth)
+    w_status = certify_wandering(f, w, depth)
+    powering = is_powering_conjugate(f)
+    hypo = Hypotheses(
+        u_status=u_status,
+        w_status=w_status,
+        powering=powering,
+        exceptional=tuple(exceptional_points(f)),
+        theorem_applies=(
+            u_status.kind == "wandering"
+            and w_status.kind == "wandering"
+            and not powering.is_powering
+        ),
+    )
 
     return PairReport(
         map=f,
@@ -290,53 +289,62 @@ def powering_pair_analysis(
     window: PairWindow,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> PoweringAnalysis:
-    """For f conjugate to a powering map: enlarge S so u and w are S'-units,
-    enumerate the window, and annotate each integral pair with
-    tau = f^m(u)/f^n(w) - 1, verifying tau and tau + 1 are S'-units."""
+    """For f = c*x^(+-d), a powering map whose exceptional pair is {0, inf}:
+    enlarge S so u and w are S'-units, enumerate the window, and annotate
+    each integral pair with tau = f^m(u)/f^n(w) - 1, verifying tau and
+    tau + 1 are S'-units.  A map conjugate to a powering map in other
+    coordinates is refused: S' and tau mean this only where the pair is
+    {0, inf}."""
     witness = is_powering_conjugate(f)
     if not witness.is_powering:
         raise SearchError("map is not conjugate to a powering map")
+    if set(witness.pair) != {ProjPoint(0, 1), INFINITY}:  # a quadratic tag holds ints
+        raise SearchError("powering pair is not {0, inf}; change coordinates first")
     if 0 in (u.a0, u.a1, w.a0, w.a1):
         raise SearchError("u and w must be nonzero affine points")
     enlarged = s.union(PlaceSet.dividing(u.a0, u.a1, w.a0, w.a1))
     report = find_integral_pairs(f, u, w, enlarged, window, digit_budget=digit_budget)
-    taus = set()
-    all_units = True
-    for m, n in report.pairs:
-        um, wn = report.u_orbit[m].to_affine(), report.w_orbit[n].to_affine()
-        if um is None or wn is None or wn == 0:
-            all_units = False
-            continue
-        tau = um / wn - 1
-        taus.add(tau)
-        if tau == 0 or not (is_s_unit(tau, enlarged) and is_s_unit(tau + 1, enlarged)):
-            all_units = False
+    # f maps the nonzero affine points into themselves, so every um/wn is
+    # defined and nonzero
+    taus = sorted(
+        {
+            report.u_orbit[m].to_affine() / report.w_orbit[n].to_affine() - 1
+            for m, n in report.pairs
+        }
+    )
     return PoweringAnalysis(
         report=report,
-        tau_values=tuple(sorted(taus)),
-        tau_unit_checks_passed=all_units,
+        tau_values=tuple(taus),
+        tau_unit_checks_passed=all(
+            tau != 0 and is_s_unit(tau, enlarged) and is_s_unit(tau + 1, enlarged)
+            for tau in taus
+        ),
     )
 
 
-def exceptional_case_analysis(
-    f: RatMap,
-    u: ProjPoint,
-    s: PlaceSet,
-    window: PairWindow = PairWindow(8, 8),
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> PairReport:
-    """The report verifying the S-enlargement that makes every window pair
-    integral when w is the exceptional point at infinity; S' is
-    ``report.places``.
+def exceptional_case_enlarge(f: RatMap, u: ProjPoint, s: PlaceSet) -> PlaceSet:
+    """The S' that makes every pair (m, n) in N^2 S'-integral when w is
+    the exceptional point at infinity; nothing is enumerated.
 
     S' is S with three parts added: the bad-reduction primes, the primes
-    of u's denominator and the primes of f(u)'s denominator.  The leading
-    coefficient P_2(1, 0) of the second iterate adds no prime: a prime
-    dividing it makes [1:0], which f^2 fixes, a common zero of P_2 and Q_2
-    modulo that prime, so it divides Res(f^2), a product of powers of
-    Res(f) (Silverman, GTM 241, ch. 2).  The guarantee is verified on
-    the report's window, which a digit budget may have cut
-    (``report.truncated``).
+    of u's denominator and the primes of f(u)'s denominator.  The proof
+    is by good reduction (Silverman, GTM 241, ch. 1 and 2).  As infinity
+    is exceptional, f^-2(inf) = {inf}, so E = {inf, f(inf)} has
+    f^-1(E) = E.  Take a prime q outside S'.
+
+    - f has good reduction at q, so reduction commutes with iteration,
+      and the divisor f^*(e) = d*[e'] of each e in E reduces to the fibre
+      of the reduced map over e mod q: the reduced map pulls E mod q back
+      into itself.
+    - q divides neither the denominator of u nor that of f(u), so neither
+      u nor f(u) reduces to inf; and as f(inf) mod q is the only preimage
+      of inf mod q, u does not reduce to f(inf) either.
+    - So no f^m(u) meets E mod q, while every f^n(inf) lies in E: q
+      divides no cross term, and every cell is S'-integral.
+
+    A u in the exceptional set is refused.  The set is completely
+    invariant (a returned c has f^-1(c) = {f(c)}, and f(c) is returned
+    too), so for any other u neither u nor f(u) is infinity.
     """
     exc = exceptional_points(f)
     if not exc:
@@ -345,37 +353,7 @@ def exceptional_case_analysis(
         raise SearchError(
             "exceptional point is not at infinity; change coordinates first"
         )
-    w = INFINITY
-    # The exceptional set is completely invariant: a returned c has
-    # f^-1(c) = {f(c)}, and f(c) is returned too.  So the orbit of u meets
-    # a rational exceptional point only if u is one, and for u outside the
-    # set, neither u nor f(u) is infinity.
     if u in exc:
         raise SearchError("u hits exceptional point")
     extra = bad_reduction_primes(f).union(PlaceSet.dividing(u.a1, eval_map(f, u).a1))
-    report = find_integral_pairs(
-        f, u, w, s.union(extra), window, digit_budget=digit_budget, with_hypotheses=False
-    )
-    if set(report.pairs) != set(report.witnesses):  # pragma: no cover
-        raise SearchError("window guarantee failed after enlargement")
-    return report
-
-
-def exceptional_case_enlarge(
-    f: RatMap,
-    u: ProjPoint,
-    s: PlaceSet,
-    window: PairWindow = PairWindow(8, 8),
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> PlaceSet:
-    """The S-enlargement of :func:`exceptional_case_analysis`, verified on
-    the whole window; a digit budget that cuts the window is a
-    ``SearchError``."""
-    report = exceptional_case_analysis(f, u, s, window, digit_budget)
-    if report.truncated:
-        cut = report.effective_window
-        raise SearchError(
-            f"digit budget cut the window to {cut.m_max}x{cut.n_max}; "
-            "S-enlargement not verified on the whole window"
-        )
-    return report.places
+    return s.union(extra)

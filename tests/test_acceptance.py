@@ -273,10 +273,8 @@ def test_criterion_11_exceptional_window_guarantee():
     f = make_map([1, 0, 0], [1])
     for u_aff in (Fraction(3), Fraction(1, 3), Fraction(1, 2)):
         u = from_affine(u_aff)
-        s = exceptional_case_enlarge(f, u, PlaceSet(), PairWindow(8, 8))
-        report = find_integral_pairs(
-            f, u, INFINITY, s, PairWindow(8, 8), with_hypotheses=False
-        )
+        s = exceptional_case_enlarge(f, u, PlaceSet())
+        report = find_integral_pairs(f, u, INFINITY, s, PairWindow(8, 8))
         assert set(report.pairs) == {(m, n) for m in range(9) for n in range(9)}
     _report(11, "8x8 exceptional-point window guarantee for 3 starting points")
 

@@ -29,7 +29,7 @@ class TestBasicCommands:
         code, out = run_cli(["--no-timestamp", "analyze", "--map", "x^2+1"], capsys)
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["schema_version"] == "2.0"
+        assert doc["schema_version"] == "2.1"
         assert doc["body"]["degree"] == 2
         assert doc["body"]["polynomial"] is True
         assert doc["body"]["exceptional_points"] == ["[1:0]"]
@@ -125,15 +125,14 @@ class TestBasicCommands:
                 "x^2",
                 "--u",
                 "1/2",
-                "--window",
-                "6x6",
             ],
             capsys,
         )
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["body"]["enlarged_S"] == "2"
-        assert doc["body"]["window_verified"] is True
+        assert "every (m, n) in N^2" in doc["body"]["note"]
+        assert sorted(doc["body"]) == ["enlarged_S", "map", "note", "u"]
 
 
 class TestExitCodes:
@@ -242,17 +241,33 @@ class TestExitCodes:
             assert code == EXIT_PRECONDITION
             assert "zero denominator" in json.loads(out)["error"]
 
-    def test_exceptional_cut_by_digit_budget(self, capsys):
-        # x^2 from 3: f^6(3) = 3^64 has 31 digits, past the budget
+    def test_exceptional_computes_no_orbit(self, capsys):
+        # x^2 from 3: f^6(3) = 3^64 has 31 digits, past the budget, but
+        # exceptional builds S' from u and f(u) alone
         code, out = run_cli(
             ["--no-timestamp", "--digit-budget", "20", "exceptional", "--map", "x^2",
-             "--u", "3", "--window", "8x8"],
+             "--u", "3"],
             capsys,
         )
-        assert code == EXIT_TRUNCATED
+        assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["status"] == EXIT_TRUNCATED
-        assert doc["body"]["window_verified"] is False
+        assert doc["status"] == EXIT_OK
+        assert doc["body"]["enlarged_S"] == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--map", "(x+1)^2-1", "--u", "1", "--w", "3", "--S", "2,3,5,7",
+             "--window", "3x3"],
+            ["--map", "(x^2-3)/(2x)", "--u", "2", "--w", "3"],
+        ],
+    )
+    def test_powering_pair_off_zero_and_infinity_refused(self, capsys, args):
+        code, out = run_cli(["--no-timestamp", "powering"] + args, capsys)
+        assert code == EXIT_PRECONDITION
+        assert json.loads(out)["error"] == (
+            "powering pair is not {0, inf}; change coordinates first"
+        )
 
     def test_powering_cut_by_digit_budget(self, capsys):
         code, out = run_cli(
@@ -270,8 +285,6 @@ class TestExitCodes:
         [
             (["divisor", "--map", "x^2+1", "--n", "13"], "form degree cap"),
             (["pairs", "--map", "x^2+1", "--u", "1", "--w", "2", "--window", "13x13"],
-             "orbit cap"),
-            (["exceptional", "--map", "x^2", "--u", "1/2", "--window", "13x13"],
              "orbit cap"),
         ],
     )
@@ -522,54 +535,54 @@ class TestSnapshots:
 
     CASES = [
         (["analyze", "--map", "x^2+1"], EXIT_OK,
-         "ea9749d3e3bf9bdb6decd5747a911c28230af7929ccff172574bb8acd54edc3a"),
+         "65c08032b036802afb601636e7c61c9b6b5505df5565dd2ea022803f4263a6b8"),
         (["orbit", "--map", "(x^2+1)/x", "--point", "2", "--n", "6"], EXIT_OK,
-         "5991d1b206f9db9ac83787ddab918b6b8647e87011c40144ba1c7afe17d25d3b"),
+         "543cf8a71de3d17fc40a8d2e506e7db58ab6bf97448c9dffa0fc3771cbd03c96"),
         (["certify", "--map", "x^2-1", "--point", "0"], EXIT_OK,
-         "504c73ab2fff7307fb03feb2e7083d6879a5a9cf487eb2256e2e7792c3c6998f"),
+         "6a9f5501fdc0068c5926ab122a577cd67cdea375711c993dfb84a9e8fe0e2377"),
         (["divisor", "--map", "x^2", "--n", "2"], EXIT_OK,
-         "36d37b2ef172fae7675613a7fd432fc004883f7db337c56a18207500e63dd8f2"),
+         "defa6efbff9b5ad5f52dba2af10d1177ca04c08f5cd9efb8238e9b84dc85e053"),
         (["divisor", "--map", "(x^2+2)/(2x+1)", "--n", "5"], EXIT_OK,
-         "017732ec06230ae6dfa03f14523efb3ddfbab3e0a23a51f87185b009091bee5a"),
+         "b6db0068b7a5471e81c2a1450bf230ed10aa662c03dd529f1eecec4736bc9240"),
         (["divisor", "--map", "2x^3+x+1", "--n", "4"], EXIT_OK,
-         "d4cb54e3d35d56b073f018041b7364848b5a8ab2c860734c9c9bba2f6cd202c8"),
+         "73dcb870168d2c4b3ab98fe503cc5bc156820bd96cc54afffd0c44a0b24ae9a4"),
         # a sparse polynomial tower: G_n is P_n(x) y1^D - x1^D P_n(y), and
         # most rows of every layer hold one term
         (["divisor", "--map", "x^2-2x+2", "--n", "6"], EXIT_OK,
-         "5e71ceb214118f002f2963451df7a875ceb9ceb2263bec591b4cc838beece387"),
+         "7151d0b1584e9cf5d0ab24140d37c80e87fc9da46d66e9585a7655a2b62984c7"),
         # G_1 and G_3 of 2(x^2+1)/x have content 2, so normalizing divides
         (["divisor", "--map", "(2x^2+2)/x", "--n", "3"], EXIT_OK,
-         "35b6e5cd3f303658e6edacb31dfc06fef8b8f071b89f8f58b62e9a474343d821"),
+         "c35de9a26d473e35026254eaba7b73afcc2378f6940c7c48b20186aeae39a25e"),
         (["powering", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
           "--window", "4x4"], EXIT_OK,
-         "c5b1d2a49ec0f996c3cedbdc088e9cb3ed882e7f4e64ca9d2df1c973ac75dc4b"),
-        (["exceptional", "--map", "x^2", "--u", "1/2", "--window", "8x8"], EXIT_OK,
-         "e66b98732a2f0ec2d3e50b30dd8fe95f7a4696a0cee0aaa21583eb46a0024b62"),
+         "29ab1eb4486725c45681851d7d97e2d02186e03af27f7d7fd1b8ca7a74b7d181"),
+        (["exceptional", "--map", "x^2", "--u", "1/2"], EXIT_OK,
+         "b82f69cfcd645463e8d8caea9b495e9e23e043a4d830aa332161faf63b8d21a4"),
         (["pairs", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
           "--window", "6x6"], EXIT_OK,
-         "ed0d155534a364814a5a9ffb9d3b3918f516ebf810aa22dfe274e31ad002dfeb"),
+         "043801ccc8218baad7285683ca2f9fc274805ae92f3bb28e6a8544251342bb59"),
         (["--format", "table", "pairs", "--map", "x^2+1", "--u", "1", "--w", "3",
           "--window", "3x3"], EXIT_OK,
          "82ba425d36970da36b2a771cc4c4a06227a1787fb62b3f7757c06c662c950a30"),
         (["--digit-budget", "50", "pairs", "--map", "x^2", "--u", "2", "--w", "3",
           "--window", "12x12"], EXIT_TRUNCATED,
-         "8ee8f9f7793593e74f0775113ed4052afbdeac9dbf2a7ce4c6724fe5d1fce900"),
+         "7323fcd4bc57e2767adbdfedb89869b581fd5e398f8404fcb698b93b47381006"),
         # 49 integral cells that share 7 witnesses: w = inf is fixed
         (["pairs", "--map", "x^2+1", "--u", "1/2", "--w", "inf", "--S", "2",
           "--window", "6x6"], EXIT_OK,
-         "3bee24171be181ed132fd5d1cb2ec89211b57aae77f0f070b70381427ae67324"),
+         "7f569ca3797cc0eb5b29b8e6c19c2180649d788eec7a577371be5335f0f2cde7"),
         # a conjugate pair of totally ramified points, reported as its tag
         (["analyze", "--map", "(x^2-3)/(2x)"], EXIT_OK,
-         "af35780400131339c70e3bbfbd35e4ee15fd28c313424819600ad8815ba2dc40"),
+         "11b1f1cad27ec2c3b8fc2cc42f252997e022fc737ad31cec5612856cfe9b733d"),
         # the totally ramified points 0 and inf, swapped
         (["analyze", "--map", "1/x^2"], EXIT_OK,
-         "7d5fbf6ba3541c196d6d355d8f7ec7a653168dfac73484f1588c67ed49d14586"),
+         "878733af5fcdc970e4828df302c607fb85a08d25308fe9206bd5d03246ee1301"),
         # no rational point on the diagonal of B_1
         (["divisor", "--map", "(x^2-3)/(2x)", "--n", "2"], EXIT_OK,
-         "3ea60702968edd426434761ec7583d198852dc3a0b5eb66305f16ec0b83a27e1"),
+         "cf29b40e5f1b414e4eb243e009401ff351817094ebb50e15ec61371fd09d5e42"),
         # diagonal roots [1:0], [-1:1], [1:1]
         (["divisor", "--map", "x^3-3x", "--n", "1"], EXIT_OK,
-         "0c7d90f635bbe18da11db2d92d1a10268d7ba3ce585a4ed698d8f1d9fd35fe13"),
+         "65828b9c5b49bc2db99bd1a505b0b3547a4eb49e175e331ea8516233dc53f8ed"),
     ]
 
     def test_report_digests(self, capsys):
@@ -860,7 +873,7 @@ COMMANDS = {
     "certify": ["certify", "--map", "x^2+1", "--point", "2"],
     "powering": ["powering", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
                  "--window", "4x4"],
-    "exceptional": ["exceptional", "--map", "x^2", "--u", "1/2", "--window", "8x8"],
+    "exceptional": ["exceptional", "--map", "x^2", "--u", "1/2"],
 }
 
 

@@ -160,7 +160,7 @@ def test_find_integral_pairs_matches_oracle(inst):
     pu = INFINITY if u is None else from_affine(u)
     pw = INFINITY if w is None else from_affine(w)
     s, win = PlaceSet(tuple(primes)), PairWindow(*window)
-    report = find_integral_pairs(f, pu, pw, s, win, with_hypotheses=False)
+    report = find_integral_pairs(f, pu, pw, s, win)
     assert not report.truncated
     assert report.pairs == expected
     # pair_table writes the witnesses in the order they were filled

@@ -16,6 +16,7 @@ from orbitint.ratmap import (
     bad_reduction_primes,
     eval_map,
     exceptional_points,
+    is_powering_conjugate,
     iterate,
     iterated_forms,
     make_map,
@@ -26,7 +27,6 @@ from orbitint.search import (
     PairWindow,
     SearchError,
     detect_coset_structure,
-    exceptional_case_analysis,
     exceptional_case_enlarge,
     find_integral_pairs,
     orbit,
@@ -340,6 +340,31 @@ class TestPoweringAnalysis:
                 f, ProjPoint(2, 1), ProjPoint(3, 1), PlaceSet(), PairWindow(2, 2)
             )
 
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            ([1, 2, 0], [1]),  # (x+1)^2 - 1: x^2 conjugated by x -> x+1
+            ([1, 0, -3], [2, 0]),  # (x^2-3)/(2x): a quadratic tag
+        ],
+    )
+    def test_rejects_pair_other_than_zero_and_infinity(self, num, den):
+        f = make_map(num, den)
+        assert is_powering_conjugate(f).is_powering
+        with pytest.raises(
+            SearchError, match=r"^powering pair is not \{0, inf\}; change coordinates first$"
+        ):
+            powering_pair_analysis(
+                f, ProjPoint(1, 1), ProjPoint(3, 1), PlaceSet(), PairWindow(2, 2)
+            )
+
+    def test_swapped_kind(self):
+        f = make_map([1], [1, 0, 0])  # 1/x^2 swaps 0 and infinity
+        analysis = powering_pair_analysis(
+            f, ProjPoint(2, 1), ProjPoint(1, 2), PlaceSet(), PairWindow(3, 3)
+        )
+        assert analysis.report.places.primes == (2,)
+        assert analysis.tau_unit_checks_passed
+
     def test_rejects_zero_or_infinite_points(self):
         f = make_map([1, 0, 0], [1])
         with pytest.raises(SearchError):
@@ -379,39 +404,22 @@ class TestPoweringAnalysis:
 class TestExceptionalEnlarge:
     def test_integer_point_needs_nothing(self):
         f = make_map([1, 0, 0], [1])
-        s = exceptional_case_enlarge(f, ProjPoint(3, 1), PlaceSet(), PairWindow(6, 6))
+        s = exceptional_case_enlarge(f, ProjPoint(3, 1), PlaceSet())
         assert s.primes == ()
 
     def test_denominator_primes_added(self):
         f = make_map([1, 0, 0], [1])
-        s = exceptional_case_enlarge(
-            f, from_affine(Fraction(1, 3)), PlaceSet(), PairWindow(6, 6)
-        )
+        s = exceptional_case_enlarge(f, from_affine(Fraction(1, 3)), PlaceSet())
         assert s.primes == (3,)
-        s = exceptional_case_enlarge(
-            f, from_affine(Fraction(1, 2)), PlaceSet(), PairWindow(6, 6)
-        )
+        s = exceptional_case_enlarge(f, from_affine(Fraction(1, 2)), PlaceSet())
         assert s.primes == (2,)
 
     def test_window_guarantee(self):
         f = make_map([1, 0, 0], [1])
         u = from_affine(Fraction(1, 2))
-        s = exceptional_case_enlarge(f, u, PlaceSet(), PairWindow(5, 5))
-        report = find_integral_pairs(
-            f, u, INFINITY, s, PairWindow(5, 5), with_hypotheses=False
-        )
+        s = exceptional_case_enlarge(f, u, PlaceSet())
+        report = find_integral_pairs(f, u, INFINITY, s, PairWindow(5, 5))
         assert set(report.pairs) == {(m, n) for m in range(6) for n in range(6)}
-
-    def test_digit_budget_cut_fails_by_name(self):
-        f = make_map([1, 0, 0], [1])  # 3^(2^5) has 16 digits, 3^(2^6) 31
-        u, window = ProjPoint(3, 1), PairWindow(8, 8)
-        report = exceptional_case_analysis(f, u, PlaceSet(), window, digit_budget=20)
-        assert report.places == exceptional_case_enlarge(f, u, PlaceSet(), window)
-        assert report.truncated and report.effective_window == PairWindow(5, 8)
-        with pytest.raises(SearchError, match="digit budget cut the window to 5x8"):
-            exceptional_case_enlarge(f, u, PlaceSet(), window, digit_budget=20)
-        whole = exceptional_case_analysis(f, u, PlaceSet(), window)
-        assert not whole.truncated
 
     def test_factors_exactly_res_and_denominators(self, monkeypatch):
         factored = []
@@ -423,25 +431,25 @@ class TestExceptionalEnlarge:
         monkeypatch.setattr(exactarith, "factor", record)
         f = swap_map(2, 1, 2)  # 2 + 1/(x-2)^2: Res = -1, f(5/3) = 11
         u = from_affine(Fraction(5, 3))
-        report = exceptional_case_analysis(f, u, PlaceSet(), PairWindow(3, 3))
+        places = exceptional_case_enlarge(f, u, PlaceSet())
         assert factored == [abs(f.resultant), u.a1, eval_map(f, u).a1] == [1, 3, 1]
-        assert report.places.primes == (3,)
+        assert places.primes == (3,)
 
     def test_rejects_u_hitting_exceptional(self):
         f = make_map([1, 0, 0], [1])
         with pytest.raises(SearchError):
-            exceptional_case_enlarge(f, INFINITY, PlaceSet(), PairWindow(3, 3))
+            exceptional_case_enlarge(f, INFINITY, PlaceSet())
         with pytest.raises(SearchError):
-            exceptional_case_enlarge(f, ProjPoint(0, 1), PlaceSet(), PairWindow(3, 3))
+            exceptional_case_enlarge(f, ProjPoint(0, 1), PlaceSet())
 
     def test_rejects_map_without_exceptional_at_infinity(self):
         f = make_map([1, 0, 1], [1, 0])  # no exceptional points at all
         with pytest.raises(SearchError):
-            exceptional_case_enlarge(f, ProjPoint(2, 1), PlaceSet(), PairWindow(3, 3))
+            exceptional_case_enlarge(f, ProjPoint(2, 1), PlaceSet())
 
 
 def orbit_meets_exceptional(f, u, length):
-    """The check ``exceptional_case_analysis`` made before it tested u
+    """The check the exceptional S-enlargement made before it tested u
     alone: does the orbit of u meet a rational exceptional point?"""
     exc_rational = {e for e in exceptional_points(f) if isinstance(e, ProjPoint)}
     return any(pt in exc_rational for pt in orbit(f, u, length, DEFAULT_DIGIT_BUDGET))
@@ -482,7 +490,7 @@ class TestExceptionalStartPoint:
         assert hits == (u in exc)
         if INFINITY in exc:
             try:
-                exceptional_case_analysis(f, u, PlaceSet(), PairWindow(2, 2))
+                exceptional_case_enlarge(f, u, PlaceSet())
                 refused = False
             except SearchError as err:
                 refused = str(err) == "u hits exceptional point"
@@ -498,7 +506,7 @@ def swap_map(c, a, d):
 
 
 def p2_route_primes(f, u):
-    """S' as ``exceptional_case_analysis`` built it with the leading
+    """S' as the exceptional S-enlargement once built it, with the leading
     coefficient of P_2 factored in: the bad-reduction primes, the primes of
     the denominators of u and f(u), and the primes of P_2(1, 0)."""
     primes = set(bad_reduction_primes(f))
@@ -523,22 +531,32 @@ def infinity_exceptional_maps(draw):
 
 class TestExceptionalPlacesAgainstP2Route:
     @settings(max_examples=120, deadline=None)
-    @given(infinity_exceptional_maps(), st.integers(-9, 9), st.integers(1, 9))
-    @example(swap_map(2, 1, 2), 5, 3)
-    def test_p2_primes_are_in_the_enlarged_set(self, f, num, den):
+    @given(
+        infinity_exceptional_maps(),
+        st.integers(-9, 9),
+        st.integers(1, 9),
+        st.sets(st.sampled_from([2, 3])),
+    )
+    @example(swap_map(2, 1, 2), 5, 3, set())
+    def test_p2_primes_are_in_the_enlarged_set(self, f, num, den, s):
         exc = exceptional_points(f)
         assert INFINITY in exc
         u = from_affine(Fraction(num, den))
         assume(u not in exc)
         assert eval_map(f, u).a1 != 0
-        report = exceptional_case_analysis(f, u, PlaceSet(), PairWindow(3, 3))
-        assert p2_route_primes(f, u) <= set(report.places)
+        places = exceptional_case_enlarge(f, u, PlaceSet(tuple(s)))
+        assert p2_route_primes(f, u) | s <= set(places)
+        # the window search is the oracle of the good-reduction claim: every
+        # cell it computes is integral
+        report = find_integral_pairs(
+            f, u, INFINITY, places, PairWindow(5, 5), digit_budget=2000
+        )
         window = report.effective_window
         assert len(report.witnesses) == (window.m_max + 1) * (window.n_max + 1)
         assert set(report.pairs) == set(report.witnesses)
         # a cell (m, n) with w = infinity is integral iff f^m(u)'s
         # denominator is an S'-unit
-        assert all(is_s_unit(pt.a1, report.places) for pt in report.u_orbit)
+        assert all(is_s_unit(pt.a1, places) for pt in report.u_orbit)
 
     @pytest.mark.parametrize("c, a, d", [(2, 1, 2), (0, 3, 3), (-3, -2, 2)])
     def test_start_at_f_of_infinity_is_refused(self, c, a, d):
@@ -546,4 +564,4 @@ class TestExceptionalPlacesAgainstP2Route:
         u = eval_map(f, INFINITY)
         assert u == ProjPoint(c, 1) and u in exceptional_points(f)
         with pytest.raises(SearchError, match="^u hits exceptional point$"):
-            exceptional_case_analysis(f, u, PlaceSet(), PairWindow(3, 3))
+            exceptional_case_enlarge(f, u, PlaceSet())
