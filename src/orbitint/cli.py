@@ -231,9 +231,27 @@ def _render_table(doc: dict, out) -> None:
         out.write(f"{key}\t{json.dumps(value, sort_keys=True)}\n")
 
 
+# the options whose value may start with "-": a map such as -x^2+1, or a
+# point such as -7/3
+_VALUE_OPTIONS = frozenset(("--map", "--u", "--w", "--point", "--S"))
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """argv with each value option joined, as ``--opt=word``, to a next word
+    that starts with a single "-": argparse reads a word such as "-7/3",
+    which is not a plain negative number, as an option, not as a value."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _VALUE_OPTIONS and word[:1] == "-" and word[:2] != "--":
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     doc: dict = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
                  "command": args.command}
     if not args.no_timestamp:

@@ -41,13 +41,18 @@ def _add(a: list[int], b: list[int]) -> list[int]:
 def _mul(a: list[int], b: list[int], what: str, pos: int) -> list[int]:
     """a*b, refused before it is built when its degree passes the map
     degree cap: the unreduced numerator and denominator of an expression
-    stay within it, so a short text cannot build a huge polynomial."""
+    stay within it, so a short text cannot build a huge polynomial.  A
+    factor [1] (most denominators) returns the other factor itself."""
     degree = len(a) + len(b) - 2
     if degree > MAP_DEGREE_CAP:
         raise ParseError(
             f"{what} at position {pos} has degree {degree}, past the map degree cap "
             f"{MAP_DEGREE_CAP}"
         )
+    if b == [1]:
+        return a
+    if a == [1]:
+        return b
     return _trim(binforms.mul(a, b))
 
 
@@ -156,8 +161,9 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
     tok, pos = toks[i]
     if tok != "end":
         raise ParseError(f"syntax error at position {pos}: trailing input")
-    g = binforms.gcd(num, den)
-    num, den = list(binforms.quotient(num, g)), list(binforms.quotient(den, g))
+    if len(den) > 1:  # a constant denominator has no common factor to remove
+        g = binforms.gcd(num, den)
+        num, den = list(binforms.quotient(num, g)), list(binforms.quotient(den, g))
     # canonical: denominator leading coefficient positive
     if den[0] < 0:
         return [-c for c in num], [-c for c in den]

@@ -149,8 +149,8 @@ def make_map(
 ) -> RatMap:
     """Build a RatMap from rational coefficient lists (descending powers)
     of the affine numerator p and denominator q."""
-    num = list(binforms.strip([Fraction(c) for c in num_coeffs]))
-    den = list(binforms.strip([Fraction(c) for c in den_coeffs]))
+    num = list(binforms.strip(num_coeffs))
+    den = list(binforms.strip(den_coeffs))
     if not num:
         raise RatMapError("numerator is zero")
     if not den:

@@ -20,6 +20,14 @@ SCHEMA_VERSION = "2.1"
 
 _json_str = json.encoder.encode_basestring_ascii
 
+# the printable ASCII characters other than '"' and '\\': a string made only
+# of these is its own JSON spelling
+_JSON_SAFE = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+# the shortest string that is scanned before it is escaped: the scan (an
+# encode and a translate) has a fixed cost that beats escaping only past
+# about 150 characters, measured on the reports' strings
+_SCAN_MIN = 256
+
 
 def render_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for
@@ -28,76 +36,93 @@ def render_json(doc) -> str:
 
     The stdlib's C encoder does not indent, so ``json.dumps`` with an indent
     walks the document in pure-Python generators, yielding a few characters
-    at a time.  This writer builds one string per container: one ``join``
-    inside one f-string, which copies its pieces once where a chain of
-    ``+`` would copy at every step, so that no more than two copies of a
-    container's text are alive at once, as with the stdlib's chunk list and
-    its join.  Strings are spelled by ``encode_basestring_ascii`` and ints
-    by ``int.__repr__`` (so an int past the int-to-str limit raises the
-    same ``ValueError``).
+    at a time.  This writer appends the whole report's pieces to one list
+    and joins it once, at the end: each container adds its bracket, its
+    separators, its encoded keys and its values' pieces, so no container's
+    text is built and then copied again into its parent's.  Strings are
+    spelled by ``encode_basestring_ascii``, except that a string of at least
+    ``_SCAN_MIN`` characters made only of printable ASCII other than ``"``
+    and ``\\`` (tested by one ``translate`` of its bytes) is written as it
+    is; ints are spelled by ``int.__repr__`` (so an int past the int-to-str
+    limit raises the same ``ValueError``).
 
     A document may share subtrees: one dict object may sit in many places,
     as the witness dicts of :func:`pair_report_doc` do.  A memo that lives
     for one call renders such a dict at most twice per indent.  The first
     sighting of a nonempty dict at an indent records only the object (which
-    keeps its ``id`` from being reused within the call); the second keeps
-    its rendered text, and every later sighting at that indent reuses the
-    text.  So a document with no shared dict holds no extra text.  Unlike
-    ``json.dumps``, the writer does not look for cycles, and a cyclic
-    document ends in ``RecursionError``.
+    keeps its ``id`` from being reused within the call); the second joins
+    the dict's pieces into its text and keeps it, and every later sighting
+    at that indent appends the text.  So a document with no shared dict
+    holds no extra text.  Unlike ``json.dumps``, the writer does not look
+    for cycles, and a cyclic document ends in ``RecursionError``.
     """
-    return _json_value(doc, "\n", {})
+    out: list[str] = []
+    _json_value(doc, "\n", {}, out)
+    return "".join(out)
 
 
-def _json_value(o, newline: str, memo: dict) -> str:
-    """o rendered at the indent that ``newline`` (a newline and the
-    container's indent) sets for its contents; ``memo`` is the call's
-    shared-dict memo (see :func:`render_json`)."""
+def _json_value(o, newline: str, memo: dict, out: list) -> None:
+    """Append the pieces of o, rendered at the indent that ``newline`` (a
+    newline and the container's indent) sets for its contents, to ``out``;
+    ``memo`` is the call's shared-dict memo (see :func:`render_json`)."""
     t = type(o)
     if t is str:
-        return _json_str(o)
-    if t is dict:
-        return _json_dict(o, newline, memo)
-    if t is int:
-        return int.__repr__(o)
-    if t is list or t is tuple:
-        return _json_list(o, newline, memo)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    raise TypeError(f"Object of type {t.__name__} is not a report value")
+        if (
+            len(o) >= _SCAN_MIN
+            and o.isascii()
+            and not o.encode().translate(None, _JSON_SAFE)
+        ):
+            out += ('"', o, '"')
+        else:
+            out.append(_json_str(o))
+    elif t is dict:
+        _json_dict(o, newline, memo, out)
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is list or t is tuple:
+        _json_list(o, newline, memo, out)
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not a report value")
 
 
-def _json_list(lst, newline: str, memo: dict) -> str:
+def _json_list(lst, newline: str, memo: dict, out: list) -> None:
     if not lst:
-        return "[]"
+        out.append("[]")
+        return
     inner = newline + "  "
-    return (
-        f"[{inner}{(',' + inner).join([_json_value(v, inner, memo) for v in lst])}"
-        f"{newline}]"
-    )
+    sep = "," + inner
+    out.append("[" + inner)
+    for v in lst:
+        _json_value(v, inner, memo, out)
+        out.append(sep)
+    out[-1] = newline + "]"  # the last separator closes the list
 
 
-def _json_dict(dct, newline: str, memo: dict) -> str:
+def _json_dict(dct, newline: str, memo: dict, out: list) -> None:
     if not dct:
-        return "{}"
+        out.append("{}")
+        return
     key = (id(dct), len(newline))
     seen = memo.get(key)
     if seen.__class__ is tuple:  # third or later sighting: (dct, text)
-        return seen[1]
+        out.append(seen[1])
+        return
+    start = len(out)
     inner = newline + "  "
-    body = ("," + inner).join(
-        [
-            f"{_json_str(k)}: {_json_value(v, inner, memo)}"
-            for k, v in sorted(dct.items())
-        ]
-    )  # the list of items is freed here, before the brackets copy the body
-    text = f"{{{inner}{body}{newline}}}"
-    memo[key] = dct if seen is None else (dct, text)
-    return text
+    sep = "," + inner
+    out.append("{" + inner)
+    for k, v in sorted(dct.items()):
+        out.append(_json_str(k) + ": ")
+        _json_value(v, inner, memo, out)
+        out.append(sep)
+    out[-1] = newline + "}"  # the last separator closes the dict
+    memo[key] = dct if seen is None else (dct, "".join(out[start:]))
 
 
 def format_fraction(q: Fraction) -> str:

@@ -12,6 +12,7 @@ import sympy
 
 from orbitint import cli, integrality, modp, ratmap
 from orbitint.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_TRUNCATED, main
+from orbitint.mapexpr import parse_map
 from orbitint.primes import factor_partial
 from orbitint.ratmap import MAP_DEGREE_CAP
 
@@ -527,6 +528,43 @@ class TestParserReuse:
             assert "--u" in capsys.readouterr().err
             assert main(self.SEQUENCE[0]) == EXIT_OK
             capsys.readouterr()
+
+
+class TestNegativeValues:
+    """A value that starts with "-" may follow its option as a separate
+    word: the report is the one the ``--opt=value`` spelling gives."""
+
+    @pytest.mark.parametrize(
+        "args, option, value",
+        [
+            (["exceptional", "--map", "x^2+1"], "--u", "-7/3"),
+            (["analyze"], "--map", "-x^2+1"),
+            (["pairs", "--map", "x^2+1", "--u", "1", "--window", "2x2"], "--w", "-5"),
+            (["certify", "--map", "x^2-2"], "--point", "-1/2"),
+            (["orbit", "--map", "x^2-2", "--n", "3"], "--point", "-1/2"),
+            (["pairs", "--map", "x^2", "--u", "-1/3", "--w", "inf"], "--S", "-2"),
+        ],
+    )
+    def test_separate_word_equals_joined_spelling(self, capsys, args, option, value):
+        joined = run_cli(["--no-timestamp", *args, f"{option}={value}"], capsys)
+        separate = run_cli(["--no-timestamp", *args, option, value], capsys)
+        assert separate == joined
+        assert json.loads(separate[1])["status"] == separate[0]
+
+    def test_negative_point_and_map_are_read(self, capsys):
+        code, out = run_cli(
+            ["--no-timestamp", "exceptional", "--map", "-x^2+1", "--u", "-7/3"], capsys
+        )
+        assert code == EXIT_OK
+        body = json.loads(out)["body"]
+        assert body["map"] == parse_map("-x^2+1").serialize_coefficients()
+        assert body["u"] == "[-7:3]"
+
+    def test_missing_value_still_fails_in_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--no-timestamp", "pairs", "--map", "--u", "3"])
+        assert exc.value.code == EXIT_PRECONDITION
+        assert "--map: expected one argument" in capsys.readouterr().err
 
 
 class TestSnapshots:

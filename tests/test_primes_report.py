@@ -208,6 +208,31 @@ def shared_docs(draw):
     return draw(st.lists(node, min_size=1, max_size=4))
 
 
+# any character, with those a JSON string may not hold as they are drawn
+# often: quotes, backslashes, control characters, DEL, non-ASCII and lone
+# surrogates
+SPECIAL_CHARS = st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+)
+
+
+@st.composite
+def long_strings(draw):
+    """Strings of at least ``report._SCAN_MIN`` characters: printable ASCII
+    other than '"' and '\\', which the writer copies as it is, with up to
+    three characters from anywhere in Unicode put in, which send it to the
+    escaper."""
+    text = draw(st.text(
+        st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'),
+        min_size=report._SCAN_MIN, max_size=report._SCAN_MIN + 64,
+    ))
+    for c in draw(st.lists(SPECIAL_CHARS, max_size=3)):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + c + text[i:]
+    return text
+
+
 @pytest.fixture
 def sentinel_renders(monkeypatch):
     """(sentinel, renders): a value to put in a dict, and the list that
@@ -215,10 +240,10 @@ def sentinel_renders(monkeypatch):
     sentinel, renders = ["sentinel"], []
     json_value = report._json_value
 
-    def counting(o, newline, memo):
+    def counting(o, newline, memo, *rest):
         if o is sentinel:
             renders.append(newline)
-        return json_value(o, newline, memo)
+        return json_value(o, newline, memo, *rest)
 
     monkeypatch.setattr(report, "_json_value", counting)
     return sentinel, renders
@@ -233,6 +258,18 @@ class TestRenderJson:
     @example({"pairs": [{"m": 0, "n": 1, "witness": {"cross_term": "-12", "verdict": True}}]})
     def test_equals_stdlib(self, doc):
         assert written_json(doc) == stdlib_json(doc)
+
+    @given(long_strings())
+    @example("a" * report._SCAN_MIN)
+    @example("a" * (report._SCAN_MIN - 1) + '"')
+    @example("\\" + "a" * report._SCAN_MIN)
+    @example("a" * report._SCAN_MIN + "\x7f")
+    @example("\x1f" + "a" * report._SCAN_MIN)
+    @example("\u00e9" * report._SCAN_MIN)
+    @example("a" * report._SCAN_MIN + "\ud800")
+    def test_long_strings_equal_stdlib(self, text):
+        for doc in (text, {"k": [text, text[::-1]]}):
+            assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     @given(tainted_docs())
     @example([0.5])
