@@ -103,14 +103,19 @@ def dx1(cs: Sequence[int]) -> Form:
 
 
 def monomials(p: Sequence[int], q: Sequence[int], e: int) -> list[Form]:
-    """p^(e-j) q^j for j = 0..e, for forms p, q of one degree."""
+    """p^(e-j) q^j for j = 0..e, for forms p, q of one degree.
+
+    No product has a unit factor: p^1 and q^1 are p and q, and the end
+    terms p^e and q^e are the powers themselves."""
     if len(p) != len(q):
         raise FormError("inner degree mismatch")
-    pp, qq = [(1,)], [(1,)]
-    for _ in range(e):
+    if e == 0:
+        return [(1,)]
+    pp, qq = [(1,), tuple(p)], [(1,), tuple(q)]
+    for _ in range(e - 1):
         pp.append(mul(pp[-1], p))
         qq.append(mul(qq[-1], q))
-    return [mul(pp[e - j], qq[j]) for j in range(e + 1)]
+    return [pp[e], *(mul(pp[e - j], qq[j]) for j in range(1, e)), qq[e]]
 
 
 def combine(cs: Sequence[int], forms: Sequence[Sequence[int]]) -> Form:

@@ -95,15 +95,26 @@ class BiForm:
 
     def serialize(self) -> str:
         """Sparse monomial list "(i,j,k,l):coefficient" sorted
-        lexicographically on the exponent quadruple, descending."""
+        lexicographically on the exponent quadruple, descending.
+
+        Each nonzero row is one ``%`` template, its terms joined with a
+        ``%s`` for each nonzero coefficient, filled by one ``%`` over them;
+        a zero row writes nothing.  ``%s`` raises the int-to-str
+        ``ValueError`` past Python's digit limit, and only a row that
+        raises it fills the same template with ``decimal_str`` strings."""
         dx, dy = self.bidegree
-        cols = [f"{dy - b},{b}):" for b in range(dy + 1)]
-        terms: list[str] = []
+        cols = [f"{dy - b},{b}):%s" for b in range(dy + 1)]
+        texts: list[str] = []
         for a, r in enumerate(self.rows):
             if any(r):
                 row = f"({dx - a},{a},"
-                terms += [row + cols[b] + decimal_str(c) for b, c in compress(enumerate(r), r)]
-        return " ".join(terms)
+                template = row + (" " + row).join(compress(cols, r))
+                values = tuple(filter(None, r))
+                try:
+                    texts.append(template % values)
+                except ValueError:
+                    texts.append(template % tuple(map(decimal_str, values)))
+        return " ".join(texts)
 
 
 def _content(rows) -> int:

@@ -342,9 +342,10 @@ def exceptional_case_enlarge(f: RatMap, u: ProjPoint, s: PlaceSet) -> PlaceSet:
     - So no f^m(u) meets E mod q, while every f^n(inf) lies in E: q
       divides no cross term, and every cell is S'-integral.
 
-    A u in the exceptional set is refused.  The set is completely
-    invariant (a returned c has f^-1(c) = {f(c)}, and f(c) is returned
-    too), so for any other u neither u nor f(u) is infinity.
+    A u in E is refused: u or f(u) is then infinity, whose denominator
+    is 0.  Any other u, another exceptional point (0 for c*x^d) among
+    them, has f(u) finite too, as f^-1(inf) = {f(inf)}, and the proof
+    above holds for it.
     """
     exc = exceptional_points(f)
     if not exc:
@@ -353,7 +354,7 @@ def exceptional_case_enlarge(f: RatMap, u: ProjPoint, s: PlaceSet) -> PlaceSet:
         raise SearchError(
             "exceptional point is not at infinity; change coordinates first"
         )
-    if u in exc:
+    if u in (INFINITY, eval_map(f, INFINITY)):
         raise SearchError("u hits exceptional point")
     extra = bad_reduction_primes(f).union(PlaceSet.dividing(u.a1, eval_map(f, u).a1))
     return s.union(extra)

@@ -176,6 +176,18 @@ def dense_mul(a, b):
     return tuple(out)
 
 
+def monomials_reference(p, q, e):
+    """p^(e-j) q^j for j = 0..e, each multiplied up from (1,): the
+    reference for ``monomials``, which builds no product with a unit."""
+    out = []
+    for j in range(e + 1):
+        m = (1,)
+        for f in [p] * (e - j) + [q] * j:
+            m = dense_mul(m, f)
+        out.append(m)
+    return out
+
+
 def dense_combine(cs, forms):
     """sum_j cs[j] * forms[j] entry by entry, from a zero accumulator: the
     reference for ``combine``."""
@@ -219,6 +231,18 @@ class TestSparseKernels:
         forms = [data.draw(shaped_forms(length)) for _ in range(n)]
         cs = data.draw(shaped_forms(n))
         assert binforms.combine(cs, forms) == dense_combine(cs, forms)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_monomials_match_products_from_one(self, data):
+        length = data.draw(st.integers(1, 5))
+        p, q = data.draw(shaped_forms(length)), data.draw(shaped_forms(length))
+        e = data.draw(st.integers(0, 4))
+        if data.draw(st.booleans()):
+            p, q = list(p), list(q)
+        ms = binforms.monomials(p, q, e)
+        assert ms == monomials_reference(p, q, e)
+        assert all(type(m) is tuple for m in ms)
 
     def test_combine_term_counts(self):
         forms = [(1, 2, 3), (0, 5, 0), (7, 0, 0)]

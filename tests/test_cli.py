@@ -12,11 +12,13 @@ import sympy
 
 from orbitint import cli, integrality, modp, ratmap
 from orbitint.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_TRUNCATED, main
+from orbitint.divisors import build_tower
 from orbitint.mapexpr import parse_map
 from orbitint.primes import factor_partial
 from orbitint.ratmap import MAP_DEGREE_CAP
 
 from conftest import CORPUS_EXPRS, unlimited_str
+from test_divisors import serialize_reference
 
 
 def run_cli(args, capsys):
@@ -890,6 +892,18 @@ class TestIntStrLimit:
         # G_1 = x0^2 y1 (y0 + N y1) - y0^2 x1 (x0 + N x1), N = 10^4400
         g1 = json.loads(out)["body"]["g_forms"][0]
         assert f"(2,0,0,2):1{'0' * 4400} " in g1
+
+    def test_divisor_tower_past_limit(self, capsys):
+        # the tower of x^2 + 10^2200 holds coefficients of up to 6601 digits
+        expr = "x^2+10^2200"
+        code, out = run_cli(["--no-timestamp", "divisor", "--map", expr, "--n", "3"], capsys)
+        assert code == EXIT_OK
+        body = json.loads(out)["body"]
+        tower = build_tower(parse_map(expr), 3)
+        assert body["g_forms"] == [serialize_reference(g) for g in tower.g_forms]
+        assert body["b_forms"] == [serialize_reference(b) for b in tower.b_forms]
+        terms = " ".join(body["g_forms"] + body["b_forms"]).split()
+        assert max(len(t.split(":")[1].lstrip("-")) for t in terms) == 6601
 
     def test_point_past_limit(self, capsys):
         big = "7" * 4400

@@ -30,6 +30,8 @@ from orbitint.ratmap import (
     make_map,
 )
 
+from conftest import unlimited_str
+
 
 def from_dict(coeffs, bidegree):
     """The biform with the sparse coefficients {(i, k): c} of
@@ -164,6 +166,17 @@ def primitive_reference(form):
     return BiForm(tuple(flat[j : j + w] for j in range(0, len(flat), w)))
 
 
+def serialize_reference(form):
+    """``BiForm.serialize`` as one f-string per coefficient."""
+    dx, dy = form.bidegree
+    return " ".join(
+        f"({dx - a},{a},{dy - b},{b}):{decimal_str(c)}"
+        for a, r in enumerate(form.rows)
+        for b, c in enumerate(r)
+        if c
+    )
+
+
 class TestBiForm:
     def test_normalized(self):
         f = from_dict({(1, 0): -4, (0, 1): 4}, (1, 1))
@@ -217,27 +230,34 @@ class TestBiForm:
         d = diagonal_form()
         assert d.serialize() == "(1,0,0,1):1 (0,1,1,0):-1"
 
-    @staticmethod
-    def serialize_reference(form):
-        """``BiForm.serialize`` as one f-string per coefficient."""
-        dx, dy = form.bidegree
-        return " ".join(
-            f"({dx - a},{a},{dy - b},{b}):{decimal_str(c)}"
-            for a, r in enumerate(form.rows)
-            for b, c in enumerate(r)
-            if c
-        )
-
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_serialize_matches_reference(self, data):
         (dx, dy), coeffs = data.draw(sparse_biforms(max_degree=5))
         form = from_dict(coeffs, (dx, dy))
-        assert form.serialize() == self.serialize_reference(form)
+        assert form.serialize() == serialize_reference(form)
         f = data.draw(rational_maps())
         tower = build_tower(f, 2)
         for layer in tower.g_forms + tower.b_forms:
-            assert layer.serialize() == self.serialize_reference(layer)
+            assert layer.serialize() == serialize_reference(layer)
+
+    def test_serialize_rows_past_the_digit_limit(self):
+        # the rows holding 5000-digit entries are filled from decimal_str
+        # strings, the others by a plain %; the zero row writes nothing
+        big = 7 * 10**4999 + 1
+        rows = ((big, 0, -3, 0), (0, 0, 0, 0), (0, 5, 0, 0), (-big, 0, 0, big), (0, 0, 0, 1))
+        form = BiForm(rows)
+        text = form.serialize()
+        assert text == serialize_reference(form)
+        assert text.startswith(f"(4,0,3,0):{unlimited_str(big)} (4,0,1,2):-3 (2,2,2,1):5 ")
+        assert text.count(unlimited_str(big)) == 3
+        assert "(3,1," not in text
+
+    @pytest.mark.parametrize("expr, n", [("(-3x^2+2x-2)/(2x^2+x-3)", 6), ("x^3+x+1", 4)])
+    def test_serialize_deep_towers(self, expr, n):
+        tower = build_tower(parse_map(expr), n)
+        for layer in tower.g_forms + tower.b_forms:
+            assert layer.serialize() == serialize_reference(layer)
 
     @given(st.data())
     def test_dict_conversions_roundtrip(self, data):

@@ -436,11 +436,19 @@ class TestExceptionalEnlarge:
         assert places.primes == (3,)
 
     def test_rejects_u_hitting_exceptional(self):
+        # only u in {inf, f(inf)} is refused; 0 is exceptional for x^2 as
+        # well, and its orbit is integral against inf with nothing added
         f = make_map([1, 0, 0], [1])
-        with pytest.raises(SearchError):
+        with pytest.raises(SearchError, match="^u hits exceptional point$"):
             exceptional_case_enlarge(f, INFINITY, PlaceSet())
-        with pytest.raises(SearchError):
-            exceptional_case_enlarge(f, ProjPoint(0, 1), PlaceSet())
+        assert exceptional_case_enlarge(f, ProjPoint(0, 1), PlaceSet()).primes == ()
+        # 1/x^2 swaps 0 and inf, so u = 0 is f(inf)
+        g = make_map([1], [1, 0, 0])
+        with pytest.raises(SearchError, match="^u hits exceptional point$"):
+            exceptional_case_enlarge(g, ProjPoint(0, 1), PlaceSet())
+        h = swap_map(2, 1, 2)
+        with pytest.raises(SearchError, match="^u hits exceptional point$"):
+            exceptional_case_enlarge(h, eval_map(h, INFINITY), PlaceSet())
 
     def test_rejects_map_without_exceptional_at_infinity(self):
         f = make_map([1, 0, 1], [1, 0])  # no exceptional points at all
@@ -494,7 +502,7 @@ class TestExceptionalStartPoint:
                 refused = False
             except SearchError as err:
                 refused = str(err) == "u hits exceptional point"
-            assert refused == hits
+            assert refused == (u in (INFINITY, eval_map(f, INFINITY)))
 
 
 def swap_map(c, a, d):
@@ -518,14 +526,18 @@ def p2_route_primes(f, u):
 
 @st.composite
 def infinity_exceptional_maps(draw):
-    """Polynomial maps, with rational coefficients, and swap-type maps
-    c + a/(x - c)^d, of degree 2 or 3: maps with infinity exceptional."""
+    """Polynomial maps, with rational coefficients, monomial maps c*x^d,
+    and swap-type maps c + a/(x - c)^d, of degree 2 or 3: maps with
+    infinity exceptional; 0 is exceptional too for c*x^d."""
     d = draw(st.integers(2, 3))
-    if draw(st.booleans()):
-        coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    kind = draw(st.sampled_from(["polynomial", "monomial", "swap"]))
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    if kind == "polynomial":
         lead = draw(coeff.filter(bool))
         rest = draw(st.lists(coeff, min_size=d, max_size=d))
         return make_map([lead] + rest, [draw(st.integers(1, 6))])
+    if kind == "monomial":
+        return make_map([draw(coeff.filter(bool))] + [0] * d, [1])
     return swap_map(draw(st.integers(-4, 4)), draw(st.integers(-6, 6).filter(bool)), d)
 
 
@@ -538,11 +550,13 @@ class TestExceptionalPlacesAgainstP2Route:
         st.sets(st.sampled_from([2, 3])),
     )
     @example(swap_map(2, 1, 2), 5, 3, set())
+    @example(make_map([Fraction(-2, 3), 0, 0, 0], [1]), 0, 1, {2})
     def test_p2_primes_are_in_the_enlarged_set(self, f, num, den, s):
         exc = exceptional_points(f)
         assert INFINITY in exc
+        # u = 0 is drawn too: for c*x^d it is exceptional, and answered
         u = from_affine(Fraction(num, den))
-        assume(u not in exc)
+        assume(u not in (INFINITY, eval_map(f, INFINITY)))
         assert eval_map(f, u).a1 != 0
         places = exceptional_case_enlarge(f, u, PlaceSet(tuple(s)))
         assert p2_route_primes(f, u) | s <= set(places)
@@ -552,6 +566,9 @@ class TestExceptionalPlacesAgainstP2Route:
             f, u, INFINITY, places, PairWindow(5, 5), digit_budget=2000
         )
         window = report.effective_window
+        if u in exc:
+            # the orbit of an exceptional u is fixed, so no cell is cut
+            assert window == PairWindow(5, 5)
         assert len(report.witnesses) == (window.m_max + 1) * (window.n_max + 1)
         assert set(report.pairs) == set(report.witnesses)
         # a cell (m, n) with w = infinity is integral iff f^m(u)'s
