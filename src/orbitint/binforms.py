@@ -16,7 +16,7 @@ integer code), which is imported on its first call.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 Form = tuple[int, ...]
 

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from datetime import datetime, timezone
 
 from . import __version__
 from .divisors import build_tower, diagonal_critical_intersections
@@ -255,6 +254,8 @@ def main(argv=None) -> int:
     doc: dict = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
                  "command": args.command}
     if not args.no_timestamp:
+        from datetime import datetime, timezone  # only a timestamped report needs it
+
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     out = sys.stdout
     try:

@@ -17,13 +17,12 @@ against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import neg
 
 from . import binforms
 from .binforms import Form
-from .exactarith import decimal_str
+from .exactarith import Record, decimal_str
 from .projective import ProjPoint
 from .ratmap import FormDegreeCapError, RatMap, critical_factors, iterated_forms
 
@@ -37,8 +36,7 @@ class DivisorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BiForm:
+class BiForm(Record):
     """A bihomogeneous integer form in (x0, x1; y0, y1) of bidegree (dx, dy).
 
     ``rows[a][b]`` is the coefficient of x0^(dx-a) x1^a y0^(dy-b) y1^b.
@@ -46,7 +44,10 @@ class BiForm:
     x0^i x1^(dx-i) y0^k y1^(dy-k).
     """
 
-    rows: tuple[Form, ...]
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[Form, ...]):
+        self.rows = rows
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -242,14 +243,17 @@ def exact_divide(numerator: BiForm, divisor: BiForm) -> BiForm:
     return BiForm(tuple(quo))
 
 
-@dataclass(frozen=True)
-class DivisorTower:
+class DivisorTower(Record):
     """G_1..G_n and the layer forms B_0..B_n for one map."""
 
-    map: RatMap
-    depth: int
-    g_forms: tuple[BiForm, ...]
-    b_forms: tuple[BiForm, ...]  # index i holds B_i, with B_0 the diagonal
+    __slots__ = _fields = ("map", "depth", "g_forms", "b_forms")
+
+    def __init__(self, map: RatMap, depth: int, g_forms: tuple[BiForm, ...],
+                 b_forms: tuple[BiForm, ...]):
+        self.map = map
+        self.depth = depth
+        self.g_forms = g_forms
+        self.b_forms = b_forms  # index i holds B_i, with B_0 the diagonal
 
 
 def build_tower(f: RatMap, depth: int) -> DivisorTower:

@@ -1,6 +1,7 @@
-"""Foundation types: exact rationals, prime place sets, prime-power
-splitting and S-free parts, and decimal strings of any length (read,
-written, and elided for reports).  Everything here is exact: no floats.
+"""Foundation types: the value-record base class, exact rationals, prime
+place sets, prime-power splitting and S-free parts, and decimal strings of
+any length (read, written, and elided for reports).  Everything here is
+exact: no floats.
 
 Rationals are ``fractions.Fraction`` throughout -- already canonical
 (reduced, positive denominator).  A :class:`PlaceSet` holds finite rational
@@ -10,12 +11,10 @@ never stored.
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
-from typing import Iterable
 
 from .primes import factor, is_prime
 
@@ -26,18 +25,43 @@ class ExactArithError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlaceSet:
+class Record:
+    """Value semantics over the attribute names in ``_fields``: equal to an
+    instance of the same class with equal fields (``NotImplemented`` for any
+    other class), hashed as the field tuple, shown as ``Name(field=value,
+    ...)``.  A subclass assigns its fields in ``__init__`` and never after,
+    so its instances are immutable values by convention."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PlaceSet(Record):
     """A finite sorted set of rational primes (archimedean place implicit)."""
 
-    primes: tuple[int, ...] = ()
+    __slots__ = _fields = ("primes",)
 
-    def __post_init__(self):
-        ps = tuple(sorted(set(self.primes)))
+    def __init__(self, primes: tuple[int, ...] = ()):
+        ps = tuple(sorted(set(primes)))
         for p in ps:
             if not is_prime(p):
                 raise ExactArithError(f"{p} is not prime")
-        object.__setattr__(self, "primes", ps)
+        self.primes = ps
 
     def __contains__(self, p: int) -> bool:
         return p in self.primes
@@ -95,6 +119,8 @@ def format_big_int(n: int) -> str:
     digits = len(s.lstrip("-"))
     if digits <= ELISION_DIGITS:
         return s
+    import hashlib  # only an elided number needs it, and it loads OpenSSL
+
     h = hashlib.sha256(s.encode()).hexdigest()[:16]
     sign = "-" if n < 0 else ""
     body = s.lstrip("-")

@@ -4,11 +4,10 @@ D_n, and the functoriality equivalence between the two."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import binforms
-from .exactarith import PlaceSet, s_free_part
+from .exactarith import PlaceSet, Record, s_free_part
 from .primes import factor_partial
 from .projective import ProjPoint
 from .ratmap import RatMap, bad_reduction_primes, iterate, iterated_forms
@@ -18,8 +17,7 @@ class IntegralityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntegralityWitness:
+class IntegralityWitness(Record):
     """Verdict plus the exact cross term it was decided on.
 
     The verdict is exact and computed eagerly: the cross term is a nonzero
@@ -32,9 +30,12 @@ class IntegralityWitness:
     among the cells repeating one pair of points is factored once.
     """
 
-    cross_term: int
-    verdict: bool
-    rest: int  # S-free part of the cross term; 1 for a zero cross term
+    _fields = ("cross_term", "verdict", "rest")  # no __slots__: _diagnosis is cached in __dict__
+
+    def __init__(self, cross_term: int, verdict: bool, rest: int):
+        self.cross_term = cross_term
+        self.verdict = verdict
+        self.rest = rest  # S-free part of the cross term; 1 for a zero cross term
 
     @cached_property
     def _diagnosis(self) -> tuple[tuple[int, ...], bool]:

@@ -20,9 +20,9 @@ Modular polynomials have no leading zeros, and the empty list is zero.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 from math import isqrt
-from typing import Sequence
 
 from . import binforms
 from .binforms import Form, FormError

@@ -9,34 +9,41 @@ reads the cross term alone (``integrality.cross_term``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import decimal_str, parse_rational
+from .exactarith import Record, decimal_str, parse_rational
 
 
 class ProjectiveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record):
     """Normalized point [a0:a1] of P1(Q)."""
 
-    a0: int
-    a1: int
+    __slots__ = _fields = ("a0", "a1")
 
-    def __post_init__(self):
-        if self.a0 == 0 and self.a1 == 0:
+    def __init__(self, a0: int, a1: int):
+        if a0 == 0 and a1 == 0:
             raise ProjectiveError("not a projective point")
-        g = math.gcd(self.a0, self.a1)
-        self._set_signed(self.a0 // g, self.a1 // g)
+        g = math.gcd(a0, a1)
+        self._set_signed(a0 // g, a1 // g)
 
     def _set_signed(self, a0: int, a1: int) -> None:
         if a1 < 0 or (a1 == 0 and a0 < 0):
             a0, a1 = -a0, -a1
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a1", a1)
+        self.a0 = a0
+        self.a1 = a1
+
+    # points key the orbit dicts of the pair search and of certify_wandering,
+    # so equality and hashing read the two coordinates directly
+    def __eq__(self, other):
+        if other.__class__ is not ProjPoint:
+            return NotImplemented
+        return self.a0 == other.a0 and self.a1 == other.a1
+
+    def __hash__(self) -> int:
+        return hash((self.a0, self.a1))
 
     @classmethod
     def _from_coprime(cls, a0: int, a1: int) -> "ProjPoint":

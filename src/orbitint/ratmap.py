@@ -15,14 +15,13 @@ code in ``modp``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 from . import binforms
 from .binforms import Form
-from .exactarith import PlaceSet, decimal_str
+from .exactarith import PlaceSet, Record, decimal_str
 from .projective import INFINITY, ProjPoint
 
 DEFAULT_FORM_DEGREE_CAP = 4096
@@ -52,27 +51,33 @@ def _normalize_pair(p: Sequence[int], q: Sequence[int]) -> tuple[Form, Form]:
     return pq[: len(p)], pq[len(p) :]
 
 
-@dataclass(frozen=True)
-class RatMap:
+class RatMap(Record):
     """A degree-d >= 2 rational map [P(x0,x1) : Q(x0,x1)] with integer
     coprime-content forms and nonzero resultant."""
 
-    p: Form
-    q: Form
+    _fields = ("p", "q")  # no __slots__: each cached_property keeps its value in __dict__
 
-    def __post_init__(self):
-        if len(self.p) != len(self.q):
+    def __init__(self, p: Form, q: Form):
+        if len(p) != len(q):
             raise RatMapError("numerator and denominator forms must have equal degree")
-        if len(self.p) < 3:
+        if len(p) < 3:
             raise RatMapError("degree below 2")
-        if len(self.p) - 1 > MAP_DEGREE_CAP:
+        if len(p) - 1 > MAP_DEGREE_CAP:
             raise RatMapError(
-                f"map degree {len(self.p) - 1} exceeds the map degree cap {MAP_DEGREE_CAP}"
+                f"map degree {len(p) - 1} exceeds the map degree cap {MAP_DEGREE_CAP}"
             )
-        p, q = _normalize_pair(self.p, self.q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        self.p, self.q = _normalize_pair(p, q)
         self._bezout  # the cofactors exist exactly when Res(P, Q) != 0
+
+    # a map keys every iterated_forms cache lookup, so equality and hashing
+    # read the two forms directly
+    def __eq__(self, other):
+        if other.__class__ is not RatMap:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
     @property
     def degree(self) -> int:
@@ -221,37 +226,59 @@ def bad_reduction_primes(f: RatMap) -> PlaceSet:
     return PlaceSet.dividing(abs(f.resultant))
 
 
-@dataclass(frozen=True)
-class CriticalDatum:
+class CriticalDatum(Record):
     """One critical point (rational, or an irreducible-factor tag)."""
 
-    point: ProjPoint | None
-    factor: Form | None
-    factor_degree: int
-    ramification_index: int
-    totally_ramified: bool
-    periodic: bool | None
-    period: int | None
+    __slots__ = _fields = ("point", "factor", "factor_degree", "ramification_index",
+                           "totally_ramified", "periodic", "period")
+
+    def __init__(
+        self,
+        point: ProjPoint | None,
+        factor: Form | None,
+        factor_degree: int,
+        ramification_index: int,
+        totally_ramified: bool,
+        periodic: bool | None,
+        period: int | None,
+    ):
+        self.point = point
+        self.factor = factor
+        self.factor_degree = factor_degree
+        self.ramification_index = ramification_index
+        self.totally_ramified = totally_ramified
+        self.periodic = periodic
+        self.period = period
 
 
-@dataclass(frozen=True)
-class EscapeCertificate:
+class EscapeCertificate(Record):
     """Witness that an orbit escapes, in integers: iterate ``achieved_at``
     has height ``height`` with height^(d-1) > ``bound`` (the map's
     ``RatMap.escape_bound``), so the heights strictly increase from there
     on and no point repeats."""
 
-    achieved_at: int
-    height: int
-    bound: int
+    __slots__ = _fields = ("achieved_at", "height", "bound")
+
+    def __init__(self, achieved_at: int, height: int, bound: int):
+        self.achieved_at = achieved_at
+        self.height = height
+        self.bound = bound
 
 
-@dataclass(frozen=True)
-class WanderingResult:
-    kind: str  # 'preperiodic' | 'wandering' | 'undecided'
-    tail: int | None = None
-    period: int | None = None
-    certificate: EscapeCertificate | None = None
+class WanderingResult(Record):
+    __slots__ = _fields = ("kind", "tail", "period", "certificate")
+
+    def __init__(
+        self,
+        kind: str,  # 'preperiodic' | 'wandering' | 'undecided'
+        tail: int | None = None,
+        period: int | None = None,
+        certificate: EscapeCertificate | None = None,
+    ):
+        self.kind = kind
+        self.tail = tail
+        self.period = period
+        self.certificate = certificate
 
 
 def certify_wandering(f: RatMap, u: ProjPoint, max_iter: int = 64) -> WanderingResult:
@@ -353,14 +380,21 @@ def exceptional_points(f: RatMap) -> list[ProjPoint | Form]:
     return list(f._exceptional)
 
 
-@dataclass(frozen=True)
-class PoweringWitness:
+class PoweringWitness(Record):
     """Classification of f as (not) conjugate to x^(+/-d), with the
     invariant totally ramified pair when it exists."""
 
-    is_powering: bool
-    pair: tuple[ProjPoint, ProjPoint] | Form | None
-    kind: str | None  # 'fixed' (x^d type) or 'swapped' (x^-d type)
+    __slots__ = _fields = ("is_powering", "pair", "kind")
+
+    def __init__(
+        self,
+        is_powering: bool,
+        pair: tuple[ProjPoint, ProjPoint] | Form | None,
+        kind: str | None,  # 'fixed' (x^d type) or 'swapped' (x^-d type)
+    ):
+        self.is_powering = is_powering
+        self.pair = pair
+        self.kind = kind
 
 
 def is_powering_conjugate(f: RatMap) -> PoweringWitness:

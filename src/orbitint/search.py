@@ -11,11 +11,10 @@ good-reduction argument proves sufficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactarith import PlaceSet, is_s_unit
+from .exactarith import PlaceSet, Record, is_s_unit
 from .integrality import IntegralityWitness, is_integral_pair
 from .projective import INFINITY, ProjPoint
 from .ratmap import (
@@ -37,50 +36,72 @@ class SearchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PairWindow:
+class PairWindow(Record):
     """Inclusive search window 0..m_max x 0..n_max over N^2."""
 
-    m_max: int
-    n_max: int
+    __slots__ = _fields = ("m_max", "n_max")
 
-    def __post_init__(self):
-        if self.m_max < 0 or self.n_max < 0:
+    def __init__(self, m_max: int, n_max: int):
+        if m_max < 0 or n_max < 0:
             raise SearchError("window bounds must be nonnegative")
+        self.m_max = m_max
+        self.n_max = n_max
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         m, n = pair
         return 0 <= m <= self.m_max and 0 <= n <= self.n_max
 
 
-@dataclass(frozen=True)
-class Hypotheses:
+class Hypotheses(Record):
     """Status of the finiteness theorem's hypotheses for this instance."""
 
-    u_status: WanderingResult
-    w_status: WanderingResult
-    powering: PoweringWitness
-    exceptional: tuple
-    theorem_applies: bool
+    __slots__ = _fields = ("u_status", "w_status", "powering", "exceptional",
+                           "theorem_applies")
+
+    def __init__(self, u_status: WanderingResult, w_status: WanderingResult,
+                 powering: PoweringWitness, exceptional: tuple, theorem_applies: bool):
+        self.u_status = u_status
+        self.w_status = w_status
+        self.powering = powering
+        self.exceptional = exceptional
+        self.theorem_applies = theorem_applies
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(Record):
     """The window's cells, decided on the orbits ``u_orbit`` and ``w_orbit``;
     a digit budget may have cut either orbit short, and the cells then span
-    ``effective_window``, a sub-window of ``window``."""
+    ``effective_window``, a sub-window of ``window``.  ``witnesses`` is left
+    out of equality, hashing and repr."""
 
-    map: RatMap
-    u: ProjPoint
-    w: ProjPoint
-    places: PlaceSet
-    window: PairWindow
-    pairs: tuple[tuple[int, int], ...]
-    u_orbit: tuple[ProjPoint, ...]
-    w_orbit: tuple[ProjPoint, ...]
-    hypotheses: Hypotheses
-    witnesses: dict = field(hash=False, compare=False, default_factory=dict)
-    frontier: int | None = None  # max over pairs of max(m, n)
+    _fields = ("map", "u", "w", "places", "window", "pairs", "u_orbit", "w_orbit",
+               "hypotheses", "frontier")
+    __slots__ = (*_fields, "witnesses")
+
+    def __init__(
+        self,
+        map: RatMap,
+        u: ProjPoint,
+        w: ProjPoint,
+        places: PlaceSet,
+        window: PairWindow,
+        pairs: tuple[tuple[int, int], ...],
+        u_orbit: tuple[ProjPoint, ...],
+        w_orbit: tuple[ProjPoint, ...],
+        hypotheses: Hypotheses,
+        witnesses: dict | None = None,
+        frontier: int | None = None,  # max over pairs of max(m, n)
+    ):
+        self.map = map
+        self.u = u
+        self.w = w
+        self.places = places
+        self.window = window
+        self.pairs = pairs
+        self.u_orbit = u_orbit
+        self.w_orbit = w_orbit
+        self.hypotheses = hypotheses
+        self.witnesses = {} if witnesses is None else witnesses
+        self.frontier = frontier
 
     @property
     def effective_window(self) -> PairWindow:
@@ -201,13 +222,16 @@ def find_integral_pairs(
     )
 
 
-@dataclass(frozen=True)
-class CosetStructure:
+class CosetStructure(Record):
     """Window-level greedy decomposition into single-generator cosets plus
     residual isolated pairs; descriptive, never a global proof."""
 
-    cosets: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
-    residual: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("cosets", "residual")
+
+    def __init__(self, cosets: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...],
+                 residual: tuple[tuple[int, int], ...]):
+        self.cosets = cosets
+        self.residual = residual
 
     def reconstruct(self, window: PairWindow) -> set[tuple[int, int]]:
         out = set(self.residual)
@@ -274,11 +298,14 @@ def detect_coset_structure(report: PairReport) -> CosetStructure:
     return structure
 
 
-@dataclass(frozen=True)
-class PoweringAnalysis:
-    report: PairReport
-    tau_values: tuple[Fraction, ...]
-    tau_unit_checks_passed: bool
+class PoweringAnalysis(Record):
+    __slots__ = _fields = ("report", "tau_values", "tau_unit_checks_passed")
+
+    def __init__(self, report: PairReport, tau_values: tuple[Fraction, ...],
+                 tau_unit_checks_passed: bool):
+        self.report = report
+        self.tau_values = tau_values
+        self.tau_unit_checks_passed = tau_unit_checks_passed
 
 
 def powering_pair_analysis(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from datetime import datetime
 from fractions import Fraction
 
 import pytest
@@ -440,7 +441,7 @@ class TestDeterminism:
         doc_ts = json.loads(with_ts)
         doc_no = json.loads(without)
         assert "timestamp" in doc_ts and "timestamp" not in doc_no
-        doc_ts.pop("timestamp")
+        assert datetime.fromisoformat(doc_ts.pop("timestamp")).utcoffset().total_seconds() == 0
         assert doc_ts == doc_no
 
     def test_output_file(self, tmp_path, capsys):
@@ -948,3 +949,21 @@ def test_never_imports_sympy(command):
     )
     factors = command in ("analyze", "divisor")
     assert run.stdout.split() == ["False", str(factors)]
+
+
+def test_import_loads_only_what_a_spawn_needs():
+    """``import orbitint.cli`` builds no dataclass and imports no typing, and
+    hashlib and datetime load only in the branches that use them (an elided
+    number, a timestamp): every CLI answer is a spawn that pays for them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(integrality.__file__)))
+    code = (
+        "import sys, orbitint.cli\n"
+        "print(*(m for m in ('dataclasses', 'inspect', 'typing', 'hashlib', 'datetime')"
+        " if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    # -S: a .pth file that site runs may import typing itself
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == []

@@ -43,8 +43,9 @@ class TestPairWindow:
         assert (4, 0) not in w and (0, 3) not in w and (-1, 0) not in w
 
     def test_negative_rejected(self):
-        with pytest.raises(SearchError):
-            PairWindow(-1, 2)
+        for bounds in ((-1, 2), (-1, 0), (0, -1)):
+            with pytest.raises(SearchError, match="nonnegative"):
+                PairWindow(*bounds)
 
 
 class TestFindIntegralPairs:
