@@ -15,6 +15,7 @@ import re
 from collections.abc import Iterable
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
+from operator import attrgetter
 
 from .primes import factor, is_prime
 
@@ -28,23 +29,28 @@ class ExactArithError(ValueError):
 class Record:
     """Value semantics over the attribute names in ``_fields``: equal to an
     instance of the same class with equal fields (``NotImplemented`` for any
-    other class), hashed as the field tuple, shown as ``Name(field=value,
+    other class), hashed as the field values, shown as ``Name(field=value,
     ...)``.  A subclass assigns its fields in ``__init__`` and never after,
     so its instances are immutable values by convention."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # one C getter per class reads the field values: points key the
+        # orbit dicts and maps the iterated_forms cache, so a Python loop
+        # over _fields would cost the pair search a few percent per op
+        cls._values = staticmethod(attrgetter(*cls._fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

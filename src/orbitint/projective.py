@@ -35,16 +35,6 @@ class ProjPoint(Record):
         self.a0 = a0
         self.a1 = a1
 
-    # points key the orbit dicts of the pair search and of certify_wandering,
-    # so equality and hashing read the two coordinates directly
-    def __eq__(self, other):
-        if other.__class__ is not ProjPoint:
-            return NotImplemented
-        return self.a0 == other.a0 and self.a1 == other.a1
-
-    def __hash__(self) -> int:
-        return hash((self.a0, self.a1))
-
     @classmethod
     def _from_coprime(cls, a0: int, a1: int) -> "ProjPoint":
         """[a0:a1] for coprime a0, a1, not both zero: only the sign is

@@ -69,16 +69,6 @@ class RatMap(Record):
         self.p, self.q = _normalize_pair(p, q)
         self._bezout  # the cofactors exist exactly when Res(P, Q) != 0
 
-    # a map keys every iterated_forms cache lookup, so equality and hashing
-    # read the two forms directly
-    def __eq__(self, other):
-        if other.__class__ is not RatMap:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
     @property
     def degree(self) -> int:
         return len(self.p) - 1

@@ -519,6 +519,15 @@ class TestIteratedFormsCache:
         assert info.currsize <= ratmap.ITERATED_FORMS_CACHE_SIZE
         assert info.maxsize == ratmap.ITERATED_FORMS_CACHE_SIZE
 
+    def test_spellings_of_one_map_share_an_entry(self):
+        from orbitint import ratmap
+
+        ratmap._iterated_forms.cache_clear()
+        first = iterated_forms(make_map([1, 0, 7], [1]), 3)
+        hits = ratmap._iterated_forms.cache_info().hits
+        assert iterated_forms(make_map([3, 0, 21], [3]), 3) is first
+        assert ratmap._iterated_forms.cache_info().hits == hits + 1
+
     def test_cap_checked_before_the_cache(self, monkeypatch):
         from orbitint import ratmap
 
