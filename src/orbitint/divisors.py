@@ -246,14 +246,16 @@ def exact_divide(numerator: BiForm, divisor: BiForm) -> BiForm:
 class DivisorTower(Record):
     """G_1..G_n and the layer forms B_0..B_n for one map."""
 
-    __slots__ = _fields = ("map", "depth", "g_forms", "b_forms")
+    __slots__ = _fields = ("map", "g_forms", "b_forms")
 
-    def __init__(self, map: RatMap, depth: int, g_forms: tuple[BiForm, ...],
-                 b_forms: tuple[BiForm, ...]):
+    def __init__(self, map: RatMap, g_forms: tuple[BiForm, ...], b_forms: tuple[BiForm, ...]):
         self.map = map
-        self.depth = depth
         self.g_forms = g_forms
         self.b_forms = b_forms  # index i holds B_i, with B_0 the diagonal
+
+    @property
+    def depth(self) -> int:
+        return len(self.g_forms)
 
 
 def build_tower(f: RatMap, depth: int) -> DivisorTower:
@@ -281,7 +283,7 @@ def build_tower(f: RatMap, depth: int) -> DivisorTower:
     bs = [b0, b1] + [
         pullback(b1, *iterated_forms(f, k - 1)).normalized() for k in range(2, depth + 1)
     ]
-    return DivisorTower(map=f, depth=depth, g_forms=tuple(gs), b_forms=tuple(bs))
+    return DivisorTower(map=f, g_forms=tuple(gs), b_forms=tuple(bs))
 
 
 def leading_form_check(f: RatMap, n: int) -> bool:

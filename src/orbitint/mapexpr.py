@@ -182,8 +182,8 @@ def parse_coefficient_format(text: str) -> RatMap:
 
 
 def parse_map(text: str) -> RatMap:
-    """Parse a map from expression syntax or the coefficient format; the
-    expression route round-trips bit-exactly through the coefficient format."""
+    """Parse a map from expression syntax or the coefficient format; a map read
+    from an expression reads back bit-exactly from its coefficient format."""
     text = text.strip()
     if text.startswith("num="):
         return parse_coefficient_format(text)

@@ -197,7 +197,10 @@ def iterated_forms(f: RatMap, n: int) -> tuple[Form, Form]:
     if n < 1:
         raise RatMapError("iterated_forms requires n >= 1")
     if f.degree**n > DEFAULT_FORM_DEGREE_CAP:
-        raise FormDegreeCapError("form degree cap")
+        raise FormDegreeCapError(
+            f"iterate form degree {f.degree**n} exceeds the form degree cap "
+            f"{DEFAULT_FORM_DEGREE_CAP}"
+        )
     return _iterated_forms(f, n)
 
 

@@ -218,8 +218,9 @@ def pair_report_doc(report: PairReport) -> dict:
             wdoc = witness_docs[id(wit)] = {
                 "verdict": wit.verdict,
                 "cross_term": format_big_int(wit.cross_term),
-                "violating_primes": list(wit.violating_primes),
-                "factorization_complete": wit.factorization_complete,
+                # only integral witnesses are listed, and their rest is 1
+                "violating_primes": [],
+                "factorization_complete": True,
             }
         cells.append({"m": m, "n": n, "witness": wdoc})
     doc: dict = {

@@ -55,16 +55,20 @@ class PairWindow(Record):
 class Hypotheses(Record):
     """Status of the finiteness theorem's hypotheses for this instance."""
 
-    __slots__ = _fields = ("u_status", "w_status", "powering", "exceptional",
-                           "theorem_applies")
+    __slots__ = _fields = ("u_status", "w_status", "powering", "exceptional")
 
     def __init__(self, u_status: WanderingResult, w_status: WanderingResult,
-                 powering: PoweringWitness, exceptional: tuple, theorem_applies: bool):
+                 powering: PoweringWitness, exceptional: tuple):
         self.u_status = u_status
         self.w_status = w_status
         self.powering = powering
         self.exceptional = exceptional
-        self.theorem_applies = theorem_applies
+
+    @property
+    def theorem_applies(self) -> bool:
+        """Both orbits wander and f is not a powering map."""
+        return (self.u_status.kind == self.w_status.kind == "wandering"
+                and not self.powering.is_powering)
 
 
 class PairReport(Record):
@@ -74,7 +78,7 @@ class PairReport(Record):
     out of equality, hashing and repr."""
 
     _fields = ("map", "u", "w", "places", "window", "pairs", "u_orbit", "w_orbit",
-               "hypotheses", "frontier")
+               "hypotheses")
     __slots__ = (*_fields, "witnesses")
 
     def __init__(
@@ -89,7 +93,6 @@ class PairReport(Record):
         w_orbit: tuple[ProjPoint, ...],
         hypotheses: Hypotheses,
         witnesses: dict | None = None,
-        frontier: int | None = None,  # max over pairs of max(m, n)
     ):
         self.map = map
         self.u = u
@@ -101,7 +104,11 @@ class PairReport(Record):
         self.w_orbit = w_orbit
         self.hypotheses = hypotheses
         self.witnesses = {} if witnesses is None else witnesses
-        self.frontier = frontier
+
+    @property
+    def frontier(self) -> int | None:
+        """The largest max(m, n) over the pairs; None when there are none."""
+        return max((max(m, n) for m, n in self.pairs), default=None)
 
     @property
     def effective_window(self) -> PairWindow:
@@ -192,19 +199,11 @@ def find_integral_pairs(
                 pairs.append((m, n))
 
     depth = max(window.m_max, window.n_max) + 32
-    u_status = certify_wandering(f, u, depth)
-    w_status = certify_wandering(f, w, depth)
-    powering = is_powering_conjugate(f)
     hypo = Hypotheses(
-        u_status=u_status,
-        w_status=w_status,
-        powering=powering,
+        u_status=certify_wandering(f, u, depth),
+        w_status=certify_wandering(f, w, depth),
+        powering=is_powering_conjugate(f),
         exceptional=tuple(exceptional_points(f)),
-        theorem_applies=(
-            u_status.kind == "wandering"
-            and w_status.kind == "wandering"
-            and not powering.is_powering
-        ),
     )
 
     return PairReport(
@@ -218,7 +217,6 @@ def find_integral_pairs(
         w_orbit=w_orbit,
         witnesses=witnesses,
         hypotheses=hypo,
-        frontier=max((max(m, n) for m, n in pairs), default=None),
     )
 
 
@@ -232,19 +230,6 @@ class CosetStructure(Record):
                  residual: tuple[tuple[int, int], ...]):
         self.cosets = cosets
         self.residual = residual
-
-    def reconstruct(self, window: PairWindow) -> set[tuple[int, int]]:
-        out = set(self.residual)
-        for base, gens in self.cosets:
-            if not gens:
-                out.add(base)
-                continue
-            (dm, dn) = gens[0]
-            m, n = base
-            while (m, n) in window:
-                out.add((m, n))
-                m, n = m + dm, n + dn
-        return out
 
 
 def _ray_room(base: tuple[int, int], gen: tuple[int, int], window: PairWindow) -> int:
@@ -262,11 +247,16 @@ def detect_coset_structure(report: PairReport) -> CosetStructure:
     least three members; everything else is residual.  A generator is walked
     only when its ray has room for at least three window points and for
     more than the longest ray found so far from the same base.
+
+    The decomposition is exact by construction: a kept ray is exactly its
+    ``_ray_room`` window points, each of them a pair, and the residual is
+    the pairs that no kept ray covers.  ``report.pairs`` is read in the
+    (m, n) order ``find_integral_pairs`` lists it in.
     """
     window = report.effective_window
-    pair_set = set(report.pairs)
-    ordered = sorted(pair_set)
-    uncovered = set(pair_set)
+    ordered = report.pairs
+    pair_set = set(ordered)
+    uncovered = set(ordered)
     cosets = []
     for i, base in enumerate(ordered):
         if base not in uncovered:
@@ -291,21 +281,25 @@ def detect_coset_structure(report: PairReport) -> CosetStructure:
         if best_ray:
             cosets.append((base, (best_gen,)))
             uncovered -= set(best_ray)
-    residual = tuple(sorted(uncovered))
-    structure = CosetStructure(cosets=tuple(cosets), residual=residual)
-    if structure.reconstruct(window) != pair_set:
-        raise SearchError("coset decomposition failed round-trip")  # pragma: no cover
-    return structure
+    residual = tuple(p for p in ordered if p in uncovered)
+    return CosetStructure(cosets=tuple(cosets), residual=residual)
 
 
 class PoweringAnalysis(Record):
-    __slots__ = _fields = ("report", "tau_values", "tau_unit_checks_passed")
+    __slots__ = _fields = ("report", "tau_values")
 
-    def __init__(self, report: PairReport, tau_values: tuple[Fraction, ...],
-                 tau_unit_checks_passed: bool):
+    def __init__(self, report: PairReport, tau_values: tuple[Fraction, ...]):
         self.report = report
         self.tau_values = tau_values
-        self.tau_unit_checks_passed = tau_unit_checks_passed
+
+    @property
+    def tau_unit_checks_passed(self) -> bool:
+        """Every tau and tau + 1 is a nonzero S'-unit of ``report.places``."""
+        places = self.report.places
+        return all(
+            tau != 0 and is_s_unit(tau, places) and is_s_unit(tau + 1, places)
+            for tau in self.tau_values
+        )
 
 
 def powering_pair_analysis(
@@ -339,14 +333,7 @@ def powering_pair_analysis(
             for m, n in report.pairs
         }
     )
-    return PoweringAnalysis(
-        report=report,
-        tau_values=tuple(taus),
-        tau_unit_checks_passed=all(
-            tau != 0 and is_s_unit(tau, enlarged) and is_s_unit(tau + 1, enlarged)
-            for tau in taus
-        ),
-    )
+    return PoweringAnalysis(report=report, tau_values=tuple(taus))
 
 
 def exceptional_case_enlarge(f: RatMap, u: ProjPoint, s: PlaceSet) -> PlaceSet:

@@ -646,6 +646,20 @@ class TestLazyWitness:
         assert [(p["m"], p["n"]) for p in json.loads(out)["body"]["pairs"]] == [(1, 0)]
         assert run_cli(["--no-timestamp"] + self.ARGS, capsys) == (code, out)
 
+    def test_json_report_never_reads_the_diagnosis(self, capsys, monkeypatch):
+        # a JSON report lists integral witnesses only, whose diagnosis is a
+        # constant: it writes the constant and leaves the witness unread
+        def refuse(wit):
+            raise AssertionError(f"read the diagnosis of {wit!r}")
+
+        monkeypatch.setattr(integrality.IntegralityWitness, "_diagnosis", property(refuse))
+        cases = [case for case in TestSnapshots.CASES if "--format" not in case[0]
+                 and ("pairs" in case[0] or "powering" in case[0])]
+        assert len(cases) == 4
+        for args, status, digest in cases:
+            code, out = run_cli(["--no-timestamp"] + args, capsys)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (status, digest), args
+
     def test_table_lists_smallest_violating_primes(self, capsys):
         code, out = run_cli(["--no-timestamp", "--format", "table"] + self.ARGS, capsys)
         assert code == EXIT_OK

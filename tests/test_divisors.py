@@ -525,6 +525,9 @@ class TestTower:
         for depth in (0, -1):
             with pytest.raises(DivisorError, match="depth"):
                 build_tower(make_map([1, 0, 0], [1]), depth)
+        for depth in (1, 2, 5):
+            tower = build_tower(make_map([1, 0, 1], [1]), depth)
+            assert tower.depth == depth == len(tower.b_forms) - 1
 
 
 class TestLeadingForm:

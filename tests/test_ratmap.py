@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from orbitint import binforms
+from orbitint.mapexpr import parse_map
 from orbitint.projective import INFINITY, ProjPoint, from_affine
 from orbitint.ratmap import (
     FormDegreeCapError,
@@ -201,8 +203,14 @@ class TestIteratedForms:
 
     def test_degree_cap(self):
         f = make_map([1, 0, 0], [1])
-        with pytest.raises(FormDegreeCapError, match="form degree cap"):
+        message = "^iterate form degree 8192 exceeds the form degree cap 4096$"
+        with pytest.raises(FormDegreeCapError, match=message):
             iterated_forms(f, 13)  # 2^13 > 4096
+        # the cap is checked before any form is built
+        start = time.perf_counter()
+        with pytest.raises(FormDegreeCapError, match=message):
+            preimage_count(parse_map("x^2+1"), ProjPoint(0, 1), 13)
+        assert time.perf_counter() - start < 1
 
     def test_n_below_one_rejected(self):
         f = make_map([1, 0, 0], [1])

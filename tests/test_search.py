@@ -81,6 +81,11 @@ class TestFindIntegralPairs:
             assert wit.verdict == ((m, n) in report.pairs)
         # x^2+1: both orbits wander and the map is not a powering map
         assert report.hypotheses.theorem_applies is True
+        # from 5, no cell is integral: 1, 2, 5, 26 against 5, 26, 677, 458330
+        report = find_integral_pairs(
+            f, ProjPoint(1, 1), ProjPoint(5, 1), PlaceSet(), PairWindow(3, 3)
+        )
+        assert report.pairs == () and report.frontier is None
 
     def test_dk_route_agrees(self):
         # each cell decided through D_k, k = min(m, n, 3), on the report's orbits
@@ -257,6 +262,22 @@ def greedy_cosets(pair_set, window):
     return tuple(cosets), tuple(sorted(uncovered))
 
 
+def reconstruct(structure, window):
+    """The pairs a coset structure stands for: its residual, and every
+    window point of each coset's ray."""
+    out = set(structure.residual)
+    for base, gens in structure.cosets:
+        if not gens:
+            out.add(base)
+            continue
+        (dm, dn) = gens[0]
+        m, n = base
+        while (m, n) in window:
+            out.add((m, n))
+            m, n = m + dm, n + dn
+    return out
+
+
 @st.composite
 def pair_sets(draw):
     """A window up to 12x12 and a set of its cells: some whole rays, so
@@ -289,6 +310,8 @@ class TestCosetStructure:
         report = SimpleNamespace(effective_window=window, pairs=tuple(sorted(pair_set)))
         structure = detect_coset_structure(report)
         assert (structure.cosets, structure.residual) == greedy_cosets(pair_set, window)
+        # the decomposition decodes to exactly the pairs
+        assert reconstruct(structure, window) == pair_set
 
     def test_diagonal_detected(self):
         f = make_map([1, 0, 0, 0], [1])
@@ -298,7 +321,7 @@ class TestCosetStructure:
         structure = detect_coset_structure(report)
         assert structure.cosets == (((0, 0), ((1, 1),)),)
         assert structure.residual == ()
-        assert structure.reconstruct(PairWindow(6, 6)) == set(report.pairs)
+        assert reconstruct(structure, PairWindow(6, 6)) == set(report.pairs)
 
     def test_sparse_pairs_are_residual(self):
         f = make_map([1, 0, 0], [1])
@@ -316,7 +339,7 @@ class TestCosetStructure:
                 f, ProjPoint(1, 1), ProjPoint(1, 1), s, PairWindow(5, 5)
             )
             structure = detect_coset_structure(report)
-            assert structure.reconstruct(report.effective_window) == set(report.pairs)
+            assert reconstruct(structure, report.effective_window) == set(report.pairs)
 
 
 class TestPoweringAnalysis:
@@ -387,6 +410,14 @@ class TestPoweringAnalysis:
             PairWindow(3, 3),
         )
         assert {2, 3, 5} <= set(analysis.report.places)
+        # 2x^2 from 1 against 3: S' = {3}, and tau + 1 = 2/3 is no S'-unit
+        analysis = powering_pair_analysis(
+            make_map([2, 0, 0], [1]), ProjPoint(1, 1), ProjPoint(3, 1), PlaceSet(),
+            PairWindow(3, 3),
+        )
+        assert analysis.report.places.primes == (3,)
+        assert analysis.tau_values == (Fraction(-1, 3),)
+        assert analysis.tau_unit_checks_passed is False
 
     def test_factors_exactly_the_coordinates(self, monkeypatch):
         factored = []

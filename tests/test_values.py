@@ -76,12 +76,12 @@ class TestRecords:
         assert r.witnesses
         fields = dict(map=r.map, u=r.u, w=r.w, places=r.places, window=r.window,
                       pairs=r.pairs, u_orbit=r.u_orbit, w_orbit=r.w_orbit,
-                      hypotheses=r.hypotheses, frontier=r.frontier)
+                      hypotheses=r.hypotheses)
         bare = PairReport(**fields)
         assert bare.witnesses == {}
         assert bare.witnesses is not PairReport(**fields).witnesses
         assert bare == r and hash(bare) == hash(r)
-        assert PairReport(**dict(fields, frontier=None)) != r
+        assert PairReport(**dict(fields, pairs=r.pairs[:-1])) != r
 
     def test_biform_equality_over_rows(self):
         b = BiForm(((0, 1), (-1, 0)))
