@@ -57,7 +57,9 @@ from .search import (
     detect_coset_structure,
     exceptional_case_enlarge,
     find_integral_pairs,
-    powering_pair_analysis,
+    powering_case_enlarge,
+    tau_unit_checks_passed,
+    tau_values,
 )
 from .mapexpr import parse_map
 

@@ -47,7 +47,9 @@ from .search import (
     exceptional_case_enlarge,
     find_integral_pairs,
     orbit,
-    powering_pair_analysis,
+    powering_case_enlarge,
+    tau_unit_checks_passed,
+    tau_values,
 )
 
 EXIT_OK = 0
@@ -152,19 +154,22 @@ def _run_command(args) -> tuple[dict, int]:
         }
         if len(points) <= args.n:
             status = EXIT_TRUNCATED
-    elif args.command == "pairs":
-        report = find_integral_pairs(
-            f,
-            parse_point(args.u),
-            parse_point(args.w),
-            PlaceSet.parse(args.S),
-            _parse_window(args.window),
-            digit_budget=args.digit_budget,
-        )
+    elif args.command in ("pairs", "powering"):
+        u, w = parse_point(args.u), parse_point(args.w)
+        places, window = PlaceSet.parse(args.S), _parse_window(args.window)
+        if args.command == "powering":
+            places = powering_case_enlarge(f, u, w, places)
+        report = find_integral_pairs(f, u, w, places, window, digit_budget=args.digit_budget)
         body = pair_report_doc(report)
-        body["coset_structure"] = coset_doc(detect_coset_structure(report))
-        if args.format == "table":
-            body["table"] = pair_table(report)
+        if args.command == "powering":
+            taus = tau_values(report)
+            body["enlarged_S"] = places.serialize()
+            body["tau_values"] = [format_fraction(t) for t in taus]
+            body["tau_unit_checks_passed"] = tau_unit_checks_passed(taus, places)
+        else:
+            body["coset_structure"] = coset_doc(detect_coset_structure(report))
+            if args.format == "table":
+                body["table"] = pair_table(report)
         if report.truncated:
             status = EXIT_TRUNCATED
     elif args.command == "divisor":
@@ -180,21 +185,6 @@ def _run_command(args) -> tuple[dict, int]:
             "point": args.point,
             "result": wandering_doc(result),
         }
-    elif args.command == "powering":
-        analysis = powering_pair_analysis(
-            f,
-            parse_point(args.u),
-            parse_point(args.w),
-            PlaceSet.parse(args.S),
-            _parse_window(args.window),
-            digit_budget=args.digit_budget,
-        )
-        body = pair_report_doc(analysis.report)
-        body["enlarged_S"] = analysis.report.places.serialize()
-        body["tau_values"] = [format_fraction(t) for t in analysis.tau_values]
-        body["tau_unit_checks_passed"] = analysis.tau_unit_checks_passed
-        if analysis.report.truncated:
-            status = EXIT_TRUNCATED
     elif args.command == "exceptional":
         u = parse_point(args.u)
         places = exceptional_case_enlarge(f, u, PlaceSet.parse(args.S))

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .divisors import DivisorTower
 from .exactarith import decimal_str, format_big_int
+from .projective import ProjPoint
 from .ratmap import CriticalDatum, PoweringWitness, WanderingResult
 from .search import CosetStructure, PairReport
 
@@ -183,10 +184,11 @@ def wandering_doc(r: WanderingResult) -> dict:
 
 
 def powering_doc(w: PoweringWitness) -> dict:
-    pair: object = None
-    if isinstance(w.pair, tuple) and w.pair and hasattr(w.pair[0], "serialize"):
+    if w.pair is None:
+        pair = None
+    elif isinstance(w.pair[0], ProjPoint):
         pair = [p.serialize() for p in w.pair]
-    elif w.pair is not None:
+    else:
         pair = _json_form("pair", w.pair)
     return {"is_powering": w.is_powering, "pair": pair, "kind": w.kind}
 
@@ -194,7 +196,7 @@ def powering_doc(w: PoweringWitness) -> dict:
 def exceptional_doc(items) -> list:
     out = []
     for item in items:
-        if hasattr(item, "serialize"):
+        if isinstance(item, ProjPoint):
             out.append(item.serialize())
         else:
             out.append({"quadratic_factor": _json_form("quadratic_factor", item)})

@@ -1,12 +1,14 @@
 """Enumeration and structural analysis of the set of integral index pairs
-(m, n) over a finite search window, with the powering-map and
-exceptional-point special cases.
+(m, n) over a finite search window.
 
 Global finiteness is not re-proved here: a pair search is an exhaustive
 window enumeration plus hypothesis certificates, and every pair report
-says so.  The exceptional case is answered for all of N^2 without a
-window: :func:`exceptional_case_enlarge` builds the S' that a
-good-reduction argument proves sufficient.
+says so.  The two cases the theorem leaves out, a powering map and an
+exceptional point, are each answered by enlarging S to an S':
+:func:`powering_case_enlarge` builds the S' on which the window's pairs
+solve an S'-unit equation, and :func:`exceptional_case_enlarge` the S'
+that a good-reduction argument proves sufficient for all of N^2, with
+no window.
 """
 
 from __future__ import annotations
@@ -285,37 +287,14 @@ def detect_coset_structure(report: PairReport) -> CosetStructure:
     return CosetStructure(cosets=tuple(cosets), residual=residual)
 
 
-class PoweringAnalysis(Record):
-    __slots__ = _fields = ("report", "tau_values")
-
-    def __init__(self, report: PairReport, tau_values: tuple[Fraction, ...]):
-        self.report = report
-        self.tau_values = tau_values
-
-    @property
-    def tau_unit_checks_passed(self) -> bool:
-        """Every tau and tau + 1 is a nonzero S'-unit of ``report.places``."""
-        places = self.report.places
-        return all(
-            tau != 0 and is_s_unit(tau, places) and is_s_unit(tau + 1, places)
-            for tau in self.tau_values
-        )
-
-
-def powering_pair_analysis(
-    f: RatMap,
-    u: ProjPoint,
-    w: ProjPoint,
-    s: PlaceSet,
-    window: PairWindow,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> PoweringAnalysis:
-    """For f = c*x^(+-d), a powering map whose exceptional pair is {0, inf}:
-    enlarge S so u and w are S'-units, enumerate the window, and annotate
-    each integral pair with tau = f^m(u)/f^n(w) - 1, verifying tau and
-    tau + 1 are S'-units.  A map conjugate to a powering map in other
-    coordinates is refused: S' and tau mean this only where the pair is
-    {0, inf}."""
+def powering_case_enlarge(f: RatMap, u: ProjPoint, w: ProjPoint, s: PlaceSet) -> PlaceSet:
+    """The S' on which the integral pairs of f = c*x^(+-d), a powering map
+    whose exceptional pair is {0, inf}, are the solutions of an S'-unit
+    equation: S enlarged so that u and w are S'-units.  Then each integral
+    pair of ``find_integral_pairs`` on S' gives tau = f^m(u)/f^n(w) - 1
+    (see :func:`tau_values`) with tau and tau + 1 S'-units.  A map
+    conjugate to a powering map in other coordinates is refused: S' and
+    tau mean this only where the pair is {0, inf}."""
     witness = is_powering_conjugate(f)
     if not witness.is_powering:
         raise SearchError("map is not conjugate to a powering map")
@@ -323,17 +302,25 @@ def powering_pair_analysis(
         raise SearchError("powering pair is not {0, inf}; change coordinates first")
     if 0 in (u.a0, u.a1, w.a0, w.a1):
         raise SearchError("u and w must be nonzero affine points")
-    enlarged = s.union(PlaceSet.dividing(u.a0, u.a1, w.a0, w.a1))
-    report = find_integral_pairs(f, u, w, enlarged, window, digit_budget=digit_budget)
-    # f maps the nonzero affine points into themselves, so every um/wn is
-    # defined and nonzero
-    taus = sorted(
-        {
-            report.u_orbit[m].to_affine() / report.w_orbit[n].to_affine() - 1
-            for m, n in report.pairs
-        }
+    return s.union(PlaceSet.dividing(u.a0, u.a1, w.a0, w.a1))
+
+
+def tau_values(report: PairReport) -> tuple[Fraction, ...]:
+    """The sorted distinct tau = f^m(u)/f^n(w) - 1 over the report's pairs,
+    for a report on the S' of :func:`powering_case_enlarge`: f maps the
+    nonzero affine points into themselves, so every quotient is defined
+    and nonzero."""
+    return tuple(sorted({
+        report.u_orbit[m].to_affine() / report.w_orbit[n].to_affine() - 1
+        for m, n in report.pairs
+    }))
+
+
+def tau_unit_checks_passed(taus: tuple[Fraction, ...], places: PlaceSet) -> bool:
+    """Every tau and tau + 1 is a nonzero S'-unit of ``places``."""
+    return all(
+        tau != 0 and is_s_unit(tau, places) and is_s_unit(tau + 1, places) for tau in taus
     )
-    return PoweringAnalysis(report=report, tau_values=tuple(taus))
 
 
 def exceptional_case_enlarge(f: RatMap, u: ProjPoint, s: PlaceSet) -> PlaceSet:

@@ -30,7 +30,9 @@ from orbitint.search import (
     exceptional_case_enlarge,
     find_integral_pairs,
     orbit,
-    powering_pair_analysis,
+    powering_case_enlarge,
+    tau_unit_checks_passed,
+    tau_values,
 )
 
 from test_pairs_oracle import dk_pairs
@@ -342,27 +344,32 @@ class TestCosetStructure:
             assert reconstruct(structure, report.effective_window) == set(report.pairs)
 
 
+def powering_pairs(f, u, w, s, window):
+    """The powering case as the CLI runs it: the pair search on the S' of
+    ``powering_case_enlarge``, and its taus."""
+    report = find_integral_pairs(f, u, w, powering_case_enlarge(f, u, w, s), window)
+    return report, tau_values(report)
+
+
 class TestPoweringAnalysis:
     def test_cube_map_tau(self):
         f = make_map([1, 0, 0, 0], [1])
-        analysis = powering_pair_analysis(
+        report, taus = powering_pairs(
             f, ProjPoint(2, 1), ProjPoint(-2, 1), PlaceSet((2,)), PairWindow(4, 4)
         )
-        assert 2 in analysis.report.places
-        assert analysis.report.pairs == tuple((m, m) for m in range(5))
+        assert 2 in report.places
+        assert report.pairs == tuple((m, m) for m in range(5))
         # on the diagonal f^m(u)/f^m(w) = -1, so tau = -2 throughout
-        assert analysis.tau_values == (Fraction(-2),)
-        assert analysis.tau_unit_checks_passed
-        for tau in analysis.tau_values:
-            assert is_s_unit(tau, analysis.report.places)
-            assert is_s_unit(tau + 1, analysis.report.places)
+        assert taus == (Fraction(-2),)
+        assert tau_unit_checks_passed(taus, report.places)
+        for tau in taus:
+            assert is_s_unit(tau, report.places)
+            assert is_s_unit(tau + 1, report.places)
 
     def test_rejects_non_powering(self):
         f = make_map([1, 0, 1], [1])
         with pytest.raises(SearchError, match="powering"):
-            powering_pair_analysis(
-                f, ProjPoint(2, 1), ProjPoint(3, 1), PlaceSet(), PairWindow(2, 2)
-            )
+            powering_case_enlarge(f, ProjPoint(2, 1), ProjPoint(3, 1), PlaceSet())
 
     @pytest.mark.parametrize(
         "num, den",
@@ -377,47 +384,35 @@ class TestPoweringAnalysis:
         with pytest.raises(
             SearchError, match=r"^powering pair is not \{0, inf\}; change coordinates first$"
         ):
-            powering_pair_analysis(
-                f, ProjPoint(1, 1), ProjPoint(3, 1), PlaceSet(), PairWindow(2, 2)
-            )
+            powering_case_enlarge(f, ProjPoint(1, 1), ProjPoint(3, 1), PlaceSet())
 
     def test_swapped_kind(self):
         f = make_map([1], [1, 0, 0])  # 1/x^2 swaps 0 and infinity
-        analysis = powering_pair_analysis(
+        report, taus = powering_pairs(
             f, ProjPoint(2, 1), ProjPoint(1, 2), PlaceSet(), PairWindow(3, 3)
         )
-        assert analysis.report.places.primes == (2,)
-        assert analysis.tau_unit_checks_passed
+        assert report.places.primes == (2,)
+        assert tau_unit_checks_passed(taus, report.places)
 
     def test_rejects_zero_or_infinite_points(self):
         f = make_map([1, 0, 0], [1])
         with pytest.raises(SearchError):
-            powering_pair_analysis(
-                f, ProjPoint(0, 1), ProjPoint(3, 1), PlaceSet(), PairWindow(2, 2)
-            )
+            powering_case_enlarge(f, ProjPoint(0, 1), ProjPoint(3, 1), PlaceSet())
         with pytest.raises(SearchError):
-            powering_pair_analysis(
-                f, ProjPoint(2, 1), INFINITY, PlaceSet(), PairWindow(2, 2)
-            )
+            powering_case_enlarge(f, ProjPoint(2, 1), INFINITY, PlaceSet())
 
     def test_enlarges_with_point_support(self):
         f = make_map([1, 0, 0], [1])
-        analysis = powering_pair_analysis(
-            f,
-            from_affine(Fraction(3, 5)),
-            ProjPoint(2, 1),
-            PlaceSet(),
-            PairWindow(3, 3),
-        )
-        assert {2, 3, 5} <= set(analysis.report.places)
+        places = powering_case_enlarge(f, from_affine(Fraction(3, 5)), ProjPoint(2, 1), PlaceSet())
+        assert {2, 3, 5} <= set(places)
         # 2x^2 from 1 against 3: S' = {3}, and tau + 1 = 2/3 is no S'-unit
-        analysis = powering_pair_analysis(
+        report, taus = powering_pairs(
             make_map([2, 0, 0], [1]), ProjPoint(1, 1), ProjPoint(3, 1), PlaceSet(),
             PairWindow(3, 3),
         )
-        assert analysis.report.places.primes == (3,)
-        assert analysis.tau_values == (Fraction(-1, 3),)
-        assert analysis.tau_unit_checks_passed is False
+        assert report.places.primes == (3,)
+        assert taus == (Fraction(-1, 3),)
+        assert tau_unit_checks_passed(taus, report.places) is False
 
     def test_factors_exactly_the_coordinates(self, monkeypatch):
         factored = []
@@ -428,9 +423,9 @@ class TestPoweringAnalysis:
 
         monkeypatch.setattr(exactarith, "factor", record)
         f, u, w = make_map([1, 0, 0], [1]), from_affine(Fraction(-30, 7)), ProjPoint(2, 1)
-        analysis = powering_pair_analysis(f, u, w, PlaceSet(), PairWindow(3, 3))
+        report, _ = powering_pairs(f, u, w, PlaceSet(), PairWindow(3, 3))
         assert factored == [-30, 7, 2, 1]
-        assert analysis.report.places.primes == (2, 3, 5, 7)
+        assert report.places.primes == (2, 3, 5, 7)
 
 
 class TestExceptionalEnlarge:

@@ -148,7 +148,7 @@ class TestRecordClasses:
         # a field assigned in __init__ but missing from _fields would drop out
         # of equality, hashing and repr
         classes = _record_classes()
-        assert len(classes) == 15
+        assert len(classes) == 14
         for cls in classes:
             params = tuple(inspect.signature(cls.__init__).parameters)[1:]
             if cls is PairReport:
