@@ -195,7 +195,7 @@ def _run_command(args) -> tuple[dict, int]:
             "note": (
                 "enlarged_S makes every (m, n) in N^2 integral for w = inf, by "
                 "good reduction: at each prime outside it, f has good reduction "
-                "and no f^m(u) reduces onto the exceptional set"
+                "and no f^m(u) reduces to inf or f(inf)"
             ),
         }
     else:  # pragma: no cover

@@ -24,7 +24,7 @@ from . import binforms
 from .binforms import Form
 from .exactarith import Record, decimal_str
 from .projective import ProjPoint
-from .ratmap import FormDegreeCapError, RatMap, critical_factors, iterated_forms
+from .ratmap import RatMap, check_degree_cap, critical_factors, iterated_forms
 
 # largest degree D of G_n and B_n in x and in y that ``build_tower`` builds:
 # a biform has (D+1)^2 coefficients, and a degree-4 rational tower at
@@ -270,10 +270,7 @@ def build_tower(f: RatMap, depth: int) -> DivisorTower:
     """
     if depth < 1:
         raise DivisorError("depth must be >= 1")
-    if f.degree**depth > BIFORM_DEGREE_CAP:
-        raise FormDegreeCapError(
-            f"biform degree {f.degree**depth} exceeds the biform degree cap {BIFORM_DEGREE_CAP}"
-        )
+    check_degree_cap(f.degree, depth, BIFORM_DEGREE_CAP, "biform", "biform")
     # the iterate forms F_1..F_depth in one recursion, before any biform, so
     # that the traced spans of g_form time the biforms alone
     iterated_forms(f, depth)

@@ -189,6 +189,17 @@ def iterate(f: RatMap, pt: ProjPoint, n: int) -> ProjPoint:
     return pt
 
 
+def check_degree_cap(d: int, n: int, cap: int, form: str, cap_form: str) -> None:
+    """Refuse the n-th iterate's forms of degree d^n (d >= 2) when d^n > cap,
+    with no d^n past the cap built: 2^n > cap once n reaches the cap's bit
+    length.  The error spells d^n in digits below 2^64, else as "d^n"."""
+    if n >= cap.bit_length() or d**n > cap:
+        degree = d**n if n * d.bit_length() <= 64 else f"{d}^{n}"
+        raise FormDegreeCapError(
+            f"{form} degree {degree} exceeds the {cap_form} degree cap {cap}"
+        )
+
+
 def iterated_forms(f: RatMap, n: int) -> tuple[Form, Form]:
     """Coprime content-1 forms (P_n, Q_n) of degree d^n with P_n/Q_n = f^n.
 
@@ -196,11 +207,7 @@ def iterated_forms(f: RatMap, n: int) -> tuple[Form, Form]:
     (f, n); the degree cap is checked first."""
     if n < 1:
         raise RatMapError("iterated_forms requires n >= 1")
-    if f.degree**n > DEFAULT_FORM_DEGREE_CAP:
-        raise FormDegreeCapError(
-            f"iterate form degree {f.degree**n} exceeds the form degree cap "
-            f"{DEFAULT_FORM_DEGREE_CAP}"
-        )
+    check_degree_cap(f.degree, n, DEFAULT_FORM_DEGREE_CAP, "iterate form", "form")
     return _iterated_forms(f, n)
 
 

@@ -17,7 +17,7 @@ from .projective import ProjPoint
 from .ratmap import CriticalDatum, PoweringWitness, WanderingResult
 from .search import CosetStructure, PairReport
 
-SCHEMA_VERSION = "2.1"
+SCHEMA_VERSION = "2.2"
 
 _json_str = json.encoder.encode_basestring_ascii
 

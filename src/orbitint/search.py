@@ -3,12 +3,10 @@
 
 Global finiteness is not re-proved here: a pair search is an exhaustive
 window enumeration plus hypothesis certificates, and every pair report
-says so.  The two cases the theorem leaves out, a powering map and an
-exceptional point, are each answered by enlarging S to an S':
-:func:`powering_case_enlarge` builds the S' on which the window's pairs
-solve an S'-unit equation, and :func:`exceptional_case_enlarge` the S'
-that a good-reduction argument proves sufficient for all of N^2, with
-no window.
+says so.  The two cases the theorem leaves out are answered by enlarging
+S: :func:`powering_case_enlarge` for a powering map, whose pairs on S'
+solve an S'-unit equation, and :func:`exceptional_case_enlarge` for an
+exceptional point, with no window.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ from .ratmap import (
     is_powering_conjugate,
 )
 
-DEFAULT_ORBIT_CAP = 12
+DEFAULT_ORBIT_CAP = 12  # the largest window side
+ORBIT_LENGTH_CAP = 10**4
 DEFAULT_DIGIT_BUDGET = 10**6
 
 
@@ -148,7 +147,12 @@ def orbit(
     the first point with a coordinate of more than ``digit_budget`` decimal
     digits (an exact integer test; ``start`` itself is never cut).
 
-    The run was truncated when it returns ``length`` points or fewer."""
+    The run was truncated when it returns ``length`` points or fewer; a
+    length past ``ORBIT_LENGTH_CAP`` is refused before any point."""
+    if length > ORBIT_LENGTH_CAP:
+        raise SearchError(
+            f"orbit length {length} exceeds the orbit length cap {ORBIT_LENGTH_CAP}"
+        )
     pts = [start]
     for _ in range(length):
         nxt = eval_map(f, pts[-1])
@@ -182,7 +186,9 @@ def find_integral_pairs(
     rendered and factored once.
     """
     if window.m_max > DEFAULT_ORBIT_CAP or window.n_max > DEFAULT_ORBIT_CAP:
-        raise SearchError("window exceeds orbit cap")
+        raise SearchError(
+            f"window {window.m_max}x{window.n_max} exceeds the orbit cap {DEFAULT_ORBIT_CAP}"
+        )
 
     u_orbit = orbit(f, u, window.m_max, digit_budget)
     w_orbit = orbit(f, w, window.n_max, digit_budget)
@@ -288,11 +294,10 @@ def detect_coset_structure(report: PairReport) -> CosetStructure:
 
 
 def powering_case_enlarge(f: RatMap, u: ProjPoint, w: ProjPoint, s: PlaceSet) -> PlaceSet:
-    """The S' on which the integral pairs of f = c*x^(+-d), a powering map
-    whose exceptional pair is {0, inf}, are the solutions of an S'-unit
-    equation: S enlarged so that u and w are S'-units.  Then each integral
-    pair of ``find_integral_pairs`` on S' gives tau = f^m(u)/f^n(w) - 1
-    (see :func:`tau_values`) with tau and tau + 1 S'-units.  A map
+    """For f = c*x^(+-d) with exceptional pair {0, inf}: S with the
+    bad-reduction primes (those of c) and the primes of u and w added.  On
+    this S', every f^m(u)/f^n(w) is an S'-unit, so each integral pair gives
+    a tau (:func:`tau_values`) with tau and tau + 1 S'-units.  A map
     conjugate to a powering map in other coordinates is refused: S' and
     tau mean this only where the pair is {0, inf}."""
     witness = is_powering_conjugate(f)
@@ -302,14 +307,13 @@ def powering_case_enlarge(f: RatMap, u: ProjPoint, w: ProjPoint, s: PlaceSet) ->
         raise SearchError("powering pair is not {0, inf}; change coordinates first")
     if 0 in (u.a0, u.a1, w.a0, w.a1):
         raise SearchError("u and w must be nonzero affine points")
-    return s.union(PlaceSet.dividing(u.a0, u.a1, w.a0, w.a1))
+    extra = bad_reduction_primes(f).union(PlaceSet.dividing(u.a0, u.a1, w.a0, w.a1))
+    return s.union(extra)
 
 
 def tau_values(report: PairReport) -> tuple[Fraction, ...]:
-    """The sorted distinct tau = f^m(u)/f^n(w) - 1 over the report's pairs,
-    for a report on the S' of :func:`powering_case_enlarge`: f maps the
-    nonzero affine points into themselves, so every quotient is defined
-    and nonzero."""
+    """The sorted distinct tau = f^m(u)/f^n(w) - 1 over a powering report's
+    pairs; c*x^(+-d) keeps u and w off 0 and inf, so each is defined."""
     return tuple(sorted({
         report.u_orbit[m].to_affine() / report.w_orbit[n].to_affine() - 1
         for m, n in report.pairs

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -33,7 +34,7 @@ class TestBasicCommands:
         code, out = run_cli(["--no-timestamp", "analyze", "--map", "x^2+1"], capsys)
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["schema_version"] == "2.1"
+        assert doc["schema_version"] == "2.2"
         assert doc["body"]["degree"] == 2
         assert doc["body"]["polynomial"] is True
         assert doc["body"]["exceptional_points"] == ["[1:0]"]
@@ -136,7 +137,35 @@ class TestBasicCommands:
         doc = json.loads(out)
         assert doc["body"]["enlarged_S"] == "2"
         assert "every (m, n) in N^2" in doc["body"]["note"]
+        # the proof keeps the orbit off inf and f(inf) only: 3^(2^m) is 0 mod 3
+        assert doc["body"]["note"].endswith("no f^m(u) reduces to inf or f(inf)")
         assert sorted(doc["body"]) == ["enlarged_S", "map", "note", "u"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--map", "x^3", "--u", "2", "--w", "-2", "--S", "2", "--window", "4x4"],
+            ["--map", "2x^2", "--u", "1", "--w", "3", "--window", "3x3"],
+            ["--map", "1/x^2", "--u", "2", "--w", "1/2", "--window", "3x3"],
+            ["--map", "x^2/3", "--u", "3", "--w", "-5", "--window", "3x3"],
+            ["--map", "-1/(2x^3)", "--u", "-30/7", "--w", "3", "--S", "5", "--window", "2x3"],
+        ],
+    )
+    def test_powering_is_pairs_on_the_enlarged_set(self, capsys, args):
+        code, out = run_cli(["--no-timestamp", "powering"] + args, capsys)
+        assert code == EXIT_OK
+        powering = json.loads(out)["body"]
+        s = args.index("--S") if "--S" in args else len(args)
+        pairs_args = args[:s] + args[s + 2:] + ["--S", powering["enlarged_S"]]
+        code, out = run_cli(["--no-timestamp", "pairs"] + pairs_args, capsys)
+        assert code == EXIT_OK
+        pairs = json.loads(out)["body"]
+        assert powering["pairs"] == pairs["pairs"]
+        assert powering["tau_unit_checks_passed"] is True
+        for key in ("enlarged_S", "tau_values", "tau_unit_checks_passed"):
+            del powering[key]
+        del pairs["coset_structure"]
+        assert powering == pairs
 
 
 class TestExitCodes:
@@ -290,6 +319,12 @@ class TestExitCodes:
             (["divisor", "--map", "x^2+1", "--n", "13"], "form degree cap"),
             (["pairs", "--map", "x^2+1", "--u", "1", "--w", "2", "--window", "13x13"],
              "orbit cap"),
+            (["pairs", "--map", "x^2+1", "--u", "1", "--w", "2", "--window", "13x2"],
+             "window 13x2 exceeds the orbit cap 12"),
+            (["divisor", "--map", "x^2", "--n", "15000"], "biform degree cap"),
+            # x^2 fixes 0: a million points of 5 characters each
+            (["orbit", "--map", "x^2", "--point", "0", "--n", "1000000"],
+             "orbit length 1000000 exceeds the orbit length cap 10000"),
         ],
     )
     def test_cap_fails_by_name(self, capsys, args, cap):
@@ -329,6 +364,11 @@ class TestExitCodes:
             # took 5.7 s and wrote a 117 MB report
             ("(x^2+2)/(2x+1)", "9", "biform degree 512 exceeds the biform degree cap 256"),
             ("x^2+1", "13", "biform degree 8192 exceeds the biform degree cap 256"),
+            # 2^15000 has 4516 digits, past the int-to-str limit: the degree
+            # is spelled as a power, and never built
+            ("x^2", "15000", "biform degree 2^15000 exceeds the biform degree cap 256"),
+            ("x^2", "100000000",
+             "biform degree 2^100000000 exceeds the biform degree cap 256"),
         ],
     )
     def test_biform_degree_cap_before_any_form(self, capsys, text, n, error):
@@ -337,6 +377,22 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_PRECONDITION
         assert json.loads(out)["error"] == error
+
+    @pytest.mark.parametrize("n", ["9", "15000", "100000000"])
+    def test_biform_degree_cap_in_a_spawn(self, n):
+        # building 2^(10^8) to compare it with the cap alone took 0.94 s
+        src = os.path.dirname(os.path.dirname(os.path.abspath(integrality.__file__)))
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "orbitint.cli", "--no-timestamp", "divisor",
+             "--map", "x^2", "--n", n],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert run.returncode == EXIT_PRECONDITION
+        error = json.loads(run.stdout)["error"]
+        assert "biform degree cap" in error
+        assert max(map(len, re.findall(r"[0-9]+", error))) <= 20
 
     @pytest.mark.parametrize(
         "args, error",
@@ -576,54 +632,54 @@ class TestSnapshots:
 
     CASES = [
         (["analyze", "--map", "x^2+1"], EXIT_OK,
-         "65c08032b036802afb601636e7c61c9b6b5505df5565dd2ea022803f4263a6b8"),
+         "13d1c527ad655483a9baec14967d0a274c440240bb75f1d3b96947806d924875"),
         (["orbit", "--map", "(x^2+1)/x", "--point", "2", "--n", "6"], EXIT_OK,
-         "543cf8a71de3d17fc40a8d2e506e7db58ab6bf97448c9dffa0fc3771cbd03c96"),
+         "6003e55e5c76b1839d80196f98775ba234848ec0bd64522100f46556f64bbaa9"),
         (["certify", "--map", "x^2-1", "--point", "0"], EXIT_OK,
-         "6a9f5501fdc0068c5926ab122a577cd67cdea375711c993dfb84a9e8fe0e2377"),
+         "56f9f43ebd2ed4e7cb51218d1d6a4b32725b970d2b6904b79910c546c01a2609"),
         (["divisor", "--map", "x^2", "--n", "2"], EXIT_OK,
-         "defa6efbff9b5ad5f52dba2af10d1177ca04c08f5cd9efb8238e9b84dc85e053"),
+         "4f1b74df861e1f58cc6073f04e7faf7eb78521a45ac8e9ad4547e10659d0985c"),
         (["divisor", "--map", "(x^2+2)/(2x+1)", "--n", "5"], EXIT_OK,
-         "b6db0068b7a5471e81c2a1450bf230ed10aa662c03dd529f1eecec4736bc9240"),
+         "863dd9072be3dc4764b22c0e89479018a5852b849ee8ee06a098fd911d077eb9"),
         (["divisor", "--map", "2x^3+x+1", "--n", "4"], EXIT_OK,
-         "73dcb870168d2c4b3ab98fe503cc5bc156820bd96cc54afffd0c44a0b24ae9a4"),
+         "6bdc3f6f4b36d78f70ff393d02e63ea9b9ababb8784d38c0b89b33e59a6bbb9d"),
         # a sparse polynomial tower: G_n is P_n(x) y1^D - x1^D P_n(y), and
         # most rows of every layer hold one term
         (["divisor", "--map", "x^2-2x+2", "--n", "6"], EXIT_OK,
-         "7151d0b1584e9cf5d0ab24140d37c80e87fc9da46d66e9585a7655a2b62984c7"),
+         "5d201816abe3021cfe1a448f665e03b1a4a3e08e384f2e30175ea00cd5aa674e"),
         # G_1 and G_3 of 2(x^2+1)/x have content 2, so normalizing divides
         (["divisor", "--map", "(2x^2+2)/x", "--n", "3"], EXIT_OK,
-         "c35de9a26d473e35026254eaba7b73afcc2378f6940c7c48b20186aeae39a25e"),
+         "a6b89e682e83fc740bc50776ccae4d10fd0512d131aa9011b88e448c9ebca054"),
         (["powering", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
           "--window", "4x4"], EXIT_OK,
-         "29ab1eb4486725c45681851d7d97e2d02186e03af27f7d7fd1b8ca7a74b7d181"),
+         "5bc6f44d65050793aa2bde7422541aebd8ef4602ddcf8fe8f4935151f8fc2e8a"),
         (["exceptional", "--map", "x^2", "--u", "1/2"], EXIT_OK,
-         "b82f69cfcd645463e8d8caea9b495e9e23e043a4d830aa332161faf63b8d21a4"),
+         "8a6e6e82c1197251e09b0c530012572cbf8098c77e65eac487b99673ae8a2a88"),
         (["pairs", "--map", "x^3", "--u", "2", "--w", "-2", "--S", "2",
           "--window", "6x6"], EXIT_OK,
-         "043801ccc8218baad7285683ca2f9fc274805ae92f3bb28e6a8544251342bb59"),
+         "4a240d4e7837aa97c57ebae28d7b78b85f432ea58053c062c18e57b8da253994"),
         (["--format", "table", "pairs", "--map", "x^2+1", "--u", "1", "--w", "3",
           "--window", "3x3"], EXIT_OK,
          "82ba425d36970da36b2a771cc4c4a06227a1787fb62b3f7757c06c662c950a30"),
         (["--digit-budget", "50", "pairs", "--map", "x^2", "--u", "2", "--w", "3",
           "--window", "12x12"], EXIT_TRUNCATED,
-         "7323fcd4bc57e2767adbdfedb89869b581fd5e398f8404fcb698b93b47381006"),
+         "eac4da39f8065ce7e9d9ee56c0d25331684fbbd72233629660fe37644082c17b"),
         # 49 integral cells that share 7 witnesses: w = inf is fixed
         (["pairs", "--map", "x^2+1", "--u", "1/2", "--w", "inf", "--S", "2",
           "--window", "6x6"], EXIT_OK,
-         "7f569ca3797cc0eb5b29b8e6c19c2180649d788eec7a577371be5335f0f2cde7"),
+         "7d316abe9009483c9022adcf2cbfb59910a17093295ddd90b2dd0bfc5593e226"),
         # a conjugate pair of totally ramified points, reported as its tag
         (["analyze", "--map", "(x^2-3)/(2x)"], EXIT_OK,
-         "11b1f1cad27ec2c3b8fc2cc42f252997e022fc737ad31cec5612856cfe9b733d"),
+         "c36ffaaf8d14218249a0a3f98833e785b4ee01def605a289dc6dad548ebef4e3"),
         # the totally ramified points 0 and inf, swapped
         (["analyze", "--map", "1/x^2"], EXIT_OK,
-         "878733af5fcdc970e4828df302c607fb85a08d25308fe9206bd5d03246ee1301"),
+         "cd6ba5fbf9f678a289fb71ca265f1c958f2dbd0a013e599dce3cff5c599f4561"),
         # no rational point on the diagonal of B_1
         (["divisor", "--map", "(x^2-3)/(2x)", "--n", "2"], EXIT_OK,
-         "cf29b40e5f1b414e4eb243e009401ff351817094ebb50e15ec61371fd09d5e42"),
+         "98e78e93f8b3a2a8df82a32cbe312c5ebb3304b5de44815b9d8c2cbda16a1ee3"),
         # diagonal roots [1:0], [-1:1], [1:1]
         (["divisor", "--map", "x^3-3x", "--n", "1"], EXIT_OK,
-         "65828b9c5b49bc2db99bd1a505b0b3547a4eb49e175e331ea8516233dc53f8ed"),
+         "52840798f62663b328c93961940356b84f0f69e853c4dd106938fe0568521042"),
     ]
 
     def test_report_digests(self, capsys):

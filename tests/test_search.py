@@ -125,9 +125,9 @@ class TestFindIntegralPairs:
 
     def test_window_exceeding_orbit_cap(self):
         f = make_map([1, 0, 0], [1])
-        with pytest.raises(SearchError, match="orbit cap"):
+        with pytest.raises(SearchError, match="^window 13x2 exceeds the orbit cap 12$"):
             find_integral_pairs(
-                f, ProjPoint(2, 1), ProjPoint(3, 1), PlaceSet(), PairWindow(13, 13)
+                f, ProjPoint(2, 1), ProjPoint(3, 1), PlaceSet(), PairWindow(13, 2)
             )
 
     def test_digit_budget_truncates(self):
@@ -183,6 +183,20 @@ class TestDigitBudget:
         assert len(search.orbit(f, two, 4, 5)) == 5  # 65536: 5 digits
         assert len(search.orbit(f, two, 4, 4)) == 4
         assert len(search.orbit(f, two, 4, 0)) == 1  # the start is never cut
+
+    def test_orbit_length_cap_before_any_point(self, monkeypatch):
+        f, zero = parse_map("x^2"), ProjPoint(0, 1)
+        cap = search.ORBIT_LENGTH_CAP
+        assert len(search.orbit(f, zero, cap, DEFAULT_DIGIT_BUDGET)) == cap + 1
+
+        def refuse(*args):
+            raise AssertionError("computed a point")
+
+        monkeypatch.setattr(search, "eval_map", refuse)
+        with pytest.raises(
+            SearchError, match=f"^orbit length {cap + 1} exceeds the orbit length cap {cap}$"
+        ):
+            search.orbit(f, zero, cap + 1, DEFAULT_DIGIT_BUDGET)
 
 
 class TestRepeatingOrbits:
@@ -405,14 +419,28 @@ class TestPoweringAnalysis:
         f = make_map([1, 0, 0], [1])
         places = powering_case_enlarge(f, from_affine(Fraction(3, 5)), ProjPoint(2, 1), PlaceSet())
         assert {2, 3, 5} <= set(places)
-        # 2x^2 from 1 against 3: S' = {3}, and tau + 1 = 2/3 is no S'-unit
+        # 2x^2 from 1 against 3: the bad prime 2 joins S', so every orbit
+        # point is an S'-unit and tau + 1 = 2/3 is one
         report, taus = powering_pairs(
             make_map([2, 0, 0], [1]), ProjPoint(1, 1), ProjPoint(3, 1), PlaceSet(),
             PairWindow(3, 3),
         )
-        assert report.places.primes == (3,)
-        assert taus == (Fraction(-1, 3),)
-        assert tau_unit_checks_passed(taus, report.places) is False
+        assert report.places.primes == (2, 3)
+        assert taus == (Fraction(-8, 9), Fraction(-2, 3), Fraction(-1, 3))
+        assert tau_unit_checks_passed(taus, report.places) is True
+
+    # c*x^(+-d) with c != +-1, u in 1..4 and w in -5..5, w != 0, S empty:
+    # without the primes of c in S', 43 of these 240 cases failed the check
+    @pytest.mark.parametrize("text", ["3x^2", "2x^2", "3x^3", "x^2/3", "1/(3x^2)", "5x^2"])
+    def test_tau_checks_pass_when_c_is_no_unit(self, text):
+        f = parse_map(text)
+        for u in range(1, 5):
+            for w in range(-5, 6):
+                if w:
+                    report, taus = powering_pairs(
+                        f, ProjPoint(u, 1), ProjPoint(w, 1), PlaceSet(), PairWindow(3, 3)
+                    )
+                    assert tau_unit_checks_passed(taus, report.places), (u, w)
 
     def test_factors_exactly_the_coordinates(self, monkeypatch):
         factored = []
@@ -424,7 +452,8 @@ class TestPoweringAnalysis:
         monkeypatch.setattr(exactarith, "factor", record)
         f, u, w = make_map([1, 0, 0], [1]), from_affine(Fraction(-30, 7)), ProjPoint(2, 1)
         report, _ = powering_pairs(f, u, w, PlaceSet(), PairWindow(3, 3))
-        assert factored == [-30, 7, 2, 1]
+        # the resultant, then the coordinates of u and w
+        assert factored == [1, -30, 7, 2, 1]
         assert report.places.primes == (2, 3, 5, 7)
 
 
