@@ -90,6 +90,19 @@ def primitive(cs: Sequence[int]) -> Form:
     return tuple(out)
 
 
+def split_quadratic(cs: Sequence[int]) -> list[Form] | None:
+    """The two primitive linear factors, sorted, of a quadratic form
+    ``a*x0^2 + b*x0*x1 + c*x1^2`` with ``a != 0`` whose discriminant is a
+    square, or None when the discriminant is not a square (the form is
+    irreducible over Q)."""
+    a, b, c = cs
+    disc = b * b - 4 * a * c
+    s = math.isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return None
+    return sorted(primitive((2 * a, b + e)) for e in (s, -s))
+
+
 def dx0(cs: Sequence[int]) -> Form:
     """Partial derivative with respect to x0 (degree drops by one)."""
     d = degree(cs)

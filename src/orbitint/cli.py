@@ -7,10 +7,10 @@ Exit status 0 on success, 2 on precondition errors (named in the report),
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+import types
 
 from . import __version__
 from .divisors import build_tower, diagonal_critical_intersections
@@ -65,64 +65,132 @@ def _parse_window(text: str) -> PairWindow:
     return PairWindow(m, n)
 
 
+class _Option:
+    """One CLI option, as ``argparse.add_argument`` takes it: ``type`` is
+    ``str``, ``int`` or ``bool``, the last for a flag that takes no value
+    (``action="store_true"``).  ``_build_parser`` and ``_read_argv`` both
+    read the options from the spec below."""
+
+    __slots__ = ("flag", "dest", "type", "default", "required", "choices", "help")
+
+    def __init__(self, flag, type=str, default=None, *, required=False, choices=None,
+                 help=None):
+        self.flag = flag
+        self.dest = flag[2:].replace("-", "_")
+        self.type = type
+        self.default = default
+        self.required = required
+        self.choices = choices
+        self.help = help
+
+
+_DESCRIPTION = (
+    "Exact S-integrality of two-parameter orbits of rational "
+    "self-maps of the projective line over Q"
+)
+_GLOBAL_OPTIONS = (
+    _Option("--format", choices=("json", "table"), default="json"),
+    _Option("--no-timestamp", bool, False),
+    _Option("--output", help="output path (default stdout)"),
+    _Option("--digit-budget", int, DEFAULT_DIGIT_BUDGET),
+)
+_MAP = _Option("--map", required=True, help="map expression or num=..;den=..")
+_POINT = _Option("--point", required=True)
+_U = _Option("--u", required=True)
+_W = _Option("--w", required=True)
+_S = _Option("--S", default="")
+_WINDOW = _Option("--window", default="6x6")
+# each command's help and options, in the order the help lists them
+_COMMANDS = {
+    "analyze": ("degree, reduction, critical structure", (_MAP,)),
+    "orbit": ("forward orbit of a point",
+              (_MAP, _POINT, _Option("--n", int, 8, help="orbit length"))),
+    "pairs": ("integral index pairs over a window",
+              (_MAP, _U, _W, _Option("--S", default="", help="comma-separated primes"),
+               _WINDOW)),
+    "divisor": ("divisor tower G_1..G_n, B_0..B_n",
+                (_MAP, _Option("--n", int, 2, help="tower depth"))),
+    "certify": ("preperiodic / wandering certificate",
+                (_MAP, _POINT, _Option("--n", int, 64, help="max iterations"))),
+    "powering": ("powering-case pair analysis", (_MAP, _U, _W, _S, _WINDOW)),
+    "exceptional": ("S-enlargement making every (m, n) integral for exceptional w = inf",
+                    (_MAP, _U, _S)),
+}
+# the options by flag: before the command (key None), and after each command
+_FLAGS = {None: {o.flag: o for o in _GLOBAL_OPTIONS}} | {
+    name: {o.flag: o for o in options} for name, (_, options) in _COMMANDS.items()
+}
+
+
 @functools.cache  # built on the first call, so importing stays cheap
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="orbitint",
-        description=(
-            "Exact S-integrality of two-parameter orbits of rational "
-            "self-maps of the projective line over Q"
-        ),
-    )
-    ap.add_argument("--format", choices=("json", "table"), default="json")
-    ap.add_argument("--no-timestamp", action="store_true")
-    ap.add_argument("--output", default=None, help="output path (default stdout)")
-    ap.add_argument("--digit-budget", type=int, default=DEFAULT_DIGIT_BUDGET)
+def _build_parser():
+    import argparse  # only an argv that _read_argv refuses needs it
+
+    ap = argparse.ArgumentParser(prog="orbitint", description=_DESCRIPTION)
+    for o in _GLOBAL_OPTIONS:
+        _add_option(ap, o)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_map(p):
-        p.add_argument("--map", required=True, help="map expression or num=..;den=..")
-
-    p = sub.add_parser("analyze", help="degree, reduction, critical structure")
-    add_map(p)
-
-    p = sub.add_parser("orbit", help="forward orbit of a point")
-    add_map(p)
-    p.add_argument("--point", required=True)
-    p.add_argument("--n", type=int, default=8, help="orbit length")
-
-    p = sub.add_parser("pairs", help="integral index pairs over a window")
-    add_map(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--S", default="", help="comma-separated primes")
-    p.add_argument("--window", default="6x6")
-
-    p = sub.add_parser("divisor", help="divisor tower G_1..G_n, B_0..B_n")
-    add_map(p)
-    p.add_argument("--n", type=int, default=2, help="tower depth")
-
-    p = sub.add_parser("certify", help="preperiodic / wandering certificate")
-    add_map(p)
-    p.add_argument("--point", required=True)
-    p.add_argument("--n", type=int, default=64, help="max iterations")
-
-    p = sub.add_parser("powering", help="powering-case pair analysis")
-    add_map(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--S", default="")
-    p.add_argument("--window", default="6x6")
-
-    p = sub.add_parser(
-        "exceptional",
-        help="S-enlargement making every (m, n) integral for exceptional w = inf",
-    )
-    add_map(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--S", default="")
-
+    for name, (text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for o in options:
+            _add_option(p, o)
     return ap
+
+
+def _add_option(parser, o: _Option) -> None:
+    if o.type is bool:
+        parser.add_argument(o.flag, action="store_true", help=o.help)
+    else:
+        parser.add_argument(o.flag, type=o.type, default=o.default, required=o.required,
+                            choices=o.choices, help=o.help)
+
+
+def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, read from
+    the option spec in one pass, for a well-formed argv: the global options,
+    a command, then its options, each named exactly, with its value as
+    ``--opt=value`` or as the next word when that does not start with "-";
+    every required option present, and every int and choice valid.
+
+    None for any other argv (an abbreviation, -h, --, an unknown or
+    misplaced option, a bad int or choice, a missing value, an extra word):
+    argparse reads it, and writes its own usage error or help."""
+    values = {o.dest: o.default for o in _GLOBAL_OPTIONS}
+    command = None
+    flags = _FLAGS[None]
+    i, end = 0, len(argv)
+    while i < end:
+        word = argv[i]
+        i += 1
+        flag, eq, value = word.partition("=")
+        o = flags.get(flag)
+        if o is None:
+            if command is not None or word not in _COMMANDS:
+                return None
+            command, flags = word, _FLAGS[word]
+            values["command"] = word
+            values.update((c.dest, c.default) for c in _COMMANDS[word][1] if not c.required)
+            continue
+        if o.type is bool:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            if i == end or argv[i][:1] == "-":
+                return None
+            value = argv[i]
+            i += 1
+        if o.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[o.dest] = value
+    if command is None or any(o.dest not in values for o in _COMMANDS[command][1]):
+        return None
+    return types.SimpleNamespace(**values)
 
 
 def _run_command(args) -> tuple[dict, int]:
@@ -220,9 +288,11 @@ def _render_table(doc: dict, out) -> None:
         out.write(f"{key}\t{json.dumps(value, sort_keys=True)}\n")
 
 
-# the options whose value may start with "-": a map such as -x^2+1, or a
-# point such as -7/3
-_VALUE_OPTIONS = frozenset(("--map", "--u", "--w", "--point", "--S"))
+# the options whose value may start with "-": every str option of a command,
+# such as a map -x^2+1, a point -7/3 or a window -1x2
+_VALUE_OPTIONS = frozenset(
+    o.flag for _, options in _COMMANDS.values() for o in options if o.type is str
+)
 
 
 def _join_values(argv: list[str]) -> list[str]:
@@ -239,8 +309,10 @@ def _join_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_values(sys.argv[1:] if argv is None else argv)
+    args = _read_argv(argv)
+    if args is None:  # argparse reads it, or prints its usage error or help and exits
+        args = _build_parser().parse_args(argv)
     doc: dict = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
                  "command": args.command}
     if not args.no_timestamp:

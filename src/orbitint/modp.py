@@ -1,8 +1,10 @@
 """Factorization over Q of univariate integer polynomials, by Zassenhaus's
 method on the package's own integer code.
 
-The polynomial is split into squarefree parts with ``binforms.gcd``.  Each
-part is factored modulo the smallest odd prime p that divides neither its
+The polynomial is split into squarefree parts with ``binforms.gcd``.  A
+linear part is irreducible, and a quadratic one splits exactly when its
+discriminant is a square (``binforms.split_quadratic``).  Each larger part
+is factored modulo the smallest odd prime p that divides neither its
 leading coefficient nor its discriminant: distinct-degree factorization,
 then Cantor–Zassenhaus equal-degree splitting with the split polynomials
 x, x + 1, ... taken in order.  The modular factors are Hensel-lifted past
@@ -76,6 +78,8 @@ def _factor_squarefree(f: Form) -> list[Form]:
         return out
     if len(f) == 2:
         return out + [f]
+    if len(f) == 3:
+        return out + (binforms.split_quadratic(f) or [f])
     p = _good_prime(f)
     modular = [
         fac

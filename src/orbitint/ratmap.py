@@ -358,12 +358,9 @@ def _totally_ramified(f: RatMap) -> tuple[list[ProjPoint], Form | None]:
     if binforms.degree(g) == 1:
         points.append(ProjPoint(-g[1], g[0]))
     elif binforms.degree(g) == 2:
-        a, b, c = g
-        disc = b * b - 4 * a * c
-        s = math.isqrt(disc) if disc >= 0 else -1
-        if s * s != disc:
+        factors = binforms.split_quadratic(g)
+        if factors is None:
             return points, g
-        factors = sorted(binforms.primitive((2 * a, b + e)) for e in (s, -s))
         points += [ProjPoint(-fb, fa) for fa, fb in factors]
     return points, None
 

@@ -430,10 +430,14 @@ class TestExitCodes:
         assert json.loads(out)["error"] == "cannot parse prime '' in '2,,3'"
 
     def test_recombination_cap_fails_by_name(self, capsys, monkeypatch):
-        # the Wronskian of x^3 - 3x is 3 x1^2 (x0^2 - x1^2): its two factors
-        # mod p are recombined, and the first subset tried is past the cap
+        # the Wronskian of 3x^4 - 8x^3 - 6x^2 + 24x is, up to a constant,
+        # x1^3 (x0 - 2x1)(x0 - x1)(x0 + x1): its three factors mod 5 are
+        # recombined, and the first subset tried is past the cap (a quadratic
+        # part splits by its discriminant, with no recombination)
         monkeypatch.setattr(modp, "RECOMBINATION_CAP", 0)
-        code, out = run_cli(["--no-timestamp", "analyze", "--map", "x^3-3x"], capsys)
+        code, out = run_cli(
+            ["--no-timestamp", "analyze", "--map", "3x^4-8x^3-6x^2+24x"], capsys
+        )
         assert code == EXIT_PRECONDITION
         assert json.loads(out)["error"].startswith("recombination cap: more than 0 subsets")
 
@@ -602,6 +606,8 @@ class TestNegativeValues:
             (["certify", "--map", "x^2-2"], "--point", "-1/2"),
             (["orbit", "--map", "x^2-2", "--n", "3"], "--point", "-1/2"),
             (["pairs", "--map", "x^2", "--u", "-1/3", "--w", "inf"], "--S", "-2"),
+            (["pairs", "--map", "x^2+1", "--u", "1", "--w", "2"], "--window", "-1x2"),
+            (["powering", "--map", "x^2", "--u", "3", "--w", "2"], "--window", "-1x2"),
         ],
     )
     def test_separate_word_equals_joined_spelling(self, capsys, args, option, value):
@@ -618,6 +624,16 @@ class TestNegativeValues:
         body = json.loads(out)["body"]
         assert body["map"] == parse_map("-x^2+1").serialize_coefficients()
         assert body["u"] == "[-7:3]"
+
+    @pytest.mark.parametrize("command", ["pairs", "powering"])
+    def test_negative_window_is_named_in_the_report(self, capsys, command):
+        code, out = run_cli(
+            ["--no-timestamp", command, "--map", "x^2", "--u", "3", "--w", "2",
+             "--window", "-1x2"],
+            capsys,
+        )
+        assert code == EXIT_PRECONDITION
+        assert json.loads(out)["error"] == "window bounds must be nonnegative"
 
     def test_missing_value_still_fails_in_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1023,13 +1039,14 @@ def test_never_imports_sympy(command):
 
 def test_import_loads_only_what_a_spawn_needs():
     """``import orbitint.cli`` builds no dataclass and imports no typing, and
-    hashlib and datetime load only in the branches that use them (an elided
-    number, a timestamp): every CLI answer is a spawn that pays for them."""
+    hashlib, datetime and argparse load only in the branches that use them
+    (an elided number, a timestamp, an argv that the spec reader refuses):
+    every CLI answer is a spawn that pays for them."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(integrality.__file__)))
     code = (
         "import sys, orbitint.cli\n"
-        "print(*(m for m in ('dataclasses', 'inspect', 'typing', 'hashlib', 'datetime')"
-        " if m in sys.modules))\n"
+        "print(*(m for m in ('dataclasses', 'inspect', 'typing', 'hashlib', 'datetime',"
+        " 'argparse') if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     # -S: a .pth file that site runs may import typing itself
@@ -1037,3 +1054,28 @@ def test_import_loads_only_what_a_spawn_needs():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.split() == []
+
+
+def test_well_formed_call_imports_no_argparse():
+    """A well-formed argv is read from the option spec: a ``pairs`` call
+    through ``main`` neither imports argparse nor builds its parser, and a
+    malformed one still gets argparse's usage error."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(integrality.__file__)))
+    code = (
+        "import os, sys\n"
+        "from orbitint import cli\n"
+        "argv = ['--no-timestamp', '--output', os.devnull, 'pairs', '--map', 'x^2+1',"
+        " '--u', '2', '--w=-3', '--window', '3x3']\n"
+        "assert cli.main(argv) == 0\n"
+        "print('argparse' in sys.modules)\n"
+        "try:\n"
+        "    cli.main(['pairs', '--map', '--u', '3'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["False", "2", "True"]
+    assert "argument --map: expected one argument" in run.stderr

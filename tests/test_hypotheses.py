@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitint import binforms
@@ -132,6 +132,15 @@ _factors = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(_factors, st.integers(0, 3))
+# quadratic parts, which split by their discriminant with no prime: a square
+# discriminant, a non-square one, a negative one, a non-monic split, a
+# content of 6 beside a factor x0, and a squared quadratic
+@example([([1, -3, 2], 1)], 0)
+@example([([1, 0, -2], 1)], 0)
+@example([([1, 1, 1], 1)], 0)
+@example([([6, -5, 1], 1)], 0)
+@example([([6, 6, -12], 1)], 1)
+@example([([1, 0, -3], 2)], 0)
 def test_factor_form_matches_sympy(factors, x1_mult):
     form = (1,)
     for cs, mult in factors:
@@ -145,7 +154,7 @@ def test_factor_form_matches_sympy(factors, x1_mult):
 @pytest.mark.parametrize(
     "form",
     [
-        (1, -3, 2),  # (t - 2)(t - 1): two roots mod 3, split at degree 1
+        (1, -6, 11, -6),  # (t - 1)(t - 2)(t - 3): three roots mod 3, split at degree 1
         (1, 1, 1, 3, 1, 1, 1),  # two cubics, both irreducible mod 5: split at degree 3
         (1, 1, 3, 3, 1, 1, 3),  # irreducible; two linear and two quadratic factors mod 3
         (1, 0, -10, 0, 1),  # Swinnerton-Dyer, of sqrt 2 + sqrt 3: reducible mod every p
