@@ -84,10 +84,6 @@ class _Option:
         self.help = help
 
 
-_DESCRIPTION = (
-    "Exact S-integrality of two-parameter orbits of rational "
-    "self-maps of the projective line over Q"
-)
 _GLOBAL_OPTIONS = (
     _Option("--format", choices=("json", "table"), default="json"),
     _Option("--no-timestamp", bool, False),
@@ -126,7 +122,13 @@ _FLAGS = {None: {o.flag: o for o in _GLOBAL_OPTIONS}} | {
 def _build_parser():
     import argparse  # only an argv that _read_argv refuses needs it
 
-    ap = argparse.ArgumentParser(prog="orbitint", description=_DESCRIPTION)
+    ap = argparse.ArgumentParser(
+        prog="orbitint",
+        description=(
+            "Exact S-integrality of two-parameter orbits of rational "
+            "self-maps of the projective line over Q"
+        ),
+    )
     for o in _GLOBAL_OPTIONS:
         _add_option(ap, o)
     sub = ap.add_subparsers(dest="command", required=True)

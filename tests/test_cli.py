@@ -625,16 +625,6 @@ class TestNegativeValues:
         assert body["map"] == parse_map("-x^2+1").serialize_coefficients()
         assert body["u"] == "[-7:3]"
 
-    @pytest.mark.parametrize("command", ["pairs", "powering"])
-    def test_negative_window_is_named_in_the_report(self, capsys, command):
-        code, out = run_cli(
-            ["--no-timestamp", command, "--map", "x^2", "--u", "3", "--w", "2",
-             "--window", "-1x2"],
-            capsys,
-        )
-        assert code == EXIT_PRECONDITION
-        assert json.loads(out)["error"] == "window bounds must be nonnegative"
-
     def test_missing_value_still_fails_in_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--no-timestamp", "pairs", "--map", "--u", "3"])
