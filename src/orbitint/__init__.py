@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .exactarith import (
     PlaceSet,
-    Rational,
     is_s_unit,
     parse_rational,
 )

@@ -46,9 +46,6 @@ class BiForm(Record):
 
     __slots__ = _fields = ("rows",)
 
-    def __init__(self, rows: tuple[Form, ...]):
-        self.rows = rows
-
     @property
     def bidegree(self) -> tuple[int, int]:
         return len(self.rows) - 1, len(self.rows[0]) - 1
@@ -244,14 +241,10 @@ def exact_divide(numerator: BiForm, divisor: BiForm) -> BiForm:
 
 
 class DivisorTower(Record):
-    """G_1..G_n and the layer forms B_0..B_n for one map."""
+    """G_1..G_n and the layer forms B_0..B_n for one map: ``g_forms[i]`` is
+    G_(i+1) and ``b_forms[i]`` is B_i, with B_0 the diagonal."""
 
     __slots__ = _fields = ("map", "g_forms", "b_forms")
-
-    def __init__(self, map: RatMap, g_forms: tuple[BiForm, ...], b_forms: tuple[BiForm, ...]):
-        self.map = map
-        self.g_forms = g_forms
-        self.b_forms = b_forms  # index i holds B_i, with B_0 the diagonal
 
     @property
     def depth(self) -> int:

@@ -19,8 +19,6 @@ from operator import attrgetter
 
 from .primes import factor, is_prime
 
-Rational = Fraction
-
 
 class ExactArithError(ValueError):
     pass
@@ -30,11 +28,14 @@ class Record:
     """Value semantics over the attribute names in ``_fields``: equal to an
     instance of the same class with equal fields (``NotImplemented`` for any
     other class), hashed as the field values, shown as ``Name(field=value,
-    ...)``.  A subclass assigns its fields in ``__init__`` and never after,
-    so its instances are immutable values by convention."""
+    ...)`` with ints in full.  A subclass that writes no ``__init__`` gets
+    one that takes and stores the fields in order, defaulting those in
+    ``_defaults`` to its immutable values.  Only ``__init__`` assigns a
+    field, so instances are immutable values by convention."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -42,6 +43,16 @@ class Record:
         # orbit dicts and maps the iterated_forms cache, so a Python loop
         # over _fields would cost the pair search a few percent per op
         cls._values = staticmethod(attrgetter(*cls._fields))
+        if "__init__" not in cls.__dict__:
+            # compiled once, as namedtuple builds its __new__: the signature
+            # and stores of a hand-written __init__, with no loop per call
+            fields, defaults = cls._fields, cls._defaults
+            params = "".join(f", {f}=_d[{f!r}]" if f in defaults else f", {f}" for f in fields)
+            stores = "".join(f"\n self.{f} = {f}" for f in fields)
+            namespace = {"_d": defaults, "__name__": cls.__module__}
+            exec(f"def __init__(self{params}):{stores}", namespace)
+            namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = namespace["__init__"]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -53,8 +64,19 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _repr(v) -> str:
+    """``repr(v)``, with each int, also inside tuples, written by
+    :func:`decimal_str`: ``repr`` refuses an int past the int-to-str limit."""
+    if type(v) is int:
+        return decimal_str(v)
+    if type(v) is tuple:
+        items = ", ".join(map(_repr, v))
+        return f"({items},)" if len(v) == 1 else f"({items})"
+    return repr(v)
 
 
 class PlaceSet(Record):

@@ -21,21 +21,17 @@ class IntegralityWitness(Record):
     """Verdict plus the exact cross term it was decided on.
 
     The verdict is exact and computed eagerly: the cross term is a nonzero
-    S-unit iff its S-free part ``rest`` is 1.  The diagnosis is computed on
-    first read and cached: ``violating_primes`` lists the primes outside S
-    dividing the cross term that trial division and a bounded Pollard rho
-    find in ``rest``; for astronomically large cross terms the list may be
-    incomplete (``factorization_complete`` False).  Equality, hashing and
-    repr never factor, and a witness that ``find_integral_pairs`` shares
-    among the cells repeating one pair of points is factored once.
+    S-unit iff its S-free part ``rest`` is 1 (``rest`` is 1 for a zero cross
+    term).  The diagnosis is computed on first read and cached:
+    ``violating_primes`` lists the primes outside S dividing the cross term
+    that trial division and a bounded Pollard rho find in ``rest``; for
+    astronomically large cross terms the list may be incomplete
+    (``factorization_complete`` False).  Equality, hashing and repr never
+    factor, and a witness that ``find_integral_pairs`` shares among the
+    cells repeating one pair of points is factored once.
     """
 
     _fields = ("cross_term", "verdict", "rest")  # no __slots__: _diagnosis is cached in __dict__
-
-    def __init__(self, cross_term: int, verdict: bool, rest: int):
-        self.cross_term = cross_term
-        self.verdict = verdict
-        self.rest = rest  # S-free part of the cross term; 1 for a zero cross term
 
     @cached_property
     def _diagnosis(self) -> tuple[tuple[int, ...], bool]:

@@ -232,24 +232,6 @@ class CriticalDatum(Record):
     __slots__ = _fields = ("point", "factor", "factor_degree", "ramification_index",
                            "totally_ramified", "periodic", "period")
 
-    def __init__(
-        self,
-        point: ProjPoint | None,
-        factor: Form | None,
-        factor_degree: int,
-        ramification_index: int,
-        totally_ramified: bool,
-        periodic: bool | None,
-        period: int | None,
-    ):
-        self.point = point
-        self.factor = factor
-        self.factor_degree = factor_degree
-        self.ramification_index = ramification_index
-        self.totally_ramified = totally_ramified
-        self.periodic = periodic
-        self.period = period
-
 
 class EscapeCertificate(Record):
     """Witness that an orbit escapes, in integers: iterate ``achieved_at``
@@ -259,26 +241,14 @@ class EscapeCertificate(Record):
 
     __slots__ = _fields = ("achieved_at", "height", "bound")
 
-    def __init__(self, achieved_at: int, height: int, bound: int):
-        self.achieved_at = achieved_at
-        self.height = height
-        self.bound = bound
-
 
 class WanderingResult(Record):
-    __slots__ = _fields = ("kind", "tail", "period", "certificate")
+    """An orbit's class: ``kind`` is 'preperiodic' (with its ``tail`` and
+    ``period``), 'wandering' (with its escape ``certificate``) or
+    'undecided'."""
 
-    def __init__(
-        self,
-        kind: str,  # 'preperiodic' | 'wandering' | 'undecided'
-        tail: int | None = None,
-        period: int | None = None,
-        certificate: EscapeCertificate | None = None,
-    ):
-        self.kind = kind
-        self.tail = tail
-        self.period = period
-        self.certificate = certificate
+    __slots__ = _fields = ("kind", "tail", "period", "certificate")
+    _defaults = {"tail": None, "period": None, "certificate": None}
 
 
 def certify_wandering(f: RatMap, u: ProjPoint, max_iter: int = 64) -> WanderingResult:
@@ -379,19 +349,11 @@ def exceptional_points(f: RatMap) -> list[ProjPoint | Form]:
 
 class PoweringWitness(Record):
     """Classification of f as (not) conjugate to x^(+/-d), with the
-    invariant totally ramified pair when it exists."""
+    invariant totally ramified ``pair`` when it exists: two points, or the
+    quadratic form whose roots they are.  ``kind`` is 'fixed' (x^d type),
+    'swapped' (x^-d type) or None."""
 
     __slots__ = _fields = ("is_powering", "pair", "kind")
-
-    def __init__(
-        self,
-        is_powering: bool,
-        pair: tuple[ProjPoint, ProjPoint] | Form | None,
-        kind: str | None,  # 'fixed' (x^d type) or 'swapped' (x^-d type)
-    ):
-        self.is_powering = is_powering
-        self.pair = pair
-        self.kind = kind
 
 
 def is_powering_conjugate(f: RatMap) -> PoweringWitness:

@@ -140,14 +140,15 @@ def point_doc(pt) -> str:
 def json_int(field: str, n: int) -> int:
     """n, for a report field that JSON holds as an integer; a precondition
     error when n has more digits than ``json`` may write (Python's limit on
-    int-to-str conversion, 4300 digits by default since 3.11)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = len(decimal_str(abs(n)))
-    if limit and digits > limit:
+    int-to-str conversion, 4300 digits by default since 3.11), which
+    ``str(n)`` refuses exactly as the writer's ``int.__repr__`` does."""
+    try:
+        str(n)
+    except ValueError:
         raise ValueError(
-            f"{field} has {digits} digits, more than the {limit} that a JSON "
-            "integer may have"
-        )
+            f"{field} has {len(decimal_str(abs(n)))} digits, more than the "
+            f"{sys.get_int_max_str_digits()} that a JSON integer may have"
+        ) from None
     return n
 
 

@@ -18,9 +18,7 @@ from .exactarith import PlaceSet, Record, is_s_unit
 from .integrality import IntegralityWitness, is_integral_pair
 from .projective import INFINITY, ProjPoint
 from .ratmap import (
-    PoweringWitness,
     RatMap,
-    WanderingResult,
     bad_reduction_primes,
     certify_wandering,
     eval_map,
@@ -48,22 +46,11 @@ class PairWindow(Record):
         self.m_max = m_max
         self.n_max = n_max
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        m, n = pair
-        return 0 <= m <= self.m_max and 0 <= n <= self.n_max
-
 
 class Hypotheses(Record):
     """Status of the finiteness theorem's hypotheses for this instance."""
 
     __slots__ = _fields = ("u_status", "w_status", "powering", "exceptional")
-
-    def __init__(self, u_status: WanderingResult, w_status: WanderingResult,
-                 powering: PoweringWitness, exceptional: tuple):
-        self.u_status = u_status
-        self.w_status = w_status
-        self.powering = powering
-        self.exceptional = exceptional
 
     @property
     def theorem_applies(self) -> bool:
@@ -233,11 +220,6 @@ class CosetStructure(Record):
     residual isolated pairs; descriptive, never a global proof."""
 
     __slots__ = _fields = ("cosets", "residual")
-
-    def __init__(self, cosets: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...],
-                 residual: tuple[tuple[int, int], ...]):
-        self.cosets = cosets
-        self.residual = residual
 
 
 def _ray_room(base: tuple[int, int], gen: tuple[int, int], window: PairWindow) -> int:

