@@ -1,7 +1,6 @@
 """Foundation types: the value-record base class, exact rationals, prime
 place sets, prime-power splitting and S-free parts, and decimal strings of
-any length (read, written, and elided for reports).  Everything here is
-exact: no floats.
+any length (read and written).  Everything here is exact: no floats.
 
 Rationals are ``fractions.Fraction`` throughout -- already canonical
 (reduced, positive denominator).  A :class:`PlaceSet` holds finite rational
@@ -135,24 +134,6 @@ def decimal_str(n: int) -> str:
         return str(n)
     except ValueError:
         return str(_to_decimal(n))
-
-
-ELISION_DIGITS = 80
-
-
-def format_big_int(n: int) -> str:
-    """Decimal string of any length, elided beyond 80 digits with length
-    and sha256."""
-    s = decimal_str(n)
-    digits = len(s.lstrip("-"))
-    if digits <= ELISION_DIGITS:
-        return s
-    import hashlib  # only an elided number needs it, and it loads OpenSSL
-
-    h = hashlib.sha256(s.encode()).hexdigest()[:16]
-    sign = "-" if n < 0 else ""
-    body = s.lstrip("-")
-    return f"{sign}{body[:12]}...[{digits} digits, sha256:{h}]"
 
 
 # below this many bits ``Decimal(n)``'s quadratic conversion is cheap

@@ -157,7 +157,10 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
             return value
         raise ParseError(f"syntax error at position {pos}: unexpected {tok!r}")
 
-    num, den = expr()
+    try:
+        num, den = expr()
+    except RecursionError:
+        raise ParseError("map expression nested too deeply") from None
     tok, pos = toks[i]
     if tok != "end":
         raise ParseError(f"syntax error at position {pos}: trailing input")

@@ -45,10 +45,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, max_iters: int = 1 << 18) -> int | None:
+def _pollard_brent(n: int, max_iters: int) -> int | None:
     """Find a nontrivial factor of composite odd n, or None within budget."""
-    if n % 2 == 0:
-        return 2
     for c in (1, 3, 5, 7, 11):
         y, m = 2, 128
         g = r = q = 1

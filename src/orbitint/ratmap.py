@@ -154,9 +154,7 @@ def make_map(
     d = max(deg_p, deg_q)
     if d < 2:
         raise RatMapError("degree below 2")
-    lcm = 1
-    for c in num + den:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in num + den))
     p_form = [0] * (d - deg_p) + [int(c * lcm) for c in num]
     q_form = [0] * (d - deg_q) + [int(c * lcm) for c in den]
     return RatMap(tuple(p_form), tuple(q_form))
@@ -251,11 +249,15 @@ class WanderingResult(Record):
     _defaults = {"tail": None, "period": None, "certificate": None}
 
 
-def certify_wandering(f: RatMap, u: ProjPoint, max_iter: int = 64) -> WanderingResult:
+def certify_wandering(
+    f: RatMap, u: ProjPoint, max_iter: int = 64, orbit: Sequence[ProjPoint] = ()
+) -> WanderingResult:
     """Decide preperiodic vs wandering by exact cycle detection over the
     iterates 0..max_iter plus the conservative height-escape certificate;
     'undecided' is allowed.  The orbit escapes at the first iterate whose
-    height H (its larger absolute coordinate) has H^(d-1) > ``f.escape_bound``."""
+    height H (its larger absolute coordinate) has H^(d-1) > ``f.escape_bound``.
+    ``orbit``, when given, is u, f(u), ... as already computed (any length):
+    those iterates are read from it, and only the later ones are computed."""
     if max_iter < 1:
         raise RatMapError("max_iter must be >= 1")
     seen: dict[ProjPoint, int] = {}
@@ -270,7 +272,7 @@ def certify_wandering(f: RatMap, u: ProjPoint, max_iter: int = 64) -> WanderingR
             cert = EscapeCertificate(achieved_at=i, height=height, bound=bound)
             return WanderingResult("wandering", certificate=cert)
         seen[cur] = i
-        cur = eval_map(f, cur)
+        cur = orbit[i + 1] if i + 1 < len(orbit) else eval_map(f, cur)
     return WanderingResult("undecided")
 
 

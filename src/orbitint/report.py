@@ -12,12 +12,13 @@ import sys
 from fractions import Fraction
 
 from .divisors import DivisorTower
-from .exactarith import decimal_str, format_big_int
+from .exactarith import decimal_str
 from .projective import ProjPoint
 from .ratmap import CriticalDatum, PoweringWitness, WanderingResult
 from .search import CosetStructure, PairReport
 
 SCHEMA_VERSION = "2.2"
+ELISION_DIGITS = 80
 
 _json_str = json.encoder.encode_basestring_ascii
 
@@ -124,6 +125,21 @@ def _json_dict(dct, newline: str, memo: dict, out: list) -> None:
         out.append(sep)
     out[-1] = newline + "}"  # the last separator closes the dict
     memo[key] = dct if seen is None else (dct, "".join(out[start:]))
+
+
+def format_big_int(n: int) -> str:
+    """Decimal string of any length, elided beyond 80 digits with length
+    and sha256."""
+    s = decimal_str(n)
+    digits = len(s.lstrip("-"))
+    if digits <= ELISION_DIGITS:
+        return s
+    import hashlib  # only an elided number needs it, and it loads OpenSSL
+
+    h = hashlib.sha256(s.encode()).hexdigest()[:16]
+    sign = "-" if n < 0 else ""
+    body = s.lstrip("-")
+    return f"{sign}{body[:12]}...[{digits} digits, sha256:{h}]"
 
 
 def format_fraction(q: Fraction) -> str:

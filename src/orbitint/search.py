@@ -165,12 +165,12 @@ def find_integral_pairs(
 ) -> PairReport:
     """Exact enumeration of the S-integral index pairs inside the window.
 
-    Orbits are computed once; each grid cell is an exact cross-term test of
-    f^m(u) against f^n(w).  Every cell gets a witness; its verdict is decided
-    here, while its violating primes are factored only when something reads
-    them.  A preperiodic orbit repeats points, and the cells that repeat a
-    pair of points share one witness object: each distinct pair is decided,
-    rendered and factored once.
+    Orbits are computed once, and u and w are classified on them; each
+    grid cell is an exact cross-term test of f^m(u) against f^n(w).  Every
+    cell gets a witness, decided here; its violating primes are factored
+    only when something reads them.  A preperiodic orbit repeats points,
+    and the cells that repeat a pair of points share one witness object:
+    each distinct pair is decided, rendered and factored once.
     """
     if window.m_max > DEFAULT_ORBIT_CAP or window.n_max > DEFAULT_ORBIT_CAP:
         raise SearchError(
@@ -195,8 +195,8 @@ def find_integral_pairs(
 
     depth = max(window.m_max, window.n_max) + 32
     hypo = Hypotheses(
-        u_status=certify_wandering(f, u, depth),
-        w_status=certify_wandering(f, w, depth),
+        u_status=certify_wandering(f, u, depth, u_orbit),
+        w_status=certify_wandering(f, w, depth, w_orbit),
         powering=is_powering_conjugate(f),
         exceptional=tuple(exceptional_points(f)),
     )

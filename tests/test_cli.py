@@ -185,6 +185,25 @@ class TestExitCodes:
             assert code == EXIT_PRECONDITION
             assert "position" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize(
+        "text", ["(" * 300 + "x^2" + ")" * 300, "x^2+" + "-" * 1200 + "1"],
+        ids=["parentheses", "signs"],
+    )
+    def test_deep_nesting_writes_its_error_report(self, tmp_path, text):
+        # past the recursion limit a spawn printed a RecursionError
+        # traceback, exited 1 and left an empty --output file
+        src = os.path.dirname(os.path.dirname(os.path.abspath(integrality.__file__)))
+        path = tmp_path / "report.json"
+        run = subprocess.run(
+            [sys.executable, "-m", "orbitint.cli", "--no-timestamp", "--output", str(path),
+             "analyze", "--map", text],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (EXIT_PRECONDITION, "", "")
+        doc = json.loads(path.read_text())
+        assert doc["status"] == EXIT_PRECONDITION
+        assert doc["error"] == "map expression nested too deeply"
+
     def test_coefficient_format_checked_under_optimize(self):
         # python -O drops assert statements; the num=/den= check holds there too
         src = os.path.dirname(os.path.dirname(os.path.abspath(integrality.__file__)))

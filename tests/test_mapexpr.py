@@ -105,6 +105,20 @@ class TestParseErrors:
         assert parse_rational_function("(x+1)^62*x^2/(x+1)^62") == ([1, 0, 0], [1])
         assert parse_rational_function("x^64") == ([1] + [0] * 64, [1])
 
+    @pytest.mark.parametrize(
+        "text", ["(" * 2000 + "x^2" + ")" * 2000, "x^2+" + "-" * 2000 + "1"],
+        ids=["parentheses", "signs"],
+    )
+    def test_nesting_past_the_recursion_limit_is_named(self, text):
+        # each parenthesis and each sign is one frame of the recursive
+        # descent; past Python's recursion limit the parse raised
+        # RecursionError, which no caller reports
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_rational_function(text)
+        # a nesting within the limit still parses to what it spells
+        assert parse_rational_function("(" * 50 + "x^2" + ")" * 50) == ([1, 0, 0], [1])
+        assert parse_rational_function("x^2+" + "-" * 50 + "1") == ([1, 0, 1], [1])
+
     def test_degree_below_two_from_expression(self):
         from orbitint.ratmap import RatMapError
 

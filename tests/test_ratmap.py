@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from orbitint import binforms
+from orbitint import binforms, search
 from orbitint.mapexpr import parse_map
 from orbitint.projective import INFINITY, ProjPoint, from_affine
 from orbitint.ratmap import (
@@ -483,11 +483,15 @@ def map_and_start(draw):
 
 class TestCertifyAgainstOracle:
     @settings(max_examples=400, deadline=None)
-    @given(map_and_start(), st.integers(1, 64))
-    def test_matches_orbit_classify(self, f_pt, max_iter):
+    @given(map_and_start(), st.integers(1, 64), st.integers(0, 13), st.integers(1, 40))
+    def test_matches_orbit_classify(self, f_pt, max_iter, k, budget):
         f, pt = f_pt
         kind, index, value = orbit_classify(f, pt, max_iter)
         r = certify_wandering(f, pt, max_iter)
+        # a window orbit, shorter than the walk, as long or longer, or cut by
+        # the digit budget: the walk reads it and goes on past its end
+        seq = search.orbit(f, pt, k, budget)
+        assert certify_wandering(f, pt, max_iter, seq) == r
         event(kind)
         assert r.kind == kind
         if kind == "preperiodic":

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from orbitint import binforms, exactarith, parse_map, search
+from orbitint import binforms, exactarith, parse_map, ratmap, search
 from orbitint.exactarith import PlaceSet, is_s_unit
 from orbitint.integrality import is_integral_pair
 from orbitint.primes import factor
@@ -160,6 +162,33 @@ class TestFindIntegralPairs:
         )
         assert report.hypotheses.u_status.kind == "preperiodic"
         assert report.hypotheses.theorem_applies is False
+
+    @pytest.mark.parametrize(
+        "text, u, w",
+        [("x^2+1", ProjPoint(1, 1), ProjPoint(2, 1)), ("x^2-1", ProjPoint(0, 1), INFINITY)],
+    )
+    def test_hypotheses_classify_the_window_orbits(self, monkeypatch, text, u, w):
+        # every eval_map call, counted by the function that makes it: the
+        # classifier reads u, f(u), ... from the window orbits and computes
+        # none of them again
+        calls = Counter()
+
+        def counted(f, pt):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return eval_map(f, pt)
+
+        for module in (ratmap, search):
+            monkeypatch.setattr(module, "eval_map", counted)
+        f = parse_map(text)
+        report = find_integral_pairs(f, u, w, PlaceSet(), PairWindow(6, 6))
+        assert calls["orbit"] == 12 and calls["certify_wandering"] == 0
+        hypo = report.hypotheses
+        assert hypo.u_status == ratmap.certify_wandering(f, u, 38)
+        assert hypo.w_status == ratmap.certify_wandering(f, w, 38)
+        # a 0x0 window holds u and w alone, and the walk goes on past them
+        hypo = find_integral_pairs(f, u, w, PlaceSet(), PairWindow(0, 0)).hypotheses
+        assert hypo.u_status == ratmap.certify_wandering(f, u, 32)
+        assert hypo.w_status == ratmap.certify_wandering(f, w, 32)
 
 
 class TestDigitBudget:
