@@ -9,9 +9,9 @@ Grammar (documented for the CLI):
 
 '^' binds tightest and takes one nonnegative integer exponent, so
 "x^2^3" is an error (parenthesize: "(x^2)^3"); rational constants are
-spelled as divisions, e.g. "1/2".
-Parsing a map also accepts the canonical coefficient format
-"num=c_k,...,c_0;den=c_j,...,c_0".
+spelled as divisions, e.g. "1/2".  Polynomials are ``binforms``' tuples
+without leading zeros, () for zero.  Parsing a map also accepts the
+canonical coefficient format "num=c_k,...,c_0;den=c_j,...,c_0".
 """
 
 from __future__ import annotations
@@ -27,33 +27,27 @@ class ParseError(ValueError):
     pass
 
 
-def _trim(a) -> list[int]:
-    """Integer coefficients, descending, without leading zeros; the zero
-    polynomial is [0]."""
-    return list(binforms.strip(a)) or [0]
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
+def _add(a: binforms.Form, b: binforms.Form) -> binforms.Form:
     n = max(len(a), len(b))
-    return _trim(binforms.add([0] * (n - len(a)) + a, [0] * (n - len(b)) + b))
+    return binforms.strip(binforms.add((0,) * (n - len(a)) + a, (0,) * (n - len(b)) + b))
 
 
-def _mul(a: list[int], b: list[int], what: str, pos: int) -> list[int]:
+def _mul(a: binforms.Form, b: binforms.Form, what: str, pos: int) -> binforms.Form:
     """a*b, refused before it is built when its degree passes the map
     degree cap: the unreduced numerator and denominator of an expression
     stay within it, so a short text cannot build a huge polynomial.  A
-    factor [1] (most denominators) returns the other factor itself."""
+    factor (1,) (most denominators) returns the other factor itself."""
     degree = len(a) + len(b) - 2
     if degree > MAP_DEGREE_CAP:
         raise ParseError(
             f"{what} at position {pos} has degree {degree}, past the map degree cap "
             f"{MAP_DEGREE_CAP}"
         )
-    if b == [1]:
+    if b == (1,):
         return a
-    if a == [1]:
+    if a == (1,):
         return b
-    return _trim(binforms.mul(a, b))
+    return binforms.strip(binforms.mul(a, b))
 
 
 # a token is a run of decimal digits (exactly what ``int`` reads) or one
@@ -63,11 +57,12 @@ _TOKEN = re.compile(r"\s*(\d+|\S)")
 
 def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
     """Parse an expression to coprime (numerator, denominator) integer
-    coefficient lists, descending powers.
+    coefficient lists, descending powers, without leading zeros: a zero
+    numerator is [].
 
     Each rule of the grammar returns an unreduced ``(num, den)`` pair of
-    coefficient lists (every atom is an integer); the pair is reduced once,
-    at the end.  A sum, product or power whose unreduced numerator or
+    ``binforms`` polynomials (every atom is an integer); the pair is reduced
+    once, at the end.  A sum, product or power whose unreduced numerator or
     denominator would pass ``MAP_DEGREE_CAP`` is refused by position."""
     toks = [(m[1], m.start(1)) for m in _TOKEN.finditer(text)]
     for tok, pos in toks:
@@ -87,7 +82,7 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
             op, pos = take()
             rnum, rden = term()
             if op == "-":
-                rnum = [-c for c in rnum]
+                rnum = binforms.scale(rnum, -1)
             num, den = (_add(_mul(num, rden, "sum", pos), _mul(rnum, den, "sum", pos)),
                         _mul(den, rden, "sum", pos))
         return num, den
@@ -103,7 +98,7 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
             rnum, rden = factor()  # adjacency multiplies: "2x", "3(x+1)"
             if op != "/":
                 num, den = _mul(num, rnum, "product", pos), _mul(den, rden, "product", pos)
-            elif any(rnum):
+            elif rnum:
                 num, den = _mul(num, rden, "product", pos), _mul(den, rnum, "product", pos)
             else:
                 raise ParseError("division by zero")
@@ -112,7 +107,7 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
         if toks[i][0] in "+-":
             op = take()[0]
             num, den = factor()
-            return ([-c for c in num] if op == "-" else num), den
+            return (binforms.scale(num, -1) if op == "-" else num), den
         base = atom()
         if toks[i][0] != "^":
             return base
@@ -124,21 +119,22 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
             )
         e = int(tok)
         num, den = base
-        if len(num) == 1 and len(den) == 1:  # a constant: one int power each
+        if len(num) <= 1 and len(den) == 1:  # a constant: one int power each
+            c = num[0] if num else 0
             # |c|^e >= 2^((L-1)e) for c of L bits, and 2^(10/3) > 10
-            bits = (max(abs(num[0]), abs(den[0])).bit_length() - 1) * e
+            bits = (max(abs(c), abs(den[0])).bit_length() - 1) * e
             if bits > POWER_DIGIT_CAP * 10 // 3:
                 raise ParseError(
                     f"power at position {caret} has more than {POWER_DIGIT_CAP} digits"
                 )
-            return [num[0] ** e], [den[0] ** e]
+            return binforms.strip((c**e,)), (den[0] ** e,)
         degree = e * (max(len(num), len(den)) - 1)
         if degree > MAP_DEGREE_CAP:
             raise ParseError(
                 f"power at position {caret} has degree {degree}, past the map "
                 f"degree cap {MAP_DEGREE_CAP}"
             )
-        num, den = [1], [1]
+        num, den = (1,), (1,)
         for _ in range(e):
             num, den = _mul(num, base[0], "power", caret), _mul(den, base[1], "power", caret)
         return num, den
@@ -146,9 +142,9 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
     def atom():
         tok, pos = take()
         if tok.isdecimal():
-            return [read_digits(tok)], [1]
+            return binforms.strip((read_digits(tok),)), (1,)
         if tok == "x":
-            return [1, 0], [1]
+            return (1, 0), (1,)
         if tok == "(":
             value = expr()
             tok, pos = take()
@@ -166,11 +162,11 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
         raise ParseError(f"syntax error at position {pos}: trailing input")
     if len(den) > 1:  # a constant denominator has no common factor to remove
         g = binforms.gcd(num, den)
-        num, den = list(binforms.quotient(num, g)), list(binforms.quotient(den, g))
+        num, den = binforms.quotient(num, g), binforms.quotient(den, g)
     # canonical: denominator leading coefficient positive
     if den[0] < 0:
-        return [-c for c in num], [-c for c in den]
-    return num, den
+        num, den = binforms.scale(num, -1), binforms.scale(den, -1)
+    return list(num), list(den)
 
 
 def parse_coefficient_format(text: str) -> RatMap:

@@ -16,8 +16,8 @@ References: Zassenhaus, *On Hensel factorization I* (J. Number Theory
 1969); Cantor–Zassenhaus (Math. Comp. 1981); von zur Gathen–Gerhard,
 *Modern Computer Algebra*, ch. 14–16.
 
-Polynomials are coefficient lists in descending powers, as in ``binforms``.
-Modular polynomials have no leading zeros, and the empty list is zero.
+Polynomials are coefficient sequences in descending powers; the modular
+arithmetic returns ``binforms``' tuples without leading zeros, () for zero.
 """
 
 from __future__ import annotations
@@ -246,38 +246,31 @@ def _base_p_digits(n: int, p: int) -> list[int]:
 # Arithmetic modulo m (a prime, or a power of one in the Hensel lift).
 
 
-def _trim(a: list[int]) -> list[int]:
-    i = 0
-    while i < len(a) and not a[i]:
-        i += 1
-    return a[i:]
+def _reduce(a: Sequence[int], m: int) -> Form:
+    return binforms.strip([c % m for c in a])
 
 
-def _reduce(a: Sequence[int], m: int) -> list[int]:
-    return _trim([c % m for c in a])
-
-
-def _monic(a: list[int], m: int) -> list[int]:
+def _monic(a: Sequence[int], m: int) -> list[int]:
     inv = pow(a[0], -1, m)
     return [c * inv % m for c in a]
 
 
-def _add(a: list[int], b: list[int], m: int) -> list[int]:
+def _add(a: Sequence[int], b: Sequence[int], m: int) -> Form:
     if len(a) < len(b):
         a, b = b, a
     n = len(a) - len(b)
-    return _trim([x % m for x in a[:n]] + [(x + y) % m for x, y in zip(a[n:], b)])
+    return binforms.strip([x % m for x in a[:n]] + [(x + y) % m for x, y in zip(a[n:], b)])
 
 
-def _sub(a: Sequence[int], b: list[int], m: int) -> list[int]:
-    return _add(list(a), [-c for c in b], m)
+def _sub(a: Sequence[int], b: Sequence[int], m: int) -> Form:
+    return _add(a, [-c for c in b], m)
 
 
-def _mul(a: list[int], b: list[int], m: int) -> list[int]:
+def _mul(a: Sequence[int], b: Sequence[int], m: int) -> Form:
     return _reduce(binforms.mul(a, b), m)
 
 
-def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+def _divmod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], Form]:
     """Quotient and remainder of a by b modulo m, for b with a leading
     coefficient that is a unit modulo m."""
     n = len(b)
@@ -295,7 +288,7 @@ def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
     return quo, _reduce(rem[len(a) - n + 1 :], m)
 
 
-def _powmod(h: list[int], e: int, g: list[int], p: int) -> list[int]:
+def _powmod(h: Sequence[int], e: int, g: Sequence[int], p: int) -> Sequence[int]:
     """h^e modulo g over F_p."""
     out = [1]
     h = _divmod(h, g, p)[1]
@@ -308,14 +301,14 @@ def _powmod(h: list[int], e: int, g: list[int], p: int) -> list[int]:
     return out
 
 
-def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Monic gcd over F_p (a nonzero)."""
     while b:
         a, b = b, _divmod(a, b, p)[1]
     return _monic(a, p)
 
 
-def _gcdex(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+def _gcdex(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     """(s, t) with s*a + t*b = 1 over F_p, for coprime a and b."""
     r0, r1 = a, b
     s0, s1, t0, t1 = [1], [], [], [1]

@@ -185,8 +185,20 @@ class TestIntegerParser:
         assert parse_rational_function("x^3+10^5000x") == ([1, 0, 10**5000, 0], [1])
         assert parse_rational_function("(-3)^5x^2+(2/3)^3") == ([-6561, 0, 8], [27])
         assert parse_rational_function("0^0+0^7x+1^99999999")[0] == [2]
+        # a zero base is a constant too, though its numerator is (): one int
+        # power, where the product loop would run 10^8 times
+        start = time.perf_counter()
+        assert parse_rational_function("0^99999999*x^2+x^3") == ([1, 0, 0, 0], [1])
+        assert parse_rational_function("(x-x)^99999999+x^2") == ([1, 0, 0], [1])
+        assert time.perf_counter() - start < 0.1
         num, den = parse_rational_function("2^3333333")
         assert num == [2**3333333] and den == [1]
+
+    @pytest.mark.parametrize("text", ["0", "x-x", "(x-x)*x", "-(x-x)", "0/x", "(x-x)/(x+1)"])
+    def test_zero_numerator_is_empty(self, text):
+        # every route to a zero numerator: a constant, a cancelled sum, a
+        # product, a negation, and the gcd of a quotient
+        assert parse_rational_function(text) == ([], [1])
 
     def test_literal_past_int_str_limit(self):
         big = 10**4400 + 7
@@ -336,5 +348,7 @@ class TestRandomTrees:
             assert "past the map degree cap" in str(err), text
             assert _degree_bound(tree)[2] > MAP_DEGREE_CAP, text
             return
+        # no leading zero, so a zero numerator is []
+        assert num[:1] != [0] and den[0] > 0, text
         for x in points:
             assert Fraction(_horner(num, x), _horner(den, x)) == _value(tree, x), text
