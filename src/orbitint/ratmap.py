@@ -252,12 +252,12 @@ class WanderingResult(Record):
 def certify_wandering(
     f: RatMap, u: ProjPoint, max_iter: int = 64, orbit: Sequence[ProjPoint] = ()
 ) -> WanderingResult:
-    """Decide preperiodic vs wandering by exact cycle detection over the
-    iterates 0..max_iter plus the conservative height-escape certificate;
-    'undecided' is allowed.  The orbit escapes at the first iterate whose
-    height H (its larger absolute coordinate) has H^(d-1) > ``f.escape_bound``.
-    ``orbit``, when given, is u, f(u), ... as already computed (any length):
-    those iterates are read from it, and only the later ones are computed."""
+    """Classify u over the iterates 0..max_iter, at whichever comes first:
+    'preperiodic' at the first repeat f^(tail+period)(u) = f^tail(u), or
+    'wandering' at the first iterate of height H (its larger absolute
+    coordinate) with H^(d-1) > ``f.escape_bound``, as heights then strictly
+    increase; 'undecided' means no repeat among those iterates.  ``orbit``
+    holds u, f(u), ... already computed (any length); later ones are computed."""
     if max_iter < 1:
         raise RatMapError("max_iter must be >= 1")
     seen: dict[ProjPoint, int] = {}

@@ -19,6 +19,7 @@ from .integrality import IntegralityWitness, is_integral_pair
 from .projective import INFINITY, ProjPoint
 from .ratmap import (
     RatMap,
+    WanderingResult,
     bad_reduction_primes,
     certify_wandering,
     eval_map,
@@ -149,10 +150,12 @@ def orbit(
     return tuple(pts)
 
 
-def _first_indices(points: tuple[ProjPoint, ...]) -> list[int]:
-    """For each index, the index where its point first appears."""
-    first: dict[ProjPoint, int] = {}
-    return [first.setdefault(pt, i) for i, pt in enumerate(points)]
+def _first_indices(status: WanderingResult, count: int) -> list[int]:
+    """The index where each of the first ``count`` orbit points first appears."""
+    if status.kind != "preperiodic":  # no repeat among depth + 1 >= count iterates
+        return list(range(count))
+    t, p = status.tail, status.period
+    return [min(i, t + (i - t) % p) for i in range(count)]
 
 
 def find_integral_pairs(
@@ -166,11 +169,11 @@ def find_integral_pairs(
     """Exact enumeration of the S-integral index pairs inside the window.
 
     Orbits are computed once, and u and w are classified on them; each
-    grid cell is an exact cross-term test of f^m(u) against f^n(w).  Every
-    cell gets a witness, decided here; its violating primes are factored
-    only when something reads them.  A preperiodic orbit repeats points,
-    and the cells that repeat a pair of points share one witness object:
-    each distinct pair is decided, rendered and factored once.
+    grid cell is an exact cross-term test of f^m(u) against f^n(w), with a
+    witness whose violating primes are factored only when read.  A cell
+    that repeats a pair of points, which only a preperiodic orbit does,
+    shares the witness object of the pair's first cell, located by the
+    classifier's tail and period: each distinct pair is decided once.
     """
     if window.m_max > DEFAULT_ORBIT_CAP or window.n_max > DEFAULT_ORBIT_CAP:
         raise SearchError(
@@ -179,27 +182,24 @@ def find_integral_pairs(
 
     u_orbit = orbit(f, u, window.m_max, digit_budget)
     w_orbit = orbit(f, w, window.n_max, digit_budget)
-    u_first, w_first = _first_indices(u_orbit), _first_indices(w_orbit)
-
-    pairs: list[tuple[int, int]] = []
-    witnesses: dict[tuple[int, int], IntegralityWitness] = {}
-    for m, um in enumerate(u_orbit):
-        for n, wn in enumerate(w_orbit):
-            first = (u_first[m], w_first[n])
-            wit = witnesses.get(first)
-            if wit is None:
-                wit = is_integral_pair(um, wn, s)
-            witnesses[(m, n)] = wit
-            if wit.verdict:
-                pairs.append((m, n))
-
-    depth = max(window.m_max, window.n_max) + 32
+    depth = max(window.m_max, window.n_max) + 32  # at least each window side, for _first_indices
     hypo = Hypotheses(
         u_status=certify_wandering(f, u, depth, u_orbit),
         w_status=certify_wandering(f, w, depth, w_orbit),
         powering=is_powering_conjugate(f),
         exceptional=tuple(exceptional_points(f)),
     )
+    u_first = _first_indices(hypo.u_status, len(u_orbit))
+    w_first = _first_indices(hypo.w_status, len(w_orbit))
+
+    pairs: list[tuple[int, int]] = []
+    witnesses: dict[tuple[int, int], IntegralityWitness] = {}
+    for m, um in enumerate(u_orbit):
+        for n, wn in enumerate(w_orbit):
+            wit = witnesses.get((u_first[m], w_first[n])) or is_integral_pair(um, wn, s)
+            witnesses[(m, n)] = wit
+            if wit.verdict:
+                pairs.append((m, n))
 
     return PairReport(
         map=f,

@@ -190,6 +190,24 @@ class TestFindIntegralPairs:
         assert hypo.u_status == ratmap.certify_wandering(f, u, 32)
         assert hypo.w_status == ratmap.certify_wandering(f, w, 32)
 
+    def test_only_the_classifier_hashes_orbit_points(self, monkeypatch):
+        # every point hash, counted by the function that asks for it: the
+        # pair search reads each cell's first index from the classifier's
+        # tail and period, and keys no dict or set on orbit points itself
+        cases = [(parse_map("x^2-1"), ProjPoint(1, 1), ProjPoint(-1, 1), PlaceSet()),
+                 (parse_map("x^2+1"), from_affine(Fraction(1, 2)), INFINITY, PlaceSet((2,)))]
+        calls = Counter()
+        point_hash = ProjPoint.__hash__
+
+        def counted(pt):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return point_hash(pt)
+
+        monkeypatch.setattr(ProjPoint, "__hash__", counted)
+        for f, u, w, s in cases:
+            find_integral_pairs(f, u, w, s, PairWindow(6, 6))
+        assert calls and set(calls) == {"certify_wandering"}
+
 
 class TestDigitBudget:
     @given(
@@ -232,6 +250,66 @@ class TestDigitBudget:
             search.orbit(f, zero, cap + 1, DEFAULT_DIGIT_BUDGET)
 
 
+def first_indices_by_point(points):
+    """The index where each point first appears, from a dict keyed on the
+    points: the oracle for ``search._first_indices``, which reads it from
+    the classifier's tail and period."""
+    first = {}
+    return [first.setdefault(pt, i) for i, pt in enumerate(points)]
+
+
+@st.composite
+def tiny_maps_and_starts(draw):
+    """A map of degree 2 or 3 with coefficients in -3..3, at a small
+    rational or at infinity."""
+    d = draw(st.integers(2, 3))
+    coeffs = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    try:
+        f = make_map(draw(coeffs), draw(coeffs))
+    except RatMapError:
+        assume(False)
+    small = st.builds(
+        lambda a, b: from_affine(Fraction(a, b)), st.integers(-3, 3), st.integers(1, 3)
+    )
+    return f, draw(st.one_of(small, st.just(INFINITY)))
+
+
+# (map, start, tail, period): starts with a tail, a period or both
+KNOWN_TAILS = [
+    ("x^2-1", ProjPoint(1, 1), 1, 2),
+    ("2x^2-1", ProjPoint(0, 1), 2, 1),
+    ("x^2-2", ProjPoint(0, 1), 2, 1),
+    ("1/x^2", ProjPoint(-1, 1), 1, 1),
+    ("1/x^2", INFINITY, 0, 2),
+]
+
+
+class TestFirstIndices:
+    @pytest.mark.parametrize("text, start, tail, period", KNOWN_TAILS)
+    def test_known_tail_and_period(self, text, start, tail, period):
+        r = ratmap.certify_wandering(parse_map(text), start)
+        assert (r.kind, r.tail, r.period) == ("preperiodic", tail, period)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tiny_maps_and_starts(),
+        st.integers(0, 12),
+        st.one_of(st.integers(1, 60), st.just(DEFAULT_DIGIT_BUDGET)),
+    )
+    @example((parse_map("x^2-1"), ProjPoint(1, 1)), 12, DEFAULT_DIGIT_BUDGET)
+    @example((parse_map("2x^2-1"), ProjPoint(0, 1)), 12, DEFAULT_DIGIT_BUDGET)
+    @example((parse_map("x^2-2"), ProjPoint(0, 1)), 12, DEFAULT_DIGIT_BUDGET)
+    @example((parse_map("1/x^2"), ProjPoint(-1, 1)), 12, DEFAULT_DIGIT_BUDGET)
+    @example((parse_map("1/x^2"), INFINITY), 12, DEFAULT_DIGIT_BUDGET)
+    def test_match_the_point_keyed_oracle(self, f_start, side, budget):
+        # the pair search's classifier call: depth side + 32 over the window
+        # orbit, which a digit budget may cut short
+        f, start = f_start
+        points = orbit(f, start, side, budget)
+        status = ratmap.certify_wandering(f, start, side + 32, points)
+        assert search._first_indices(status, len(points)) == first_indices_by_point(points)
+
+
 class TestRepeatingOrbits:
     # (map, u, w, S): preperiodic orbits, w = inf for polynomial maps, a
     # fixed u, and one wandering pair for contrast
@@ -245,6 +323,10 @@ class TestRepeatingOrbits:
         (make_map([1, 0, -1, 1], [1]), from_affine(Fraction(1, 2)), INFINITY,
          PlaceSet((2,))),
         (make_map([1, 0, 1], [1, 0]), ProjPoint(1, 1), ProjPoint(3, 1), PlaceSet()),
+        # a tail and a period above 1: u = 1 goes to the 2-cycle {0, -1} of
+        # x^2-1, and 1/x^2 fixes 1 after u = -1 and swaps inf and 0
+        (make_map([1, 0, -1], [1]), ProjPoint(1, 1), ProjPoint(-1, 1), PlaceSet()),
+        (make_map([1], [1, 0, 0]), ProjPoint(-1, 1), INFINITY, PlaceSet()),
     ]
 
     def test_cells_match_fresh_witnesses(self):
