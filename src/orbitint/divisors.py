@@ -264,7 +264,7 @@ def build_tower(f: RatMap, depth: int) -> DivisorTower:
     if depth < 1:
         raise DivisorError("depth must be >= 1")
     check_degree_cap(f.degree, depth, BIFORM_DEGREE_CAP, "biform", "biform")
-    # the iterate forms F_1..F_depth in one recursion, before any biform, so
+    # the iterate forms F_1..F_depth in one pass, before any biform, so
     # that the traced spans of g_form time the biforms alone
     iterated_forms(f, depth)
     gs = [g_form(f, k) for k in range(1, depth + 1)]

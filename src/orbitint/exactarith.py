@@ -28,9 +28,9 @@ class Record:
     instance of the same class with equal fields (``NotImplemented`` for any
     other class), hashed as the field values, shown as ``Name(field=value,
     ...)`` with ints in full.  A subclass that writes no ``__init__`` gets
-    one that takes and stores the fields in order, defaulting those in
-    ``_defaults`` to its immutable values.  Only ``__init__`` assigns a
-    field, so instances are immutable values by convention."""
+    one that takes and stores its ``__slots__`` (or fields) in order, with
+    the immutable defaults in ``_defaults``.  Only ``__init__`` assigns a
+    slot, so instances are immutable values by convention."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -39,15 +39,15 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # one C getter per class reads the field values: points key the
-        # orbit dicts and maps the iterated_forms cache, so a Python loop
-        # over _fields would cost the pair search a few percent per op
+        # classifier's seen dict, so a Python loop over _fields would cost
+        # the pair search a few percent per op
         cls._values = staticmethod(attrgetter(*cls._fields))
         if "__init__" not in cls.__dict__:
             # compiled once, as namedtuple builds its __new__: the signature
             # and stores of a hand-written __init__, with no loop per call
-            fields, defaults = cls._fields, cls._defaults
-            params = "".join(f", {f}=_d[{f!r}]" if f in defaults else f", {f}" for f in fields)
-            stores = "".join(f"\n self.{f} = {f}" for f in fields)
+            names, defaults = cls.__dict__.get("__slots__", cls._fields), cls._defaults
+            params = "".join(f", {f}=_d[{f!r}]" if f in defaults else f", {f}" for f in names)
+            stores = "".join(f"\n self.{f} = {f}" for f in names)
             namespace = {"_d": defaults, "__name__": cls.__module__}
             exec(f"def __init__(self{params}):{stores}", namespace)
             namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import binforms
 from .binforms import Form
@@ -29,8 +29,6 @@ DEFAULT_FORM_DEGREE_CAP = 4096
 # elimination over growing integers, and the Wronskian that critical data
 # factors has degree 2d - 2
 MAP_DEGREE_CAP = 64
-# iterate forms kept by ``iterated_forms``: a map's whole tower, a few times
-ITERATED_FORMS_CACHE_SIZE = 32
 
 
 class RatMapError(ValueError):
@@ -116,6 +114,12 @@ class RatMap(Record):
         return 2 ** (d - 1) * abs(self.resultant) * 2 * d * self.cofactor_max
 
     @cached_property
+    def _iterates(self) -> list[tuple[Form, Form]]:
+        """(P_k, Q_k) for k = 1, 2, ..., as far as ``iterated_forms`` has
+        built them."""
+        return [(self.p, self.q)]
+
+    @cached_property
     def _exceptional(self) -> tuple[ProjPoint | Form, ...]:
         """The exceptional set, computed once per map; see
         ``exceptional_points``."""
@@ -152,8 +156,6 @@ def make_map(
         raise RatMapError("denominator is zero")
     deg_p, deg_q = len(num) - 1, len(den) - 1
     d = max(deg_p, deg_q)
-    if d < 2:
-        raise RatMapError("degree below 2")
     lcm = math.lcm(*(c.denominator for c in num + den))
     p_form = [0] * (d - deg_p) + [int(c * lcm) for c in num]
     q_form = [0] * (d - deg_q) + [int(c * lcm) for c in den]
@@ -201,22 +203,18 @@ def check_degree_cap(d: int, n: int, cap: int, form: str, cap_form: str) -> None
 def iterated_forms(f: RatMap, n: int) -> tuple[Form, Form]:
     """Coprime content-1 forms (P_n, Q_n) of degree d^n with P_n/Q_n = f^n.
 
-    The last ``ITERATED_FORMS_CACHE_SIZE`` results are cached, keyed on
-    (f, n); the degree cap is checked first."""
+    The degree cap is checked first; the forms are kept on f, built once
+    each and freed with it."""
     if n < 1:
         raise RatMapError("iterated_forms requires n >= 1")
     check_degree_cap(f.degree, n, DEFAULT_FORM_DEGREE_CAP, "iterate form", "form")
-    return _iterated_forms(f, n)
-
-
-@lru_cache(maxsize=ITERATED_FORMS_CACHE_SIZE)
-def _iterated_forms(f: RatMap, n: int) -> tuple[Form, Form]:
-    if n == 1:
-        return f.p, f.q
-    # P_n = P(P_(n-1), Q_(n-1)) and Q_n = Q(P_(n-1), Q_(n-1)) share the
-    # degree-d monomials in (P_(n-1), Q_(n-1))
-    ms = binforms.monomials(*_iterated_forms(f, n - 1), f.degree)
-    return _normalize_pair(binforms.combine(f.p, ms), binforms.combine(f.q, ms))
+    forms = f._iterates
+    while len(forms) < n:
+        # P_n = P(P_(n-1), Q_(n-1)) and Q_n = Q(P_(n-1), Q_(n-1)) share the
+        # degree-d monomials in (P_(n-1), Q_(n-1))
+        ms = binforms.monomials(*forms[-1], f.degree)
+        forms.append(_normalize_pair(binforms.combine(f.p, ms), binforms.combine(f.q, ms)))
+    return forms[n - 1]
 
 
 def bad_reduction_primes(f: RatMap) -> PlaceSet:

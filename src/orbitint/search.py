@@ -70,30 +70,6 @@ class PairReport(Record):
                "hypotheses")
     __slots__ = (*_fields, "witnesses")
 
-    def __init__(
-        self,
-        map: RatMap,
-        u: ProjPoint,
-        w: ProjPoint,
-        places: PlaceSet,
-        window: PairWindow,
-        pairs: tuple[tuple[int, int], ...],
-        u_orbit: tuple[ProjPoint, ...],
-        w_orbit: tuple[ProjPoint, ...],
-        hypotheses: Hypotheses,
-        witnesses: dict | None = None,
-    ):
-        self.map = map
-        self.u = u
-        self.w = w
-        self.places = places
-        self.window = window
-        self.pairs = pairs
-        self.u_orbit = u_orbit
-        self.w_orbit = w_orbit
-        self.hypotheses = hypotheses
-        self.witnesses = {} if witnesses is None else witnesses
-
     @property
     def frontier(self) -> int | None:
         """The largest max(m, n) over the pairs; None when there are none."""

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -521,24 +522,27 @@ class TestCertifyAgainstOracle:
 
 
 class TestIteratedFormsCache:
-    def test_cache_stays_bounded(self):
-        from orbitint import ratmap
+    def test_forms_are_freed_with_their_map(self):
+        # the forms are kept on the map, so no module-level cache holds it
+        f = make_map([1, 0, 7], [1])
+        ref = weakref.ref(f)
+        iterated_forms(f, 3)
+        del f
+        assert ref() is None
 
-        for c in range(1, 3 * ratmap.ITERATED_FORMS_CACHE_SIZE):
-            f = make_map([1, 0, c], [1])
-            iterated_forms(f, 3)
-        info = ratmap._iterated_forms.cache_info()
-        assert info.currsize <= ratmap.ITERATED_FORMS_CACHE_SIZE
-        assert info.maxsize == ratmap.ITERATED_FORMS_CACHE_SIZE
+    def test_each_iterate_is_built_once(self, monkeypatch):
+        monomials, calls = binforms.monomials, []
 
-    def test_spellings_of_one_map_share_an_entry(self):
-        from orbitint import ratmap
+        def counted(*args):
+            calls.append(args)
+            return monomials(*args)
 
-        ratmap._iterated_forms.cache_clear()
-        first = iterated_forms(make_map([1, 0, 7], [1]), 3)
-        hits = ratmap._iterated_forms.cache_info().hits
-        assert iterated_forms(make_map([3, 0, 21], [3]), 3) is first
-        assert ratmap._iterated_forms.cache_info().hits == hits + 1
+        monkeypatch.setattr(binforms, "monomials", counted)
+        f = make_map([2, -1, 3], [1, 0, 1])
+        fifth = iterated_forms(f, 5)
+        iterated_forms(f, 3)
+        assert iterated_forms(f, 5) is fifth
+        assert len(calls) == 4  # P_2..P_5, each from the one before
 
     def test_cap_checked_before_the_cache(self, monkeypatch):
         from orbitint import ratmap
