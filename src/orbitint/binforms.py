@@ -236,7 +236,7 @@ def x1_multiplicity(cs: Sequence[int]) -> int:
 def strip(cs: Sequence[int]) -> Form:
     """Leading zeros dropped: the affine part, read as a univariate
     polynomial (the empty tuple for the zero form)."""
-    return tuple(cs[x1_multiplicity(cs):])
+    return tuple(cs[x1_multiplicity(cs):] if cs and not cs[0] else cs)
 
 
 def prem(a: Sequence[int], b: Sequence[int]) -> Form:

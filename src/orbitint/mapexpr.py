@@ -117,9 +117,15 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
             raise ParseError(
                 f"syntax error at position {pos}: exponent must be a nonnegative integer"
             )
-        e = int(tok)
+        e = read_digits(tok)
         num, den = base
-        if len(num) <= 1 and len(den) == 1:  # a constant: one int power each
+        degree = e * (max(len(num), len(den)) - 1)
+        if degree > MAP_DEGREE_CAP:  # a degree past 2^64 is named by its exponent's digits
+            shown = f"degree {degree}" if degree < 2**64 else f"a {len(tok)}-digit exponent"
+            raise ParseError(
+                f"power at position {caret} has {shown}, past the map degree cap {MAP_DEGREE_CAP}"
+            )
+        if len(den) == 1 and not any(num[1:]):  # (c*x^k/d)^e is c^e*x^degree/d^e
             c = num[0] if num else 0
             # |c|^e >= 2^((L-1)e) for c of L bits, and 2^(10/3) > 10
             bits = (max(abs(c), abs(den[0])).bit_length() - 1) * e
@@ -127,13 +133,7 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
                 raise ParseError(
                     f"power at position {caret} has more than {POWER_DIGIT_CAP} digits"
                 )
-            return binforms.strip((c**e,)), (den[0] ** e,)
-        degree = e * (max(len(num), len(den)) - 1)
-        if degree > MAP_DEGREE_CAP:
-            raise ParseError(
-                f"power at position {caret} has degree {degree}, past the map "
-                f"degree cap {MAP_DEGREE_CAP}"
-            )
+            return binforms.strip((c**e,) + (0,) * degree), (den[0] ** e,)
         num, den = (1,), (1,)
         for _ in range(e):
             num, den = _mul(num, base[0], "power", caret), _mul(den, base[1], "power", caret)

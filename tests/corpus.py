@@ -138,6 +138,33 @@ def edge_argvs() -> list[list[str]]:
     return out
 
 
+def reader_argvs() -> list[list[str]]:
+    """Map-reader edge cases, each under ``analyze`` and ``orbit``: zero
+    numerators, zero and +-1 bases to huge powers, division by a zero
+    polynomial, the map degree cap, syntax errors, the coefficient format,
+    powers of monomials, and exponents of 4000 and 5000 digits."""
+    maps = [
+        "0", "x-x", "(x-x)*x", "-(x-x)", "0/x", "(x-x)/(x+1)", "0x^3+x^2", "x^2+0x",
+        "0^99999999*x^2+x^3", "(x-x)^99999999+x^2", "1^99999999*x^2", "(-1)^99999999*x^2",
+        "(-1)^99999998x^3-1", "0^0+0^7x+1^99999999", "x^2/0", "x^2/(x-x)", "(x^2+1)/(0x)",
+        "x^2/(1-1)^3",
+        "x^65", "(x+1)^65", "(x+1)^40(x+1)^40", "1/(x+1)^40+1/(x+2)^40",
+        "(x+1)^100*x^2/(x+1)^100", "(x+1)^62*x^2/(x+1)^62", "(x^2+1)^33",
+        "x^x", "x^2^3", "x^2)", "(x^2+1", "x^2 @ 1", "x^-2", "x^", "", "x^2+", "x^2**2",
+        "num=1,0,1;den=1", "num=1,0,1;den=0,1", "num=1/2,0,-3;den=1", "num=1.5e3,0,1;den=1",
+        "num=1,0,1;den=0", "num=1,0,1", "num=x;den=1", "num=1,0,1;den=1e9999999",
+        "(2x^2)^5", "(x/2)^3", "(1/x)^3", "x^3", "(-3x)^2+1", "(2x)^3/(x+1)", "(x^2/3)^2",
+        "((2x)^2)^3", "(-x)^3+x", "(10^5000x)^2",
+    ]
+    for digits in (4000, 5000):
+        e = "9" * digits
+        maps += [f"x^{e}", f"(x+1)^{e}", f"2^{e}*x^2", f"1^{e}*x^2"]
+    return [argv for text in maps for argv in (
+        ["--no-timestamp", "analyze", "--map", text],
+        ["--no-timestamp", "orbit", "--map", text, "--point", "1/2", "--n", "3"],
+    )]
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -162,7 +189,7 @@ def run(argv: list[str]) -> str:
 
 
 def main() -> None:
-    argvs = bench_argvs() + command_argvs() + grid_argvs() + edge_argvs()
+    argvs = bench_argvs() + command_argvs() + grid_argvs() + edge_argvs() + reader_argvs()
     lines = []
     for argv in argvs:
         lines.append(run(argv))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from orbitint import mapexpr
+from orbitint.exactarith import POWER_DIGIT_CAP
 from orbitint.mapexpr import (
     ParseError,
     parse_coefficient_format,
@@ -105,6 +107,26 @@ class TestParseErrors:
         assert parse_rational_function("(x+1)^62*x^2/(x+1)^62") == ([1, 0, 0], [1])
         assert parse_rational_function("x^64") == ([1] + [0] * 64, [1])
 
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    @pytest.mark.parametrize("base", ["x", "(x+1)"])
+    def test_huge_exponent_names_the_map_degree_cap(self, base, digits):
+        # an exponent is read as an integer atom is, with no digit limit:
+        # int() printed the 4000-digit degree, and refused 5000 digits with
+        # Python's int-to-str message, which names no cap
+        with pytest.raises(ParseError) as err:
+            parse_rational_function(f"{base}^{'9' * digits}")
+        assert str(err.value) == (
+            f"power at position {len(base)} has a {digits}-digit exponent, past the map "
+            f"degree cap {MAP_DEGREE_CAP}"
+        )
+        assert len(str(err.value)) < 200
+
+    def test_degree_is_spelled_below_two_to_the_64(self):
+        with pytest.raises(ParseError, match=f"has degree {2**64 - 1}, past"):
+            parse_rational_function(f"x^{2**64 - 1}")
+        with pytest.raises(ParseError, match="has a 20-digit exponent, past"):
+            parse_rational_function(f"x^{2**64}")
+
     @pytest.mark.parametrize(
         "text", ["(" * 2000 + "x^2" + ")" * 2000, "x^2+" + "-" * 2000 + "1"],
         ids=["parentheses", "signs"],
@@ -190,9 +212,26 @@ class TestIntegerParser:
         start = time.perf_counter()
         assert parse_rational_function("0^99999999*x^2+x^3") == ([1, 0, 0, 0], [1])
         assert parse_rational_function("(x-x)^99999999+x^2") == ([1, 0, 0], [1])
+        # an exponent is read as an atom is: int() refused past 4300 digits
+        assert parse_rational_function(f"1^{'9' * 5000}*x^2") == ([1, 0, 0], [1])
         assert time.perf_counter() - start < 0.1
         num, den = parse_rational_function("2^3333333")
         assert num == [2**3333333] and den == [1]
+
+    @pytest.mark.parametrize(
+        "text, caret", [(f"2^{'9' * 5000}*x^2", 1), ("(10^100000x)^64", 12)], ids=["2^e", "c*x^64"]
+    )
+    def test_power_past_the_power_digit_cap(self, text, caret):
+        # int() refused an exponent past 4300 digits, naming no cap; and
+        # (10^100000)^64 has 6400065 digits, which the reader spent about
+        # 26 s building by 64 products
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_rational_function(text)
+        assert time.perf_counter() - start < 0.1
+        assert str(err.value) == (
+            f"power at position {caret} has more than {POWER_DIGIT_CAP} digits"
+        )
 
     @pytest.mark.parametrize("text", ["0", "x-x", "(x-x)*x", "-(x-x)", "0/x", "(x-x)/(x+1)"])
     def test_zero_numerator_is_empty(self, text):
@@ -214,6 +253,42 @@ class TestIntegerParser:
         f = parse_map(f"num=1,0,{digits};den=1")
         assert time.perf_counter() - start < 2
         assert f.p[2] == 7 * (10**900_000 - 1) // 9
+
+
+class TestMonomialPowers:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-10**6, 10**6), st.integers(0, 8), st.integers(-10**6, 10**6),
+        st.integers(0, 64),
+    )
+    @example(0, 0, 1, 0)
+    @example(0, 3, -7, 5)
+    def test_rule_matches_repeated_products(self, c, k, d, e):
+        # (c*x^k/d)^e is one int power each and a shift, as repeated _mul builds it
+        assume(d != 0 and k * e <= MAP_DEGREE_CAP)
+        base = (c,) + (0,) * k if c else ()
+        num, den = (1,), (1,)
+        for _ in range(e):
+            num, den = mapexpr._mul(num, base, "power", 0), mapexpr._mul(den, (d,), "power", 0)
+        if den[0] < 0:
+            num, den = tuple(-a for a in num), tuple(-a for a in den)
+        assert parse_rational_function(f"({c}x^{k}/({d}))^{e}") == (list(num), list(den))
+
+    @pytest.mark.parametrize(
+        "text, products",
+        [("x^3", 0), ("(2x^2)^5", 0), ("(x/2)^3", 0), ("(-3)^4x^2", 0), ("(x-x)^9+x^2", 0),
+         ("(1/x)^3", 3), ("(x+1)^3", 3)],
+    )
+    def test_monomial_power_runs_no_product_loop(self, monkeypatch, text, products):
+        calls, mul = [], mapexpr._mul
+
+        def counted(a, b, what, pos):
+            calls.append(what)
+            return mul(a, b, what, pos)
+
+        monkeypatch.setattr(mapexpr, "_mul", counted)
+        parse_rational_function(text)
+        assert calls.count("power") == 2 * products  # numerator and denominator
 
 
 # Expression trees: ("int", n), ("x",), ("neg" | "pos", a), ("^", a, k) and
