@@ -14,7 +14,7 @@ import types
 
 from . import __version__
 from .divisors import build_tower, diagonal_critical_intersections
-from .exactarith import PlaceSet
+from .exactarith import PlaceSet, quoted, read_int
 from .mapexpr import parse_map
 from .projective import parse_point
 from .ratmap import (
@@ -59,9 +59,9 @@ EXIT_TRUNCATED = 3
 
 def _parse_window(text: str) -> PairWindow:
     try:
-        m, n = map(int, text.lower().split("x"))
+        m, n = map(read_int, text.lower().split("x"))
     except ValueError:
-        raise SearchError(f"cannot parse window {text!r}; expected MxN") from None
+        raise SearchError(f"cannot parse window {quoted(text)}; expected MxN") from None
     return PairWindow(m, n)
 
 

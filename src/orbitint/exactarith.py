@@ -87,7 +87,7 @@ class PlaceSet(Record):
         ps = tuple(sorted(set(primes)))
         for p in ps:
             if not is_prime(p):
-                raise ExactArithError(f"{p} is not prime")
+                raise ExactArithError(f"{int_text(p)} is not prime")
         self.primes = ps
 
     def __contains__(self, p: int) -> bool:
@@ -100,8 +100,7 @@ class PlaceSet(Record):
         return len(self.primes)
 
     def union(self, other: "PlaceSet | Iterable[int]") -> "PlaceSet":
-        other_primes = other.primes if isinstance(other, PlaceSet) else tuple(other)
-        return PlaceSet(self.primes + other_primes)
+        return PlaceSet(self.primes + tuple(other))
 
     @classmethod
     def dividing(cls, *ns: int) -> "PlaceSet":
@@ -112,14 +111,13 @@ class PlaceSet(Record):
     def parse(cls, text: str) -> "PlaceSet":
         """Parse comma-separated primes, e.g. ``"2,3,7"``; "" is empty."""
         text = text.strip()
-        if not text:
-            return cls()
         primes = []
-        for tok in text.split(","):
+        for tok in text.split(",") if text else ():
             try:
-                primes.append(int(tok))
+                primes.append(read_int(tok))
             except ValueError:
-                raise ExactArithError(f"cannot parse prime {tok!r} in {text!r}") from None
+                raise ExactArithError(
+                    f"cannot parse prime {quoted(tok)} in {quoted(text)}") from None
         return cls(tuple(primes))
 
     def serialize(self) -> str:
@@ -134,6 +132,16 @@ def decimal_str(n: int) -> str:
         return str(n)
     except ValueError:
         return str(_to_decimal(n))
+
+
+def quoted(text: str) -> str:
+    """``repr(text)``, or past ``ELISION_DIGITS`` characters its head and length."""
+    return repr(text) if len(text) <= ELISION_DIGITS else f"{text[:12]!r}...[{len(text)} chars]"
+
+
+def int_text(n: int) -> str:
+    """``str(n)`` below 2^64 in magnitude, else n named by its digit count."""
+    return str(n) if abs(n) < 2**64 else "-" * (n < 0) + f"[{len(decimal_str(abs(n)))} digits]"
 
 
 # below this many bits ``Decimal(n)``'s quadratic conversion is cheap
@@ -211,31 +219,47 @@ def read_digits(s: str) -> int:
     return read(s)
 
 
+def read_int(text: str) -> int:
+    """``int(text)``, with no digit limit: past Python's int-to-str limit, ``int`` reads
+    the text with 0 for the digits of ``_RATIONAL``'s match, which :func:`read_digits` reads."""
+    try:
+        return int(text)
+    except ValueError:
+        m = _RATIONAL.match(text)
+        if m is None:
+            raise
+    int(text[: m.start("num")] + "0" + text[m.end("num") :])  # int's grammar around the digits
+    return read_digits(m["num"].replace("_", "")) * (-1 if m["sign"] == "-" else 1)
+
+
 # the most decimal digits that a power written in an input (an exponent
 # form of a rational, a constant power in a map expression) may build
 POWER_DIGIT_CAP = 10**6
+ELISION_DIGITS = 80  # the most digits a report writes, or characters an error quotes, whole
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational as ``Fraction(text)`` does ("p/q", "n", "-1.5e3",
-    "1_000", ...), with no limit on the number of digits: integers and
-    "p/q" are read by :func:`read_digits`, decimal and exponent forms
-    through ``Decimal``.  An exponent past ``POWER_DIGIT_CAP`` is refused
-    before the power of ten is built."""
+    "1_000", ...), with no limit on the number of digits, and build it as
+    ``Fraction`` does, a decimal form as its digits over a power of ten, from
+    integers read by :func:`read_int`.  An exponent past ``POWER_DIGIT_CAP``
+    is refused by its digits, before it is read."""
     m = _RATIONAL.match(text)
     if m is None:
-        raise ExactArithError(f"Invalid literal for Fraction: {text!r}")
-    if m["exp"] is not None and abs(int(m["exp"])) > POWER_DIGIT_CAP:
-        raise ExactArithError(
-            f"exponent {m['exp']} of {text.strip()!r} is past the power digit "
-            f"cap {POWER_DIGIT_CAP}"
-        )
-    if m["dec"] is not None or m["exp"] is not None:
-        return Fraction(Decimal(text.strip().replace("_", "")))
-    num = read_digits(m["num"].replace("_", ""))
-    den = 1 if m["den"] is None else read_digits(m["den"].replace("_", ""))
+        raise ExactArithError(f"Invalid literal for Fraction: {quoted(text)}")
+    dec = (m["dec"] or "").replace("_", "")
+    num, den = read_int(m["num"] + dec), read_int(m["den"] or "1") * 10 ** len(dec)
     if den == 0:
-        raise ExactArithError(f"zero denominator: {text!r}")
+        raise ExactArithError(f"zero denominator: {quoted(text)}")
+    if (exp := m["exp"]) is not None:
+        digits = exp.lstrip("+-").replace("_", "")
+        # a nonzero digit (of any script) ahead of the last len(str(cap)) is past it
+        over = any(map(int, set(digits[: -len(str(POWER_DIGIT_CAP))])))
+        if over or abs(e := read_int(exp)) > POWER_DIGIT_CAP:
+            shown = exp if len(text) <= ELISION_DIGITS else f"[{len(digits)} digits]"
+            raise ExactArithError(f"exponent {shown} of {quoted(text.strip())} is past the "
+                                  f"power digit cap {POWER_DIGIT_CAP}")
+        num, den = (num * 10**e, den) if e >= 0 else (num, den * 10**-e)
     return Fraction(-num if m["sign"] == "-" else num, den)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from . import binforms
-from .exactarith import POWER_DIGIT_CAP, parse_rational, read_digits
+from .exactarith import ELISION_DIGITS, POWER_DIGIT_CAP, parse_rational, quoted, read_digits
 from .ratmap import MAP_DEGREE_CAP, RatMap, make_map
 
 
@@ -172,11 +172,11 @@ def parse_rational_function(text: str) -> tuple[list[int], list[int]]:
 def parse_coefficient_format(text: str) -> RatMap:
     """Parse the canonical "num=c_k,...,c_0;den=c_j,...,c_0" format."""
     parts = text.split(";")
-    if len(parts) != 2 or not (parts[0].startswith("num=") and parts[1].startswith("den=")):
-        raise ParseError(f"cannot parse coefficient format: {text!r}")
-    num_part, den_part = parts
-    num = [parse_rational(tok) for tok in num_part[4:].split(",")]
-    den = [parse_rational(tok) for tok in den_part[4:].split(",")]
+    bad = [p for p, key in zip(parts, ("num=", "den=")) if not p.startswith(key)] + parts[2:]
+    if bad or len(parts) < 2:  # a long text is named by its first keyless or third part
+        shown = text if len(text) <= ELISION_DIGITS else (bad or parts)[0]
+        raise ParseError(f"cannot parse coefficient format: {quoted(shown)}")
+    num, den = ([parse_rational(tok) for tok in part[4:].split(",")] for part in parts)
     return make_map(num, den)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactarith import Record, decimal_str, parse_rational
+from .exactarith import Record, decimal_str, parse_rational, quoted
 
 
 class ProjectiveError(ValueError):
@@ -45,9 +45,7 @@ class ProjPoint(Record):
 
     def to_affine(self) -> Fraction | None:
         """Affine value a0/a1, or None for the point at infinity."""
-        if self.a1 == 0:
-            return None
-        return Fraction(self.a0, self.a1)
+        return None if self.a1 == 0 else Fraction(self.a0, self.a1)
 
     def serialize(self) -> str:
         return f"[{decimal_str(self.a0)}:{decimal_str(self.a1)}]"
@@ -62,8 +60,6 @@ INFINITY = ProjPoint(1, 0)
 def normalize(x0: Fraction | int, x1: Fraction | int) -> ProjPoint:
     """The unique normalized representative of [x0:x1], rational inputs ok."""
     x0, x1 = Fraction(x0), Fraction(x1)
-    if x0 == 0 and x1 == 0:
-        raise ProjectiveError("not a projective point")
     m = x0.denominator * x1.denominator
     return ProjPoint(int(x0 * m), int(x1 * m))
 
@@ -83,7 +79,6 @@ def parse_point(text: str) -> ProjPoint:
         return INFINITY
     if text.startswith("["):
         if not text.endswith("]") or text.count(":") != 1:
-            raise ProjectiveError(f"cannot parse projective point: {text!r}")
-        left, right = text[1:-1].split(":")
-        return normalize(parse_rational(left), parse_rational(right))
+            raise ProjectiveError(f"cannot parse projective point: {quoted(text)}")
+        return normalize(*map(parse_rational, text[1:-1].split(":")))
     return from_affine(parse_rational(text))

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from . import binforms
 from .binforms import Form
-from .exactarith import PlaceSet, Record, decimal_str
+from .exactarith import PlaceSet, Record, decimal_str, int_text
 from .projective import INFINITY, ProjPoint
 
 DEFAULT_FORM_DEGREE_CAP = 4096
@@ -192,9 +192,10 @@ def iterate(f: RatMap, pt: ProjPoint, n: int) -> ProjPoint:
 def check_degree_cap(d: int, n: int, cap: int, form: str, cap_form: str) -> None:
     """Refuse the n-th iterate's forms of degree d^n (d >= 2) when d^n > cap,
     with no d^n past the cap built: 2^n > cap once n reaches the cap's bit
-    length.  The error spells d^n in digits below 2^64, else as "d^n"."""
+    length.  The error spells d^n in digits below 2^64, else as "d^n" with
+    n by :func:`int_text`."""
     if n >= cap.bit_length() or d**n > cap:
-        degree = d**n if n * d.bit_length() <= 64 else f"{d}^{n}"
+        degree = d**n if n * d.bit_length() <= 64 else f"{d}^{int_text(n)}"
         raise FormDegreeCapError(
             f"{form} degree {degree} exceeds the {cap_form} degree cap {cap}"
         )

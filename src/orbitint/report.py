@@ -12,13 +12,12 @@ import sys
 from fractions import Fraction
 
 from .divisors import DivisorTower
-from .exactarith import decimal_str
+from .exactarith import ELISION_DIGITS, decimal_str
 from .projective import ProjPoint
 from .ratmap import CriticalDatum, PoweringWitness, WanderingResult
 from .search import CosetStructure, PairReport
 
 SCHEMA_VERSION = "2.2"
-ELISION_DIGITS = 80
 
 _json_str = json.encoder.encode_basestring_ascii
 
@@ -188,8 +187,7 @@ def critical_datum_doc(c: CriticalDatum) -> dict:
 def wandering_doc(r: WanderingResult) -> dict:
     out: dict = {"kind": r.kind}
     if r.kind == "preperiodic":
-        out["tail"] = r.tail
-        out["period"] = r.period
+        out.update(tail=r.tail, period=r.period)
     if r.certificate is not None:
         cert = r.certificate
         out["certificate"] = {
@@ -211,13 +209,8 @@ def powering_doc(w: PoweringWitness) -> dict:
 
 
 def exceptional_doc(items) -> list:
-    out = []
-    for item in items:
-        if isinstance(item, ProjPoint):
-            out.append(item.serialize())
-        else:
-            out.append({"quadratic_factor": _json_form("quadratic_factor", item)})
-    return out
+    return [item.serialize() if isinstance(item, ProjPoint)
+            else {"quadratic_factor": _json_form("quadratic_factor", item)} for item in items]
 
 
 def pair_report_doc(report: PairReport) -> dict:
@@ -257,10 +250,8 @@ def pair_report_doc(report: PairReport) -> dict:
         "frontier": report.frontier,
     }
     if report.truncated:
-        doc["effective_window"] = {
-            "m_max": report.effective_window.m_max,
-            "n_max": report.effective_window.n_max,
-        }
+        eff = report.effective_window  # a property: built once here
+        doc["effective_window"] = {"m_max": eff.m_max, "n_max": eff.n_max}
     h = report.hypotheses
     doc["hypotheses"] = {
         "u": wandering_doc(h.u_status),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactarith import PlaceSet, Record, is_s_unit
+from .exactarith import PlaceSet, Record, int_text, is_s_unit
 from .integrality import IntegralityWitness, is_integral_pair
 from .projective import INFINITY, ProjPoint
 from .ratmap import (
@@ -114,9 +114,8 @@ def orbit(
     The run was truncated when it returns ``length`` points or fewer; a
     length past ``ORBIT_LENGTH_CAP`` is refused before any point."""
     if length > ORBIT_LENGTH_CAP:
-        raise SearchError(
-            f"orbit length {length} exceeds the orbit length cap {ORBIT_LENGTH_CAP}"
-        )
+        shown = int_text(length)
+        raise SearchError(f"orbit length {shown} exceeds the orbit length cap {ORBIT_LENGTH_CAP}")
     pts = [start]
     for _ in range(length):
         nxt = eval_map(f, pts[-1])
@@ -152,9 +151,8 @@ def find_integral_pairs(
     classifier's tail and period: each distinct pair is decided once.
     """
     if window.m_max > DEFAULT_ORBIT_CAP or window.n_max > DEFAULT_ORBIT_CAP:
-        raise SearchError(
-            f"window {window.m_max}x{window.n_max} exceeds the orbit cap {DEFAULT_ORBIT_CAP}"
-        )
+        shown = "x".join(map(int_text, (window.m_max, window.n_max)))
+        raise SearchError(f"window {shown} exceeds the orbit cap {DEFAULT_ORBIT_CAP}")
 
     u_orbit = orbit(f, u, window.m_max, digit_budget)
     w_orbit = orbit(f, w, window.n_max, digit_budget)

@@ -27,7 +27,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
-from conftest import CORPUS_EXPRS, NONPOLY_EXPRS, POLY_DEG2_EXPRS, POLY_DEG3_EXPRS  # noqa: E402
+from conftest import (  # noqa: E402
+    CORPUS_EXPRS,
+    LONG_INPUT_ARGVS,
+    NONPOLY_EXPRS,
+    POLY_DEG2_EXPRS,
+    POLY_DEG3_EXPRS,
+)
 from orbitint import cli  # noqa: E402
 from orbitint.mapexpr import parse_map  # noqa: E402
 
@@ -135,6 +141,8 @@ def edge_argvs() -> list[list[str]]:
     for text in ("(" * 300 + "x^2" + ")" * 300, "x^2+" + "-" * 1200 + "1"):
         out.append(["--no-timestamp", "analyze", "--map", text])
     out.append(["--no-timestamp", "certify", "--map", "x^2+1", "--point", "1" + "\"é\\" * 100])
+    out.append(["--no-timestamp", "--output", "/nonexistent/" + "1" + "\"é\\" * 100, "analyze",
+                "--map", "x^2+1"])
     return out
 
 
@@ -190,6 +198,7 @@ def run(argv: list[str]) -> str:
 
 def main() -> None:
     argvs = bench_argvs() + command_argvs() + grid_argvs() + edge_argvs() + reader_argvs()
+    argvs += [argv for argv, _ in LONG_INPUT_ARGVS]
     lines = []
     for argv in argvs:
         lines.append(run(argv))

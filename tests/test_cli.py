@@ -19,7 +19,7 @@ from orbitint.mapexpr import parse_map
 from orbitint.primes import factor_partial
 from orbitint.ratmap import MAP_DEGREE_CAP
 
-from conftest import CORPUS_EXPRS, unlimited_str
+from conftest import CORPUS_EXPRS, LONG_INPUT_ARGVS, unlimited_str
 from test_divisors import serialize_reference
 
 
@@ -438,6 +438,26 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_PRECONDITION
         assert json.loads(out)["error"] == error
+
+    # the short malformed inputs keep the errors they had
+    SHORT_ERRORS = {
+        "2,x": "cannot parse prime 'x' in '2,x'",
+        "3y4": "cannot parse window '3y4'; expected MxN",
+        "1.2.3": "Invalid literal for Fraction: '1.2.3'",
+    }
+
+    @pytest.mark.parametrize("argv, status", LONG_INPUT_ARGVS,
+                             ids=[f"{argv[1]} {argv[-2]}" for argv, _ in LONG_INPUT_ARGVS])
+    def test_long_input_exits_with_a_short_error(self, capsys, argv, status):
+        start = time.perf_counter()
+        code, out = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == status
+        doc = json.loads(out)
+        assert ("error" in doc) == (status == EXIT_PRECONDITION)
+        assert len(doc.get("error", "")) < 200
+        if argv[-1] in self.SHORT_ERRORS:
+            assert doc["error"] == self.SHORT_ERRORS[argv[-1]]
 
     def test_unparsable_prime_names_the_set(self, capsys):
         code, out = run_cli(

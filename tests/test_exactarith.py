@@ -1,5 +1,6 @@
 import re
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from orbitint.exactarith import (
     is_s_unit,
     parse_rational,
     read_digits,
+    read_int,
     s_free_part,
     split_prime_power,
     _to_decimal,
@@ -53,6 +55,16 @@ class TestPlaceSet:
             PlaceSet((4,))
         with pytest.raises(ExactArithError):
             PlaceSet.parse("2,9")
+
+    def test_huge_integer_named_by_its_digits(self):
+        # read with no digit limit, then refused by a short error
+        for text in ("2," + "9" * 5000, "9" * 5000, " 3 , " + "1" * 4400):
+            digits = len(text.rpartition(",")[2].strip())
+            with pytest.raises(ExactArithError, match=rf"^\[{digits} digits\] is not prime$"):
+                PlaceSet.parse(text)
+        with pytest.raises(ExactArithError) as err:
+            PlaceSet.parse("2," + "9" * 5000 + "x")
+        assert len(str(err.value)) < 200
 
     def test_union_and_superset(self):
         a = PlaceSet((2, 3))
@@ -120,6 +132,96 @@ class TestRationalFormat:
         assert got == expected
 
 
+    # digit runs with single underscores, in ASCII and in two other scripts
+    RUNS = st.lists(
+        st.text(st.sampled_from("0123456789\u0663\u0660\uff11"), min_size=1, max_size=12),
+        min_size=1, max_size=4,
+    ).map("_".join)
+    # an exponent of at most three significant digits, after up to a dozen
+    # zeros: the cap is decided by the digits ahead of its own seven
+    EXPONENTS = st.builds(
+        lambda e, sign, zeros, digits: f"{e}{sign}{zeros}{digits}",
+        st.sampled_from("eE"), st.sampled_from(["", "-", "+"]),
+        st.sampled_from(["", "0", "0" * 12, "\u0660" * 9, "0_0"]),
+        st.text(st.sampled_from("0123456789"), min_size=1, max_size=3),
+    )
+    FORMS = st.builds(
+        lambda lead, sign, num, tail, trail: f"{lead}{sign}{num}{tail}{trail}",
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "-", "+"]),
+        st.one_of(st.just(""), RUNS),
+        st.one_of(
+            st.just(""),
+            RUNS.map("/".__add__),
+            st.builds(lambda dec, exp: f".{dec}{exp}", st.one_of(st.just(""), RUNS),
+                      st.one_of(st.just(""), EXPONENTS)),
+            EXPONENTS,
+        ),
+        st.sampled_from(["", " ", "\u3000"]),
+    )
+
+    @given(FORMS)
+    @example("1_000.5e-3")
+    @example("-.5e0_0")
+    @example("1e" + "\u0660" * 10 + "5")
+    def test_built_as_fraction_builds_it(self, text):
+        # integer, p/q, decimal and exponent forms, signed and underscored
+        if sys.version_info < (3, 11):  # 3.10's Fraction rejects underscores
+            assume("_" not in text)
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        try:
+            got = parse_rational(text)
+        except ExactArithError:
+            got = None
+        assert got == expected
+
+    def test_long_decimal_in_subquadratic_time(self):
+        # through Decimal this took 6.6 s: int(Decimal) converts in quadratic time
+        start = time.perf_counter()
+        q = parse_rational("0." + "7" * 400000)
+        assert time.perf_counter() - start < 1.0
+        assert q.denominator == 10**400000 and q.numerator % 10**12 == 777777777777
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    @given(st.integers(600, 1400), st.integers(0, 20), st.sampled_from(["", "-"]), st.data())
+    def test_decimal_forms_past_the_limit(self, digits, exp, sign, data):
+        # the digits before and after the point are read past a lowered
+        # limit, against Fraction with the limit lifted
+        cut = data.draw(st.integers(0, digits))
+        run = "".join(data.draw(st.lists(st.sampled_from("0123456789"), min_size=digits,
+                                         max_size=digits)))
+        text = f"{sign}{run[:cut]}.{run[cut:]}e-{exp}"
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = Fraction(text)
+            sys.set_int_max_str_digits(640)
+            assert parse_rational(text) == expected
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_long_inputs_named_by_their_length(self):
+        for text in ("1e" + "9" * 4000, "1e" + "9" * 5000, " 1e-0" + "9" * 4999 + " "):
+            with pytest.raises(ExactArithError, match="power digit cap 1000000") as err:
+                parse_rational(text)
+            assert len(str(err.value)) < 200
+            assert f"[{len(text.strip()) - 2 - ('-' in text)} digits]" in str(err.value)
+        for text in ("1.2." + "3" * 5000, "1/" + "0" * 5000, "x" * 100):
+            with pytest.raises(ExactArithError) as err:
+                parse_rational(text)
+            assert len(str(err.value)) < 200 and f"[{len(text)} chars]" in str(err.value)
+        # an input of at most 80 characters keeps the message it had
+        with pytest.raises(ExactArithError) as err:
+            parse_rational(" 1e+0_9999999 ")
+        assert str(err.value) == (
+            "exponent +0_9999999 of '1e+0_9999999' is past the power digit cap 1000000"
+        )
+
     def test_exponent_forms_up_to_the_power_digit_cap(self):
         assert parse_rational("1e1000000") == 10**1000000
         assert parse_rational("-2.5E-1_000_000") == Fraction(-25, 10**1000001)
@@ -155,6 +257,60 @@ class TestReadDigits:
             assert parse_rational(f"{sign}{digits}/{digits}1") == Fraction(
                 int(Decimal(sign + digits)), int(Decimal(digits + "1"))
             )
+            assert sys.get_int_max_str_digits() == 640  # never lifted
+        finally:
+            sys.set_int_max_str_digits(old)
+
+
+class TestReadInt:
+    # int's grammar: surrounding whitespace, a sign, digits of any script
+    # with single underscores; and the texts just outside it
+    TEXTS = st.one_of(
+        st.from_regex(r"\s?[-+]?[\d_]{0,6}\s?", fullmatch=True),
+        st.lists(
+            st.sampled_from([" ", "\u3000", "\xa0", "+", "-", "_", "0", "7", "\u0663",
+                             "\uff11", "x", ".", "e", "/", "\u00b2"]),
+            max_size=9,
+        ).map("".join),
+    )
+
+    @given(TEXTS)
+    @example("")
+    @example(" -0_7 ")
+    @example("\u00b2")
+    def test_agrees_with_int(self, text):
+        try:
+            expected = int(text)
+        except ValueError:
+            expected = None
+        try:
+            got = read_int(text)
+        except ValueError:
+            got = None
+        assert got == expected
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    @given(
+        st.lists(st.text(st.sampled_from("0123456789\u0663"), min_size=1, max_size=400),
+                 min_size=1, max_size=8),
+        st.sampled_from(["", "-", "+"]),
+        st.sampled_from(["", " ", "\u3000\t"]),
+        st.sampled_from(["x", "__", "_", ".", ".5", "/7", "e3", "-"]),
+    )
+    def test_past_the_limit(self, groups, sign, space, bad):
+        # past a lowered limit, against int with the limit lifted; a text
+        # int refuses is refused there too
+        text = f"{space}{sign}{'_'.join(groups)}{space}"
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = int(text)
+            sys.set_int_max_str_digits(640)
+            assert read_int(text) == expected
+            with pytest.raises(ValueError):
+                read_int(text.strip() + bad)
             assert sys.get_int_max_str_digits() == 640  # never lifted
         finally:
             sys.set_int_max_str_digits(old)
