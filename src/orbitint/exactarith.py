@@ -11,6 +11,7 @@ never stored.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -86,6 +87,11 @@ class PlaceSet(Record):
     def __init__(self, primes: tuple[int, ...] = ()):
         ps = tuple(sorted(set(primes)))
         for p in ps:
+            try:  # is_prime's time grows as the cube of p's length, and serialize writes p by str
+                str(p)
+            except ValueError:
+                raise ExactArithError(f"{int_text(p)} is past the int-to-str limit of "
+                                      f"{sys.get_int_max_str_digits()} digits") from None
             if not is_prime(p):
                 raise ExactArithError(f"{int_text(p)} is not prime")
         self.primes = ps
@@ -100,7 +106,8 @@ class PlaceSet(Record):
         return len(self.primes)
 
     def union(self, other: "PlaceSet | Iterable[int]") -> "PlaceSet":
-        return PlaceSet(self.primes + tuple(other))
+        other_primes = other.primes if isinstance(other, PlaceSet) else tuple(other)
+        return PlaceSet(self.primes + other_primes)
 
     @classmethod
     def dividing(cls, *ns: int) -> "PlaceSet":
@@ -111,8 +118,10 @@ class PlaceSet(Record):
     def parse(cls, text: str) -> "PlaceSet":
         """Parse comma-separated primes, e.g. ``"2,3,7"``; "" is empty."""
         text = text.strip()
+        if not text:
+            return cls()
         primes = []
-        for tok in text.split(",") if text else ():
+        for tok in text.split(","):
             try:
                 primes.append(read_int(tok))
             except ValueError:
@@ -256,7 +265,8 @@ def parse_rational(text: str) -> Fraction:
         # a nonzero digit (of any script) ahead of the last len(str(cap)) is past it
         over = any(map(int, set(digits[: -len(str(POWER_DIGIT_CAP))])))
         if over or abs(e := read_int(exp)) > POWER_DIGIT_CAP:
-            shown = exp if len(text) <= ELISION_DIGITS else f"[{len(digits)} digits]"
+            sign = "-" if exp.startswith("-") else ""
+            shown = exp if len(exp) <= ELISION_DIGITS else f"{sign}[{len(digits)} digits]"
             raise ExactArithError(f"exponent {shown} of {quoted(text.strip())} is past the "
                                   f"power digit cap {POWER_DIGIT_CAP}")
         num, den = (num * 10**e, den) if e >= 0 else (num, den * 10**-e)

@@ -176,7 +176,9 @@ def parse_coefficient_format(text: str) -> RatMap:
     if bad or len(parts) < 2:  # a long text is named by its first keyless or third part
         shown = text if len(text) <= ELISION_DIGITS else (bad or parts)[0]
         raise ParseError(f"cannot parse coefficient format: {quoted(shown)}")
-    num, den = ([parse_rational(tok) for tok in part[4:].split(",")] for part in parts)
+    num_part, den_part = parts
+    num = [parse_rational(tok) for tok in num_part[4:].split(",")]
+    den = [parse_rational(tok) for tok in den_part[4:].split(",")]
     return make_map(num, den)
 
 

@@ -45,7 +45,9 @@ class ProjPoint(Record):
 
     def to_affine(self) -> Fraction | None:
         """Affine value a0/a1, or None for the point at infinity."""
-        return None if self.a1 == 0 else Fraction(self.a0, self.a1)
+        if self.a1 == 0:
+            return None
+        return Fraction(self.a0, self.a1)
 
     def serialize(self) -> str:
         return f"[{decimal_str(self.a0)}:{decimal_str(self.a1)}]"
@@ -80,5 +82,6 @@ def parse_point(text: str) -> ProjPoint:
     if text.startswith("["):
         if not text.endswith("]") or text.count(":") != 1:
             raise ProjectiveError(f"cannot parse projective point: {quoted(text)}")
-        return normalize(*map(parse_rational, text[1:-1].split(":")))
+        left, right = text[1:-1].split(":")
+        return normalize(parse_rational(left), parse_rational(right))
     return from_affine(parse_rational(text))

@@ -187,7 +187,8 @@ def critical_datum_doc(c: CriticalDatum) -> dict:
 def wandering_doc(r: WanderingResult) -> dict:
     out: dict = {"kind": r.kind}
     if r.kind == "preperiodic":
-        out.update(tail=r.tail, period=r.period)
+        out["tail"] = r.tail
+        out["period"] = r.period
     if r.certificate is not None:
         cert = r.certificate
         out["certificate"] = {
@@ -209,8 +210,13 @@ def powering_doc(w: PoweringWitness) -> dict:
 
 
 def exceptional_doc(items) -> list:
-    return [item.serialize() if isinstance(item, ProjPoint)
-            else {"quadratic_factor": _json_form("quadratic_factor", item)} for item in items]
+    out = []
+    for item in items:
+        if isinstance(item, ProjPoint):
+            out.append(item.serialize())
+        else:
+            out.append({"quadratic_factor": _json_form("quadratic_factor", item)})
+    return out
 
 
 def pair_report_doc(report: PairReport) -> dict:
@@ -250,8 +256,10 @@ def pair_report_doc(report: PairReport) -> dict:
         "frontier": report.frontier,
     }
     if report.truncated:
-        eff = report.effective_window  # a property: built once here
-        doc["effective_window"] = {"m_max": eff.m_max, "n_max": eff.n_max}
+        doc["effective_window"] = {
+            "m_max": report.effective_window.m_max,
+            "n_max": report.effective_window.n_max,
+        }
     h = report.hypotheses
     doc["hypotheses"] = {
         "u": wandering_doc(h.u_status),

@@ -47,12 +47,14 @@ def _pairs(*args: str) -> list[str]:
 
 
 # argvs whose numbers run to thousands of digits, each with its exit status:
-# every number is read with no digit limit, and an error names a long input
-# or a number of 2^64 or more by its length.  The last three are short
-# malformed inputs, whose errors keep their bytes.
+# every number is read with no digit limit (a prime past the int-to-str
+# limit is then refused untested), and an error names a long input or a
+# number of 2^64 or more by its length.  The last three are short malformed
+# inputs, whose errors keep their bytes.
 LONG_INPUT_ARGVS = [
     (_pairs("--S", "2," + "9" * 5000), 2),
     (_pairs("--S", "9" * 5000), 2),
+    (_pairs("--S", "1" + "0" * 4998 + "7"), 2),  # no factor up to 47
     (_pairs("--window", "9" * 5000 + "x1"), 2),
     (_pairs("--u", "1e" + "9" * 4000), 2),
     (_pairs("--u", "1e" + "9" * 5000), 2),

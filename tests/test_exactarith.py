@@ -56,12 +56,27 @@ class TestPlaceSet:
         with pytest.raises(ExactArithError):
             PlaceSet.parse("2,9")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit"
+    )
     def test_huge_integer_named_by_its_digits(self):
-        # read with no digit limit, then refused by a short error
-        for text in ("2," + "9" * 5000, "9" * 5000, " 3 , " + "1" * 4400):
+        # read with no digit limit; a prime past the int-to-str limit is
+        # refused untested, in a short error that names the limit.  The
+        # last has no factor up to 47, so is_prime would run its Miller-Rabin
+        # rounds on 5000 digits for tens of seconds
+        limit = sys.get_int_max_str_digits()
+        for text in ("2," + "9" * 5000, "9" * 5000, " 3 , " + "1" * 4400, "1" + "0" * 4998 + "7"):
             digits = len(text.rpartition(",")[2].strip())
-            with pytest.raises(ExactArithError, match=rf"^\[{digits} digits\] is not prime$"):
+            start = time.perf_counter()
+            with pytest.raises(ExactArithError, match=rf"^\[{digits} digits\] is past the "
+                               rf"int-to-str limit of {limit} digits$"):
                 PlaceSet.parse(text)
+            assert time.perf_counter() - start < 1.0
+        with pytest.raises(ExactArithError, match="int-to-str limit"):
+            PlaceSet((2, 10**4999 + 7))
+        # at the limit the prime is tested: a run of nines is a multiple of 3
+        with pytest.raises(ExactArithError, match=rf"^\[{limit} digits\] is not prime$"):
+            PlaceSet.parse("9" * limit)
         with pytest.raises(ExactArithError) as err:
             PlaceSet.parse("2," + "9" * 5000 + "x")
         assert len(str(err.value)) < 200
@@ -210,11 +225,16 @@ class TestRationalFormat:
             with pytest.raises(ExactArithError, match="power digit cap 1000000") as err:
                 parse_rational(text)
             assert len(str(err.value)) < 200
-            assert f"[{len(text.strip()) - 2 - ('-' in text)} digits]" in str(err.value)
+            digits = len(text.strip()) - 2 - ("-" in text)
+            assert f"exponent {'-' * ('-' in text)}[{digits} digits] of" in str(err.value)
         for text in ("1.2." + "3" * 5000, "1/" + "0" * 5000, "x" * 100):
             with pytest.raises(ExactArithError) as err:
                 parse_rational(text)
             assert len(str(err.value)) < 200 and f"[{len(text)} chars]" in str(err.value)
+        # a short exponent of a long input is written as it is, sign and all
+        with pytest.raises(ExactArithError) as err:
+            parse_rational("0." + "1" * 90 + "e-12345678")
+        assert str(err.value).startswith("exponent -12345678 of '0.1111111111'...[102 chars] ")
         # an input of at most 80 characters keeps the message it had
         with pytest.raises(ExactArithError) as err:
             parse_rational(" 1e+0_9999999 ")
